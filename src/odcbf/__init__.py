@@ -9,6 +9,7 @@ from .backstepping import (
     recursive_compose,
 )
 from .barrier import (
+    BarrierEval,
     BarrierSpec,
     ExtendedClassK,
     LieData,
@@ -38,7 +39,7 @@ from .dynamics import (
     close_loop,
     eval_dynamics,
 )
-from .odfilter import FilterResult, OdIssfController, od_issf_filter, od_issf_virtual_filter
+from .odfilter import FilterResult, OdIssfController, StateEval, od_issf_filter
 from .scenarios import (
     PendulumConfig,
     QuadrotorConfig,

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .barrier import BarrierSpec
+from .barrier import BarrierEval, BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError, SynthesisInfeasibleError
 from .synthesis import SmoothVirtualController, synth_virtual
@@ -59,14 +59,6 @@ class StrictFeedbackSystem:
     @property
     def n(self):
         return sum(self.dims)
-
-    def split(self, x):
-        """Split a stacked state into per-layer blocks (Dual-aware)."""
-        out, k = [], 0
-        for layer in self.layers:
-            out.append(x[k : k + layer.dim])
-            k += layer.dim
-        return out
 
     def prefix(self, x, i):
         """Stacked state of layers 0..i inclusive."""
@@ -162,20 +154,21 @@ class CompositeBarrier:
         e = x2 - self.k1.k1(x1)
         return self.h1.h(x1) - ad.dot(e, e) / (2.0 * self.mu)
 
-    def value_and_grad(self, x):
-        """(h, grad h) sharing one controller value-and-jacobian pass."""
+    def value_and_grad(self, x) -> BarrierEval:
+        """h, grad h and k1 from one controller value-and-jacobian pass."""
         x = np.asarray(x, dtype=float)
         x1, x2 = x[: self.n1], x[self.n1 :]
         k_val, jac = self.k1.with_jacobian(x1)
+        jac = jac.reshape(self.n2, self.n1)
         e = x2 - k_val
-        h1_val, h1_grad = self.h1.value_and_grad(x1)
-        hv = h1_val - float(e @ e) / (2.0 * self.mu)
-        d1 = h1_grad + (e @ jac.reshape(self.n2, self.n1)) / self.mu
+        top = self.h1.value_and_grad(x1)
+        hv = top.h - float(e @ e) / (2.0 * self.mu)
+        d1 = top.grad + (e @ jac) / self.mu
         d2 = -e / self.mu
-        return hv, np.concatenate([d1, d2])
+        return BarrierEval(hv, np.concatenate([d1, d2]), k=k_val, k_jac=jac, ref=k_val)
 
     def grad_h(self, x):
-        return self.value_and_grad(x)[1]
+        return self.value_and_grad(x).grad
 
     def to_spec(self) -> BarrierSpec:
         return BarrierSpec(
@@ -186,7 +179,7 @@ class CompositeBarrier:
             theta_d=self.h1.theta_d,
             p_weight=self.h1.p_weight,
             n=self.n1 + self.n2,
-            fused=self.value_and_grad,
+            value_and_grad=self.value_and_grad,
         )
 
 
@@ -266,31 +259,8 @@ def recursive_compose(
     composite = None
     for i in range(n_layers - 1):
         top = sfs.virtual_top(i)
-        k_i = _tag_layer(synth_virtual(top, bar, sigmas[i], jac_mode="ad" if i == 0 else "fd"), i + 1)
+        k_i = synth_virtual(top, bar, sigmas[i], jac_mode="ad" if i == 0 else "fd", layer=i + 1)
         composite = compose_barrier(bar, k_i, mus[i], n1=top.n, n2=top.m)
         bar = composite.to_spec()
     return composite
 
-
-def _tag_layer(ctrl: SmoothVirtualController, layer: int) -> SmoothVirtualController:
-    """Annotate lazy synthesis failures with the layer they came from."""
-
-    def k1(x1):
-        try:
-            return ctrl.k1(x1)
-        except SynthesisInfeasibleError as exc:
-            raise SynthesisInfeasibleError(exc.x, exc.a, layer=layer) from None
-
-    def jacobian(x1):
-        try:
-            return ctrl.jacobian(x1)
-        except SynthesisInfeasibleError as exc:
-            raise SynthesisInfeasibleError(exc.x, exc.a, layer=layer) from None
-
-    def fused(x1):
-        try:
-            return ctrl.with_jacobian(x1)
-        except SynthesisInfeasibleError as exc:
-            raise SynthesisInfeasibleError(exc.x, exc.a, layer=layer) from None
-
-    return SmoothVirtualController(k1=k1, jacobian=jacobian, sigma=ctrl.sigma, value_and_jacobian=fused)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -103,11 +103,28 @@ def register_class_k(alpha, alpha_inv, b=math.inf, c=math.inf):
     return k
 
 
+class BarrierEval(NamedTuple):
+    """h and grad h at one state from one pass.
+
+    A backstepped barrier penalizes a block's distance to a reference ``ref``
+    built from a smooth virtual controller k; its pass also leaves k and
+    dk/dx here (all None for a plain barrier), so that readers of the same
+    state need not rerun k.
+    """
+
+    h: float
+    grad: np.ndarray
+    k: Optional[np.ndarray] = None
+    k_jac: Optional[np.ndarray] = None
+    ref: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True)
 class BarrierSpec:
     """A barrier h with gradient access and its robustness parameters.
 
-    grad_h defaults to central finite differences of h when not supplied.
+    grad_h defaults to central finite differences of h when not supplied;
+    ``value_and_grad`` (x -> BarrierEval) defaults to pairing h with grad_h.
     eps > 0 trades robustness against conservatism, theta_d > 0 is the
     minimum decay scale, p_weight > 0 weighs decay deviation in the filter.
     """
@@ -119,20 +136,18 @@ class BarrierSpec:
     p_weight: float
     grad_h: Optional[Callable] = None
     n: Optional[int] = None
-    fused: Optional[Callable] = None  # optional single-pass (h, grad_h) provider
+    value_and_grad: Optional[Callable] = None
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.theta_d <= 0 or self.p_weight <= 0:
             raise ParameterError("epsilon, theta_d, p_weight must all be strictly positive")
+        h = self.h
         if self.grad_h is None:
-            h = self.h
             object.__setattr__(self, "grad_h", lambda x: ad.fd_gradient(h, x))
-
-    def value_and_grad(self, x):
-        if self.fused is not None:
-            hv, grad = self.fused(x)
-            return float(hv), np.asarray(grad, dtype=float)
-        return float(self.h(x)), np.asarray(self.grad_h(x), dtype=float)
+        if self.value_and_grad is None:
+            grad_h = self.grad_h
+            pair = lambda x: BarrierEval(float(h(x)), np.asarray(grad_h(x), dtype=float).reshape(-1))
+            object.__setattr__(self, "value_and_grad", pair)
 
 
 @dataclass(frozen=True)
@@ -164,24 +179,33 @@ class SafeSetGeometry:
 
 @dataclass(frozen=True)
 class LieData:
-    """h and its Lie derivatives along f, g, w at one state."""
+    """h and its Lie derivatives along f, g, w at one state, with the barrier
+    pass and the f, g, w they come from."""
 
     h_val: float
     lf_h: float
     lg_h: np.ndarray  # (m,)
     lw_h: np.ndarray  # (p,)
+    bar_eval: BarrierEval
+    f: np.ndarray
+    g: np.ndarray
+    w: np.ndarray
 
 
 def eval_lie(sys: DisturbedSystem, bar: BarrierSpec, x) -> LieData:
-    """Evaluate h, L_f h = grad_h . f, L_g h = grad_h g, L_w h = grad_h w."""
+    """Evaluate h, L_f h = grad_h . f, L_g h = grad_h g, L_w h = grad_h w.
+
+    A system with ``f_with`` takes its drift from the barrier pass when the
+    pass carries a virtual input.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         raise ShapeError("x", (sys.n,), x.shape)
-    h_val, grad = bar.value_and_grad(x)
-    grad = grad.reshape(-1)
+    be = bar.value_and_grad(x)
+    grad = be.grad
     if grad.shape != (sys.n,):
         raise ShapeError("grad_h(x)", (sys.n,), grad.shape)
-    f = np.asarray(sys.f(x), dtype=float)
+    f = np.asarray(sys.f(x) if sys.f_with is None or be.k is None else sys.f_with(x, be), dtype=float)
     g = np.asarray(sys.g(x), dtype=float)
     w = np.asarray(sys.w(x), dtype=float)
     if f.shape != (sys.n,):
@@ -190,7 +214,7 @@ def eval_lie(sys: DisturbedSystem, bar: BarrierSpec, x) -> LieData:
         raise ShapeError("g(x)", (sys.n, sys.m), g.shape)
     if w.shape != (sys.n, sys.p):
         raise ShapeError("w(x)", (sys.n, sys.p), w.shape)
-    return LieData(h_val=h_val, lf_h=float(grad @ f), lg_h=grad @ g, lw_h=grad @ w)
+    return LieData(be.h, float(grad @ f), grad @ g, grad @ w, be, f, g, w)
 
 
 def gamma_margin(bar: BarrierSpec, delta: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .barrier import BarrierSpec
+from .barrier import BarrierEval, BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import AlignmentError, ParameterError, ThrustDomainError
 from .synthesis import SmoothVirtualController
@@ -127,30 +127,26 @@ class DrdBarrier:
         ref = np.asarray(ad.value(self.eta_d(ad.value(self.k_v.k1(z)))), dtype=float).reshape(-1)
         return eta - ref
 
-    def lyapunov(self, x):
-        e = self.attitude_error(x)
-        return float(e @ e) / (2.0 * self.mu)
-
     def h(self, x):
-        z, _ = self._split(np.asarray(x, dtype=float))
-        return float(self.h_z.h(z)) - self.lyapunov(x)
+        e = self.attitude_error(x)
+        return float(self.h_z.h(np.asarray(x, dtype=float)[: self.n_top])) - float(e @ e) / (2.0 * self.mu)
 
-    def value_and_grad(self, x):
-        """(h, grad h) sharing one pass of each map's value-and-jacobian."""
+    def value_and_grad(self, x) -> BarrierEval:
+        """h, grad h, v = k_v(z) and eta_d(v) from one pass of each map's value-and-jacobian."""
         x = np.asarray(x, dtype=float)
         z, eta = self._split(x)
         v, j_kv = self.k_v.with_jacobian(z)
         ref_dual = ad.jacobian(self.eta_d.eta_d, v)
         ref, j_eta = ref_dual[0].reshape(-1), np.atleast_2d(ref_dual[1])
         e = eta - ref
-        hz_val, hz_grad = self.h_z.value_and_grad(z)
-        hv = hz_val - float(e @ e) / (2.0 * self.mu)
-        dz = hz_grad + (e @ j_eta @ np.atleast_2d(j_kv)) / self.mu
+        top = self.h_z.value_and_grad(z)
+        hv = top.h - float(e @ e) / (2.0 * self.mu)
+        dz = top.grad + (e @ j_eta @ np.atleast_2d(j_kv)) / self.mu
         deta = -e / self.mu
-        return hv, np.concatenate([dz, deta])
+        return BarrierEval(hv, np.concatenate([dz, deta]), k=v, k_jac=j_kv, ref=ref)
 
     def grad_h(self, x):
-        return self.value_and_grad(x)[1]
+        return self.value_and_grad(x).grad
 
     def to_spec(self) -> BarrierSpec:
         return BarrierSpec(
@@ -161,7 +157,7 @@ class DrdBarrier:
             theta_d=self.h_z.theta_d,
             p_weight=self.h_z.p_weight,
             n=self.n_top + self.n_bot,
-            fused=self.value_and_grad,
+            value_and_grad=self.value_and_grad,
         )
 
 
@@ -182,22 +178,26 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
     """Close the top input at its aligned value; u_eta remains the input.
 
     Drift: (f_z + g_z psi psi^+ k_v(z); f_eta); input matrix (0; g_eta);
-    disturbance matrix (w_z; w_eta). Alignment errors propagate.
+    disturbance matrix (w_z; w_eta). Alignment errors propagate. ``f_with``
+    reads v = k_v(z) from a barrier pass built on this k_v (a
+    :class:`DrdBarrier`'s) instead of rerunning k_v.
     """
     n = dsys.n_top + dsys.n_bot
 
     def split(x):
         return x[: dsys.n_top], x[dsys.n_top :]
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
+    def drift(x, v):
         z, eta = split(x)
         psi = np.atleast_2d(np.asarray(dsys.psi(eta), dtype=float))
-        v = np.asarray(ad.value(k_v.k1(z)), dtype=float).reshape(-1)
         u_z = pinv_apply(psi, v)
         top = np.asarray(dsys.f_top(z), dtype=float) + np.asarray(dsys.g_top(z), dtype=float) @ (psi @ u_z)
         bot = np.asarray(dsys.f_bot(eta), dtype=float)
         return np.concatenate([top, bot])
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return drift(x, np.asarray(ad.value(k_v.k1(x[: dsys.n_top])), dtype=float).reshape(-1))
 
     def g(x):
         _, eta = split(np.asarray(x, dtype=float))
@@ -214,7 +214,7 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
             ]
         )
 
-    return DisturbedSystem(n=n, m=dsys.m_bot, p=dsys.p, f=f, g=g, w=w)
+    return DisturbedSystem(n=n, m=dsys.m_bot, p=dsys.p, f=f, g=g, w=w, f_with=lambda x, be: drift(x, be.k))
 
 
 def alignment_residual(dsys: DrdSystem, k_v: SmoothVirtualController, eta_d: AttitudeMap, z) -> float:

@@ -21,7 +21,9 @@ class DisturbedSystem:
     """Control-affine dynamics with a disturbance input matrix.
 
     f: state -> (n,) drift, g: state -> (n, m), w: state -> (n, p).
-    All maps must be deterministic functions of the state.
+    All maps must be deterministic functions of the state. A drift closed
+    through a virtual controller k may also come as ``f_with(x, bar_eval)``,
+    which reads k(x) from a barrier pass built on the same k (``BarrierEval``).
     """
 
     n: int
@@ -30,6 +32,7 @@ class DisturbedSystem:
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     w: Callable[[np.ndarray], np.ndarray]
+    f_with: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -37,8 +40,8 @@ class DisturbanceSignal:
     """Time signal t -> d(t) with a declared bound on sup_t ||d(t)||.
 
     The bound is the supremum over time of the Euclidean vector norm; the
-    simulator checks it at every step. With ``state_feedback`` the map takes
-    (t, x) — an adversarial extension not covered by the invariance theorem.
+    simulator checks it at every RK stage time. With ``state_feedback`` the map
+    takes (t, x) — an adversarial extension not covered by the invariance theorem.
     """
 
     value: Callable
@@ -54,16 +57,21 @@ class FeedbackLaw:
     """State feedback u = control(x), optionally with an (m, n) jacobian.
 
     ``time_varying`` laws take (x, t); the closed-loop field supplies t.
+    ``control_with`` takes the barrier pass at x as a last argument and
+    reads the virtual input from it (see ``DisturbedSystem.f_with``).
     """
 
     control: Callable
     jacobian: Optional[Callable] = None
     time_varying: bool = False
+    control_with: Optional[Callable] = None
 
 
-def call_law(law, x, t=0.0):
-    """Evaluate a feedback law, passing t only where the law wants it."""
+def call_law(law, x, t=0.0, bar_eval=None):
+    """Evaluate a feedback law, passing t (and a barrier pass to ``control_with``) only where wanted."""
     tv = getattr(law, "time_varying", False)
+    if bar_eval is not None and bar_eval.k is not None and getattr(law, "control_with", None) is not None:
+        return np.asarray(law.control_with(x, t, bar_eval) if tv else law.control_with(x, bar_eval), dtype=float)
     return np.asarray(law.control(x, t) if tv else law.control(x), dtype=float)
 
 

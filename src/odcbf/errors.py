@@ -45,6 +45,10 @@ class InfeasiblePointError(OdcbfError, RuntimeError):
         )
 
 
+class NonFiniteError(OdcbfError, ValueError):
+    """Filter data (Lie derivatives, alpha(h)) or the input they imply is NaN or infinite."""
+
+
 class SynthesisInfeasibleError(OdcbfError, RuntimeError):
     """Smooth controller synthesis failed: b = 0 with a <= 0 at some state."""
 
@@ -83,7 +87,7 @@ class IntegrationError(OdcbfError, RuntimeError):
 
 
 class SimulationAbort(OdcbfError, RuntimeError):
-    """Rollout aborted (controller infeasibility); carries the step index."""
+    """Rollout aborted (controller infeasibility, disturbance over its bound); carries the step index."""
 
     def __init__(self, step, t, reason):
         self.step = step

@@ -15,20 +15,23 @@ by jointly optimizing the input u and the decay scale omega. With
 the KKT solution is u = k_d + lambda * L_g h^T and omega = theta_d + psi,
 where lambda = ReLU(-upsilon) / (xi^2 + p ReLU(zeta)^2) and
 psi = ReLU(-upsilon) ReLU(zeta) / (xi^2 + p ReLU(zeta)^2), both zero in the
-degenerate branch xi = 0 and zeta <= 0 (where a negative upsilon certifies
-infeasibility). The solution is locally Lipschitz on the barrier's domain.
+degenerate branch where that denominator is 0 (xi = 0 and zeta <= 0, up to
+underflow), where a negative upsilon certifies infeasibility. The solution is locally Lipschitz on the barrier's domain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .barrier import BarrierSpec, SafeSetGeometry, eval_lie
+from .barrier import BarrierSpec, LieData, SafeSetGeometry, eval_lie
 from .dynamics import DisturbedSystem, call_law
-from .errors import DomainError, InfeasiblePointError
+from .errors import DomainError, InfeasiblePointError, NonFiniteError
+
+_DENOM_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: below it xi^2 has underflowed
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,14 @@ def solve_decay_filter(
     theta_d: float,
     p: float,
     x=None,
-    legacy_psi_c: Optional[float] = None,
 ) -> FilterResult:
     """Closed-form filter on raw Lie-derivative terms.
 
-    ``legacy_psi_c`` switches the decay-scale numerator/denominator to the
-    alternative reading with a constant c in place of ReLU(zeta) in the
-    denominator (comparison runs only; the default is the KKT-consistent
-    form validated against the enumeration oracle).
+    Raises NonFiniteError when upsilon, xi or zeta is NaN or infinite, or
+    when the input would overflow. The degenerate branch is decided on the
+    computed denominator xi^2 + p ReLU(zeta)^2, so a denominator that
+    underflows (to zero or below the smallest normal float) counts as
+    degenerate.
     """
     lg_h = np.asarray(lg_h, dtype=float).reshape(-1)
     lw_h = np.asarray(lw_h, dtype=float).reshape(-1)
@@ -70,21 +73,22 @@ def solve_decay_filter(
     upsilon = float(lf_h + lg_h @ u_nom + theta_d * alpha_h - (lw_h @ lw_h) / epsilon)
     xi = float(np.linalg.norm(lg_h))
     zeta = float(alpha_h / p)
+    if not (math.isfinite(upsilon) and math.isfinite(xi) and math.isfinite(zeta)):
+        raise NonFiniteError(f"non-finite filter data at x={x}: upsilon={upsilon!r}, xi={xi!r}, zeta={zeta!r}")
 
-    if xi == 0.0 and zeta <= 0.0:
+    relu_zeta = max(0.0, zeta)
+    denom = xi**2 + p * relu_zeta**2
+    if denom < _DENOM_FLOOR:
         if upsilon < 0.0:
             raise InfeasiblePointError(x, upsilon, xi, zeta)
         lam = 0.0
         psi = 0.0
     else:
         relu_neg_ups = max(0.0, -upsilon)
-        relu_zeta = max(0.0, zeta)
-        denom = xi**2 + p * relu_zeta**2
         lam = relu_neg_ups / denom
-        if legacy_psi_c is None:
-            psi = relu_neg_ups * relu_zeta / denom
-        else:
-            psi = relu_neg_ups * relu_zeta / (xi**2 + p * legacy_psi_c**2)
+        psi = relu_neg_ups * relu_zeta / denom
+        if not math.isfinite(lam * xi):  # ||u - u_nom|| = lam xi
+            raise NonFiniteError(f"filter input overflows at x={x}: upsilon={upsilon!r}, xi={xi!r}")
 
     u = u_nom + lam * lg_h
     return FilterResult(
@@ -98,65 +102,56 @@ def solve_decay_filter(
     )
 
 
-def od_issf_filter(
-    sys: DisturbedSystem,
-    bar: BarrierSpec,
-    k_d,
-    x,
-    t: float = 0.0,
-    geometry: Optional[SafeSetGeometry] = None,
-    legacy_psi_c: Optional[float] = None,
-) -> FilterResult:
-    """Filter the nominal law k_d through the optimal-decay QP at state x."""
-    x = np.asarray(x, dtype=float)
-    if geometry is not None and not geometry.in_domain(x):
-        raise DomainError(f"state outside barrier domain (h + b <= 0) at x={x}")
-    lie = eval_lie(sys, bar, x)
-    u_nom = call_law(k_d, x, t)
-    return solve_decay_filter(
-        lie.lf_h,
-        lie.lg_h,
-        lie.lw_h,
-        float(bar.alpha(lie.h_val)),
-        u_nom,
-        bar.epsilon,
-        bar.theta_d,
-        bar.p_weight,
-        x=x,
-        legacy_psi_c=legacy_psi_c,
-    )
+@dataclass(frozen=True)
+class StateEval:
+    """Everything the filter computes at one state: ``lie`` holds the barrier
+    pass (h, grad h, the virtual input with its jacobian) and f, g, w, from
+    which the closed-loop field forms xdot = f + g u + w d."""
 
-
-def od_issf_virtual_filter(top: DisturbedSystem, bar: BarrierSpec, k_d, x1, **kw) -> FilterResult:
-    """Same filter with the next state block treated as the (virtual) input.
-
-    ``top`` must be the layer-restricted system whose g column space is the
-    virtual channel; otherwise identical to :func:`od_issf_filter`.
-    """
-    return od_issf_filter(top, bar, k_d, x1, **kw)
+    lie: LieData
+    u_nom: np.ndarray
+    result: FilterResult
 
 
 class OdIssfController:
-    """Stateful wrapper: a feedback law that filters a nominal through the QP.
+    """A feedback law that filters a nominal through the QP.
 
-    Exposes ``control(x, t)`` for closed-loop integration and ``result(x, t)``
-    for diagnostics recording (realized decay scale, KKT multiplier).
+    ``evaluate(x, t)`` is the one per-state evaluation that integration and
+    recording read; ``result`` and ``control`` are its filter result and input.
     """
 
     time_varying = True
 
-    def __init__(self, sys, bar, nominal, geometry=None, legacy_psi_c=None):
+    def __init__(self, sys, bar, nominal, geometry=None):
         self.sys = sys
         self.bar = bar
         self.nominal = nominal
         self.geometry = geometry
-        self.legacy_psi_c = legacy_psi_c
+
+    def evaluate(self, x, t=0.0) -> StateEval:
+        x = np.asarray(x, dtype=float)
+        if self.geometry is not None and not self.geometry.in_domain(x):
+            raise DomainError(f"state outside barrier domain (h + b <= 0) at x={x}")
+        bar = self.bar
+        lie = eval_lie(self.sys, bar, x)
+        u_nom = call_law(self.nominal, x, t, lie.bar_eval)
+        res = solve_decay_filter(
+            lie.lf_h, lie.lg_h, lie.lw_h, float(bar.alpha(lie.h_val)), u_nom,
+            bar.epsilon, bar.theta_d, bar.p_weight, x=x,
+        )
+        return StateEval(lie, u_nom, res)
 
     def result(self, x, t=0.0) -> FilterResult:
-        return od_issf_filter(
-            self.sys, self.bar, self.nominal, x, t=t,
-            geometry=self.geometry, legacy_psi_c=self.legacy_psi_c,
-        )
+        return self.evaluate(x, t).result
 
     def control(self, x, t=0.0) -> np.ndarray:
-        return self.result(x, t).u
+        return self.evaluate(x, t).result.u
+
+
+def od_issf_filter(sys: DisturbedSystem, bar: BarrierSpec, k_d, x, t=0.0, geometry: Optional[SafeSetGeometry] = None):
+    """Filter the nominal law k_d through the optimal-decay QP at state x.
+
+    For a layer-restricted ``sys`` whose g column space is the next block,
+    this is the virtual filter of that layer.
+    """
+    return OdIssfController(sys, bar, k_d, geometry).result(x, t)

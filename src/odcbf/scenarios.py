@@ -341,12 +341,11 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     k_att = cfg.k_att
 
     def nominal_rate(x):
-        z, eta = x[:4], x[4:]
-        v = np.asarray(ad.value(k_v.k1(z)), dtype=float).reshape(-1)
-        eta_ref = np.asarray(ad.value(attitude(v)), dtype=float).reshape(-1)
-        return -k_att * (eta - eta_ref)
+        v = np.asarray(ad.value(k_v.k1(x[:4])), dtype=float).reshape(-1)
+        return -k_att * (x[4:] - np.asarray(ad.value(attitude(v)), dtype=float).reshape(-1))
 
-    nominal = FeedbackLaw(control=nominal_rate)
+    # the DRD barrier pass carries eta_d(k_v(z)) as its reference
+    nominal = FeedbackLaw(control=nominal_rate, control_with=lambda x, be: -k_att * (x[4:] - be.ref))
     geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
     filter_law = OdIssfController(psys, bar, nominal, geometry=geometry)
     return QuadrotorScenario(

@@ -2,8 +2,8 @@
 
 Fixed-step RK4 (default dt = 1e-3 s over a 10 s horizon) rather than an
 adaptive scheme: reproducibility beats adaptivity for acceptance runs. The
-disturbance is sampled at stage times inside the RK4 stages, so time-varying
-signals like sin(t) integrate at full order. Discrete-time safety checks
+disturbance is sampled (and its bound checked) at stage times inside the RK4
+stages, so time-varying signals like sin(t) integrate at full order. Discrete-time safety checks
 carry a small slack (default 1e-6) because the continuous-time guarantees
 degrade under sampling; the step-halving test guards against that slack
 hiding real violations.
@@ -12,17 +12,14 @@ hiding real violations.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin
-from .dynamics import DisturbanceSignal, DisturbedSystem, call_law, close_loop
+from .dynamics import DisturbanceSignal, DisturbedSystem, _check_vec, call_law, eval_dynamics
 from .errors import (
     InfeasiblePointError,
     IntegrationError,
@@ -30,14 +27,13 @@ from .errors import (
     ParameterError,
     SimulationAbort,
 )
-from .verify import write_json_atomic
+from .verify import write_atomic, write_json_atomic
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
     dt: float = 1e-3
     t_final: float = 10.0
-    integrator: str = "rk4"  # "rk4" | "euler"
     record_every: int = 1
     safety_slack: float = 1e-6
 
@@ -46,17 +42,15 @@ class RolloutConfig:
             raise ParameterError("dt must be positive")
         if self.t_final < self.dt:
             raise ParameterError("t_final must be at least dt")
-        if self.integrator not in ("rk4", "euler"):
-            raise ParameterError(f"unknown integrator {self.integrator!r}")
         if self.record_every < 1:
             raise ParameterError("record_every must be >= 1")
 
 
-def rk4_step(field, t, x, dt):
-    """Classical 4-stage Runge-Kutta update."""
+def rk4_step(field, t, x, dt, k1=None):
+    """Classical 4-stage Runge-Kutta update; pass ``k1`` if field(t, x) is known."""
     if dt <= 0:
         raise ParameterError("dt must be positive")
-    k1 = np.asarray(field(t, x), dtype=float)
+    k1 = np.asarray(field(t, x) if k1 is None else k1, dtype=float)
     k2 = np.asarray(field(t + 0.5 * dt, x + 0.5 * dt * k1), dtype=float)
     k3 = np.asarray(field(t + 0.5 * dt, x + 0.5 * dt * k2), dtype=float)
     k4 = np.asarray(field(t + dt, x + dt * k3), dtype=float)
@@ -66,11 +60,16 @@ def rk4_step(field, t, x, dt):
     return out
 
 
-def euler_step(field, t, x, dt):
-    out = x + dt * np.asarray(field(t, x), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise IntegrationError(t, x)
-    return out
+class Row(NamedTuple):
+    """One closed-loop evaluation at (t, x): a recorded row and an RK stage's xdot."""
+
+    t: float
+    x: np.ndarray
+    u: np.ndarray
+    d: np.ndarray
+    xdot: np.ndarray
+    h: Optional[float]  # the filter's barrier pass, if it filters with the recorded barrier
+    theta: float
 
 
 @dataclass
@@ -98,26 +97,21 @@ class Trajectory:
             + [f"d_{i + 1}" for i in range(p)]
             + ["h", "h_layer", "theta"]
         )
-        d = os.path.dirname(os.path.abspath(os.fspath(path)))
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for i in range(len(self.times)):
-                    row = (
-                        [self.times[i]]
-                        + list(self.states[i])
-                        + list(self.inputs[i])
-                        + list(self.disturbances[i])
-                        + [self.h_values[i], self.layer_h_values[i], self.omegas[i]]
-                    )
-                    writer.writerow([repr(float(v)) for v in row])
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+
+        def write(fh):
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i in range(len(self.times)):
+                row = (
+                    [self.times[i]]
+                    + list(self.states[i])
+                    + list(self.inputs[i])
+                    + list(self.disturbances[i])
+                    + [self.h_values[i], self.layer_h_values[i], self.omegas[i]]
+                )
+                writer.writerow([repr(float(v)) for v in row])
+
+        write_atomic(path, write, newline="")
 
     def to_json(self, path):
         write_json_atomic(
@@ -168,66 +162,67 @@ def rollout(
 ):
     """Integrate the closed loop, recording h, the decay scale, and inputs.
 
+    Each RK stage is evaluated once, and the row recorded at (t_k, x_k) is
+    the first stage of step k, so only the final row is evaluated by itself.
     Halts with a flagged, truncated trajectory if the state leaves the
     barrier domain; aborts with the step index on controller infeasibility.
-    The declared disturbance bound is enforced at every recorded step.
+    The declared disturbance bound is enforced on the sample taken at every
+    stage time.
     """
     x = np.asarray(x0, dtype=float).copy()
     n_steps = int(round(cfg.t_final / cfg.dt))
-    field_fn = close_loop(sys, law, disturbance)
-    stepper = rk4_step if cfg.integrator == "rk4" else euler_step
-    has_result = hasattr(law, "result")
+    evaluate_law = getattr(law, "evaluate", None)  # the QP filter's one evaluation per state
+    step = 0
+
+    def evaluate(t, x):
+        d = disturbance.at(t, x)
+        norm = float(np.linalg.norm(d))
+        if norm > disturbance.sup_norm + 1e-9:
+            raise SimulationAbort(
+                step, t, f"disturbance exceeds declared bound ||d||={norm:.6g} > {disturbance.sup_norm:.6g}"
+            )
+        try:
+            ev = evaluate_law(x, t) if evaluate_law is not None else None
+            u = call_law(law, x, t) if ev is None else ev.result.u
+        except InfeasiblePointError as exc:
+            raise SimulationAbort(step, t, f"controller infeasible: {exc}") from exc
+        if ev is None:
+            return Row(t, x, u, d, eval_dynamics(sys, x, u, d), None, math.nan)
+        lie = ev.lie
+        if law.sys is sys:
+            xdot = lie.f + lie.g @ u + lie.w @ _check_vec("d", d, sys.p)
+        else:
+            xdot = eval_dynamics(sys, x, u, d)
+        return Row(t, x, u, d, xdot, lie.h_val if law.bar is bar else None, ev.result.theta_x)
+
+    def field(t, x):
+        return evaluate(t, x).xdot
 
     times, states, inputs, omegas, dists, hs, layer_hs = [], [], [], [], [], [], []
     truncated = False
     exit_reason = None
 
-    def check_bound(step, t, x):
-        d = disturbance.at(t, x)
-        if float(np.linalg.norm(d)) > disturbance.sup_norm + 1e-9:
-            raise SimulationAbort(
-                step, t,
-                f"disturbance exceeds declared bound ||d||={np.linalg.norm(d):.6g} > {disturbance.sup_norm:.6g}",
-            )
-        return d
+    def record(row):
+        times.append(row.t)
+        states.append(row.x.copy())
+        inputs.append(np.asarray(row.u, dtype=float))
+        omegas.append(row.theta)
+        dists.append(row.d)
+        hs.append(float(bar.h(row.x)) if row.h is None else row.h)
+        layer_hs.append(float(layer_h(row.x)) if layer_h is not None else math.nan)
 
-    def record(t, x):
-        d = disturbance.at(t, x)
-        if has_result:
-            res = law.result(x, t)
-            u, theta = res.u, res.theta_x
-        else:
-            u, theta = call_law(law, x, t), math.nan
-        times.append(t)
-        states.append(x.copy())
-        inputs.append(np.asarray(u, dtype=float))
-        omegas.append(theta)
-        dists.append(d)
-        hs.append(float(bar.h(x)))
-        layer_hs.append(float(layer_h(x)) if layer_h is not None else math.nan)
-
-    check_bound(0, 0.0, x)
-    try:
-        record(0.0, x)
-    except InfeasiblePointError as exc:
-        raise SimulationAbort(0, 0.0, f"controller infeasible: {exc}") from exc
-
+    row = evaluate(0.0, x)
+    record(row)
     for k in range(n_steps):
-        t = k * cfg.dt
-        check_bound(k, t, x)
-        try:
-            x = stepper(field_fn, t, x, cfg.dt)
-        except InfeasiblePointError as exc:
-            raise SimulationAbort(k, t, f"controller infeasible: {exc}") from exc
-        t_next = (k + 1) * cfg.dt
+        step = k
+        x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
+        step, t_next = k + 1, (k + 1) * cfg.dt
         if geometry is not None and not geometry.in_domain(x):
             truncated = True
             exit_reason = f"left barrier domain at t={t_next:.6g}"
+        row = evaluate(t_next, x)
         if (k + 1) % cfg.record_every == 0 or truncated or k + 1 == n_steps:
-            try:
-                record(t_next, x)
-            except InfeasiblePointError as exc:
-                raise SimulationAbort(k + 1, t_next, f"controller infeasible: {exc}") from exc
+            record(row)
         if truncated:
             break
 

@@ -30,22 +30,19 @@ from .errors import ParameterError, SynthesisInfeasibleError
 
 @dataclass(frozen=True)
 class SmoothVirtualController:
-    """Smooth virtual input k1(x1) with jacobian, satisfying the strict margin."""
+    """Smooth virtual input k1(x1) satisfying the strict margin.
+
+    ``k1`` gives the value alone (and accepts autodiff duals);
+    ``value_and_jacobian`` gives (k1(x1), dk1/dx1) from one pass.
+    """
 
     k1: Callable
-    jacobian: Callable
+    value_and_jacobian: Callable
     sigma: float
-    value_and_jacobian: Optional[Callable] = None  # fused single-pass variant
-
-    def __call__(self, x1):
-        return self.k1(x1)
 
     def with_jacobian(self, x1):
-        """(k1(x1), J) in one pass where the controller supports it."""
-        if self.value_and_jacobian is not None:
-            return self.value_and_jacobian(x1)
-        val = np.asarray(ad.value(self.k1(np.asarray(x1, dtype=float))), dtype=float).reshape(-1)
-        return val, np.atleast_2d(np.asarray(self.jacobian(x1), dtype=float))
+        """The value-and-jacobian pass, as a method so that tracers can wrap it."""
+        return self.value_and_jacobian(x1)
 
 
 def half_sontag(a, bvec, sigma):
@@ -75,6 +72,7 @@ def synth_virtual(
     sigma: float = 1.0,
     nominal: Optional[Callable] = None,
     jac_mode: str = "ad",
+    layer: Optional[int] = None,
 ) -> SmoothVirtualController:
     """Safeguarding controller for the layer whose input is the next block.
 
@@ -82,7 +80,8 @@ def synth_virtual(
     added before the half-Sontag correction; it must be written with autodiff
     ops when jac_mode="ad". ``jac_mode="fd"`` switches the jacobian to central
     differences (used for deep recursive layers where the barrier gradient is
-    not dual-evaluable).
+    not dual-evaluable). ``layer`` tags synthesis failures with the layer
+    they came from.
     """
 
     def control(x1):
@@ -99,19 +98,22 @@ def synth_virtual(
         try:
             correction = half_sontag(a, lg, sigma)
         except SynthesisInfeasibleError as exc:
-            raise SynthesisInfeasibleError(ad.value(x1), exc.a) from None
+            raise SynthesisInfeasibleError(ad.value(x1), exc.a, layer=layer) from None
         return v0 + correction
 
     if jac_mode == "ad":
-        fused = lambda x1: ad.jacobian(control, x1)
-        jac = lambda x1: fused(x1)[1]
+        value_and_jacobian = lambda x1: ad.jacobian(control, x1)
     elif jac_mode == "fd":
-        jac = lambda x1: np.atleast_2d(ad.fd_jacobian(lambda y: ad.value(control(y)), x1))
-        fused = lambda x1: (np.asarray(ad.value(control(np.asarray(x1, dtype=float))), dtype=float).reshape(-1), jac(x1))
+
+        def value_and_jacobian(x1):
+            x1 = np.asarray(x1, dtype=float)
+            val = np.asarray(ad.value(control(x1)), dtype=float).reshape(-1)
+            return val, np.atleast_2d(ad.fd_jacobian(lambda y: ad.value(control(y)), x1))
+
     else:
         raise ValueError(f"unknown jac_mode {jac_mode!r}")
 
-    return SmoothVirtualController(k1=control, jacobian=jac, sigma=sigma, value_and_jacobian=fused)
+    return SmoothVirtualController(k1=control, value_and_jacobian=value_and_jacobian, sigma=sigma)
 
 
 def strict_margin(top: DisturbedSystem, bar: BarrierSpec, ctrl: SmoothVirtualController, x1) -> float:

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
+from .autodiff import fd_jacobian
 from .barrier import BarrierSpec, SafeSetGeometry, eval_lie
 from .dynamics import DisturbedSystem
 from .errors import SamplerError
@@ -118,18 +119,22 @@ class SampleReport:
         write_json_atomic(path, self.to_dict())
 
 
-def write_json_atomic(path, payload):
+def write_atomic(path, write, newline=None):
+    """Call write(fh) on a temp file next to path, then rename it over path."""
     path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path, payload):
+    write_atomic(path, lambda fh: json.dump(payload, fh, indent=2))
 
 
 # -- QP oracle -----------------------------------------------------------
@@ -216,14 +221,7 @@ def _gauss_newton_zero(resfn, x0, iters=20, step=1e-7, tol=1e-12):
         r = np.atleast_1d(np.asarray(resfn(x), dtype=float))
         if np.linalg.norm(r) < tol:
             break
-        cols = []
-        for i in range(x.size):
-            hs = step * (1.0 + abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += hs
-            xm[i] -= hs
-            cols.append((np.atleast_1d(resfn(xp)) - np.atleast_1d(resfn(xm))) / (2 * hs))
-        jac = np.stack(cols, axis=-1)
+        jac = np.atleast_2d(fd_jacobian(resfn, x, step=step))
         dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(dx)):
             break

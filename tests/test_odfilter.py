@@ -4,7 +4,7 @@ import pytest
 from odcbf.barrier import SafeSetGeometry
 from odcbf.dynamics import FeedbackLaw
 from odcbf.errors import DomainError, InfeasiblePointError
-from odcbf.odfilter import od_issf_filter, od_issf_virtual_filter, solve_decay_filter
+from odcbf.odfilter import od_issf_filter, solve_decay_filter
 from odcbf.scenarios import build_pendulum
 from odcbf.verify import qp_oracle
 
@@ -141,18 +141,6 @@ class TestSpecExamples:
             solve_decay_filter(-3.0, np.zeros(1), np.zeros(1), -0.5, np.zeros(1), 1.0, 1.0, 1.0)
 
 
-class TestLegacyPsiDenominator:
-    def test_flag_changes_only_decay_scale(self):
-        args = (-3.0, np.array([1.0]), np.zeros(1), 1.0, np.zeros(1), 1.0, 1.0, 1.0)
-        default = solve_decay_filter(*args)
-        legacy = solve_decay_filter(*args, legacy_psi_c=3.0)
-        assert np.allclose(default.u, legacy.u)
-        assert default.lambda_val == legacy.lambda_val
-        # legacy denominator xi^2 + p c^2 = 1 + 9 = 10 vs KKT 1 + 1 = 2
-        assert legacy.theta_x == pytest.approx(1.0 + 2.0 / 10.0)
-        assert default.theta_x == pytest.approx(1.0 + 2.0 / 2.0)
-
-
 class TestFilterOnSystems:
     def test_domain_precondition(self):
         scn = build_pendulum()
@@ -163,14 +151,14 @@ class TestFilterOnSystems:
     def test_virtual_filter_interior_nominal_safe(self):
         scn = build_pendulum()
         safe_nominal = FeedbackLaw(control=lambda x1: np.zeros(1))
-        res = od_issf_virtual_filter(scn.top_sys, scn.h1, safe_nominal, np.array([0.0]))
+        res = od_issf_filter(scn.top_sys, scn.h1, safe_nominal, np.array([0.0]))
         assert not res.constraint_active
         assert np.allclose(res.u, [0.0])
 
     def test_virtual_filter_active_near_boundary(self):
         scn = build_pendulum()
         aggressive = FeedbackLaw(control=lambda x1: np.array([5.0]))  # drive outward
-        res = od_issf_virtual_filter(scn.top_sys, scn.h1, aggressive, np.array([0.99]))
+        res = od_issf_filter(scn.top_sys, scn.h1, aggressive, np.array([0.99]))
         assert res.lambda_val > 0
         # constraint exactly active at the optimum
         lie_lg = -2 * 0.99

@@ -150,12 +150,6 @@ class TestRollout:
         e_fine = np.linalg.norm(finals[0.01] - finals[0.005])
         assert 8.0 <= e_coarse / e_fine <= 32.0
 
-    def test_euler_integrator_available(self):
-        scn = build_pendulum()
-        cfg = RolloutConfig(dt=1e-3, t_final=0.1, integrator="euler")
-        traj, _ = rollout(scn.sys, scn.nominal, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
-        assert len(traj.times) > 1
-
 
 class TestExports:
     def test_csv_schema_and_roundtrip(self, tmp_path):

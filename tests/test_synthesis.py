@@ -98,14 +98,14 @@ class TestSynthVirtual:
         scn = build_pendulum()
         rng = np.random.default_rng(23)
         for x1 in rng.uniform(-1.5, 1.5, size=(200, 1)):
-            ja = np.asarray(scn.k1.jacobian(x1), dtype=float)
+            ja = np.asarray(scn.k1.value_and_jacobian(x1)[1], dtype=float)
             jf = ad.fd_jacobian(lambda y: np.asarray(ad.value(scn.k1.k1(y)), dtype=float), x1)
             assert np.allclose(ja, jf, rtol=1e-6, atol=1e-8)
 
     def test_jacobian_finite_on_vanishing_input_direction(self):
         # L_g1 h1 = -2q vanishes at q = 0; the controller must stay smooth there
         scn = build_pendulum()
-        ja = np.asarray(scn.k1.jacobian(np.array([0.0])), dtype=float)
+        ja = np.asarray(scn.k1.value_and_jacobian(np.array([0.0]))[1], dtype=float)
         assert np.all(np.isfinite(ja))
         jf = ad.fd_jacobian(lambda y: np.asarray(ad.value(scn.k1.k1(y)), dtype=float), np.array([0.0]))
         assert np.allclose(ja, jf, rtol=1e-6, atol=1e-8)
@@ -114,4 +114,4 @@ class TestSynthVirtual:
         scn = build_pendulum()
         k_fd = synth_virtual(scn.top_sys, scn.h1, 1.0, jac_mode="fd")
         x1 = np.array([0.8])
-        assert np.allclose(k_fd.jacobian(x1), scn.k1.jacobian(x1), rtol=1e-6, atol=1e-8)
+        assert np.allclose(k_fd.value_and_jacobian(x1)[1], scn.k1.value_and_jacobian(x1)[1], rtol=1e-6, atol=1e-8)
