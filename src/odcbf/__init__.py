@@ -28,7 +28,6 @@ from .drd import (
     DrdSystem,
     align_uz,
     drd_barrier,
-    eta_d_rate,
     partial_closed_loop,
     quadrotor_eta_d,
 )

@@ -6,6 +6,16 @@ directions. Arithmetic propagates both parts, so any function written with
 the operators below and the math helpers (:func:`sin`, :func:`sqrt`, ...)
 can be differentiated exactly by seeding the identity, see :func:`jacobian`.
 
+Construction contract: ``Dual(val, dot)`` only stores its two parts. It
+converts nothing and checks no shape, because it runs once per operation in
+the hot path. The entry points validate instead: :func:`seed` converts the
+point to a 1-D float array, and :func:`gradient` / :func:`jacobian` check
+that the output's parts are aligned with the seed. Plain operands of
+``+ - * /`` enter the formulas directly and are never lifted to a zero-seed
+Dual; :func:`dot`, :func:`matvec` and :func:`vecmat` form their value and
+derivative parts as whole-array products reduced over one axis, summed in
+the same order as the elementwise definitions, so they round identically.
+
 Central finite differences (:func:`fd_gradient`, :func:`fd_jacobian`) are the
 always-available fallback and the checker used throughout the test suite.
 """
@@ -13,6 +23,13 @@ always-available fallback and the checker used throughout the test suite.
 from __future__ import annotations
 
 import numpy as np
+
+
+def _seed_factor(c):
+    """A plain factor shaped to multiply a ``dot`` part (trailing seed axis)."""
+    if isinstance(c, (float, int)):  # numpy float64 is a float
+        return c
+    return np.asarray(c, dtype=float)[..., None]
 
 
 class Dual:
@@ -24,59 +41,48 @@ class Dual:
     __array_ufunc__ = None
 
     def __init__(self, val, dot):
-        self.val = np.asarray(val, dtype=float)
-        self.dot = np.asarray(dot, dtype=float)
-        if self.dot.shape[:-1] != self.val.shape:
-            raise ValueError(f"dual parts misaligned: val {self.val.shape}, dot {self.dot.shape}")
-
-    @property
-    def ndir(self):
-        return self.dot.shape[-1]
-
-    def _lift(self, other):
-        """Promote a plain scalar/array to a constant Dual with matching seeds."""
-        if isinstance(other, Dual):
-            return other
-        o = np.asarray(other, dtype=float)
-        return Dual(o, np.zeros(o.shape + (self.ndir,)))
+        self.val = val
+        self.dot = dot
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        return Dual(self.val + o.val, self.dot + o.dot)
+        if isinstance(other, Dual):
+            return Dual(self.val + other.val, self.dot + other.dot)
+        return _shifted(self.val + other, self.dot)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return Dual(self.val - o.val, self.dot - o.dot)
+        if isinstance(other, Dual):
+            return Dual(self.val - other.val, self.dot - other.dot)
+        return _shifted(self.val - other, self.dot)
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return Dual(o.val - self.val, o.dot - self.dot)
+        return _shifted(other - self.val, -self.dot)
 
     def __mul__(self, other):
-        o = self._lift(other)
-        return Dual(self.val * o.val, self.dot * o.val[..., None] + o.dot * self.val[..., None])
+        if isinstance(other, Dual):
+            return Dual(self.val * other.val, self.dot * other.val[..., None] + other.dot * self.val[..., None])
+        return Dual(self.val * other, self.dot * _seed_factor(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        val = self.val / o.val
-        dot = (self.dot * o.val[..., None] - o.dot * self.val[..., None]) / (o.val**2)[..., None]
-        return Dual(val, dot)
+        if isinstance(other, Dual):
+            num = self.dot * other.val[..., None] - other.dot * self.val[..., None]
+            return Dual(self.val / other.val, num / (other.val * other.val)[..., None])
+        c = _seed_factor(other)
+        return Dual(self.val / other, (self.dot * c) / (c * c))
 
     def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
+        return Dual(other / self.val, -(self.dot * _seed_factor(other)) / (self.val * self.val)[..., None])
 
     def __pow__(self, n):
         if not np.isscalar(n):
             raise TypeError("only scalar exponents are supported")
-        val = self.val**n
-        dot = (n * self.val ** (n - 1))[..., None] * self.dot
-        return Dual(val, dot)
+        v = np.asarray(self.val)  # the array power's fast paths (square, sqrt, reciprocal)
+        return Dual(v**n, (n * v ** (n - 1))[..., None] * self.dot)
 
     def __neg__(self):
         return Dual(-self.val, -self.dot)
@@ -107,6 +113,13 @@ class Dual:
         return f"Dual(val={self.val!r}, dot={self.dot!r})"
 
 
+def _shifted(val, dot):
+    """Dual of ``val`` whose derivative is ``dot``, broadcast if a plain term widened it."""
+    if np.shape(val) != dot.shape[:-1]:
+        dot = np.broadcast_to(dot, np.shape(val) + dot.shape[-1:]).copy()
+    return Dual(val, dot)
+
+
 def _value(x):
     return x.val if isinstance(x, Dual) else np.asarray(x, dtype=float)
 
@@ -119,6 +132,8 @@ def value(x):
 def seed(x):
     """Wrap a 1-D point with identity seeds (one direction per component)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"seed point must be 1-D, got shape {x.shape}")
     return Dual(x, np.eye(x.size))
 
 
@@ -144,7 +159,7 @@ def tan(x):
 
 
 def atan(x):
-    return _unary(x, np.arctan, lambda v: 1.0 / (1.0 + v**2))
+    return _unary(x, np.arctan, lambda v: 1.0 / (1.0 + v * v))
 
 
 def exp(x):
@@ -162,104 +177,125 @@ def sqrt(x):
 def atan2(y, x):
     if not isinstance(y, Dual) and not isinstance(x, Dual):
         return np.arctan2(y, x)
-    anchor = y if isinstance(y, Dual) else x
-    yd, xd = anchor._lift(y), anchor._lift(x)
-    val = np.arctan2(yd.val, xd.val)
-    denom = (yd.val**2 + xd.val**2)[..., None]
-    dot = (xd.val[..., None] * yd.dot - yd.val[..., None] * xd.dot) / denom
-    return Dual(val, dot)
+    yv, xv = _value(y), _value(x)
+    denom = (yv * yv + xv * xv)[..., None]
+    if isinstance(y, Dual) and isinstance(x, Dual):
+        dot = xv[..., None] * y.dot - yv[..., None] * x.dot
+    elif isinstance(y, Dual):
+        dot = xv[..., None] * y.dot
+    else:
+        dot = -(yv[..., None] * x.dot)
+    return Dual(np.arctan2(yv, xv), dot / denom)
 
 
 # -- small vector algebra ------------------------------------------------
 
 
 def stack(items):
-    """Stack scalars/0-d entries into a 1-D vector, Dual-aware."""
-    duals = [it for it in items if isinstance(it, Dual)]
-    if not duals:
+    """Stack scalars (plain or 0-d Dual) into a 1-D vector."""
+    first = next((it for it in items if isinstance(it, Dual)), None)
+    if first is None:
         return np.array([float(it) for it in items])
-    k = duals[0].ndir
-    vals, dots = [], []
-    for it in items:
-        if isinstance(it, Dual):
-            vals.append(float(it.val))
-            dots.append(it.dot.reshape(k))
-        else:
-            vals.append(float(it))
-            dots.append(np.zeros(k))
-    return Dual(np.array(vals), np.stack(dots, axis=0))
+    zero = np.zeros(first.dot.shape[-1])
+    val = np.array([it.val if isinstance(it, Dual) else it for it in items], dtype=float)
+    dot = np.array([it.dot if isinstance(it, Dual) else zero for it in items])
+    return Dual(val, dot)
 
 
-def total(v):
-    """Sum of all entries (scalar result)."""
-    if isinstance(v, Dual):
-        axes = tuple(range(v.dot.ndim - 1))
-        return Dual(v.val.sum(), v.dot.sum(axis=axes) if axes else v.dot)
-    return float(np.sum(v))
+def _contract(a, b, axis, a_index=Ellipsis):
+    """Sum over ``axis`` of the broadcast product ``a[a_index] * b``; a Dual on either side.
+
+    The products are the terms of ``Dual.__mul__``, so the result rounds like
+    multiplying elementwise and then summing.
+    """
+    av, bv = _value(a)[a_index], _value(b)
+    if isinstance(a, Dual):
+        dot = a.dot[a_index] * bv[..., None]
+        if isinstance(b, Dual):
+            dot = dot + b.dot * av[..., None]
+    else:
+        dot = b.dot * av[..., None]
+    return Dual((av * bv).sum(axis=axis), dot.sum(axis=axis))
 
 
 def dot(u, v):
     """Inner product of two 1-D vectors (either may be Dual)."""
-    return total(u * v) if isinstance(u, Dual) or isinstance(v, Dual) else float(np.dot(u, v))
+    if not isinstance(u, Dual) and not isinstance(v, Dual):
+        return float(np.dot(u, v))
+    return _contract(u, v, 0)
 
 
 def matvec(mat, v):
     """Matrix times vector where either factor may be Dual."""
     if not isinstance(mat, Dual) and not isinstance(v, Dual):
         return np.asarray(mat, dtype=float) @ np.asarray(v, dtype=float)
-    rows = len(_value(mat))
-    return stack([dot(mat[i], v) for i in range(rows)])
+    return _contract(mat, v, 1)
 
 
 def vecmat(v, mat):
     """Row vector times matrix: (v^T M) as a 1-D vector."""
     if not isinstance(mat, Dual) and not isinstance(v, Dual):
         return np.asarray(v, dtype=float) @ np.asarray(mat, dtype=float)
-    cols = _value(mat).shape[1]
-    return stack([dot(v, mat[:, j]) for j in range(cols)])
+    return _contract(v, mat, 0, a_index=(slice(None), None))
 
 
-def norm_sq(v):
-    return dot(v, v)
+def _join(blocks, promote):
+    """Concatenate blocks along axis 0 after ``promote``; plain blocks get zero seeds."""
+    if not any(isinstance(b, Dual) for b in blocks):
+        return np.concatenate([promote(np.asarray(b, dtype=float)) for b in blocks])
+    k = next(b.dot.shape[-1] for b in blocks if isinstance(b, Dual))
+    vals = [promote(_value(b)) for b in blocks]
+    dots = [
+        b.dot.reshape(v.shape + (k,)) if isinstance(b, Dual) else np.zeros(v.shape + (k,))
+        for b, v in zip(blocks, vals)
+    ]
+    return Dual(np.concatenate(vals), np.concatenate(dots))
+
+
+def concatenate(blocks):
+    """Concatenate 1-D blocks (scalars count as length 1), Dual-aware."""
+    return _join(blocks, np.atleast_1d)
 
 
 def vstack(blocks):
     """Stack 2-D blocks row-wise, Dual-aware. Plain blocks are promoted."""
-    if not any(isinstance(b, Dual) for b in blocks):
-        return np.vstack([np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks])
-    k = next(b.ndir for b in blocks if isinstance(b, Dual))
-    vals, dots = [], []
-    for b in blocks:
-        if isinstance(b, Dual):
-            vals.append(np.atleast_2d(b.val))
-            dots.append(b.dot.reshape(vals[-1].shape + (k,)))
-        else:
-            vals.append(np.atleast_2d(np.asarray(b, dtype=float)))
-            dots.append(np.zeros(vals[-1].shape + (k,)))
-    return Dual(np.concatenate(vals, axis=0), np.concatenate(dots, axis=0))
+    return _join(blocks, np.atleast_2d)
 
 
 # -- derivative drivers --------------------------------------------------
 
 
+def _checked(out, n):
+    """The output's value and derivative parts, checked against ``n`` seeds."""
+    val = np.asarray(out.val, dtype=float)
+    dot = np.asarray(out.dot, dtype=float)
+    if dot.shape != val.shape + (n,):
+        raise ValueError(f"dual parts misaligned: val {val.shape}, dot {dot.shape}, {n} seeds")
+    return val, dot
+
+
 def gradient(f, x):
     """(f(x), grad f(x)) for scalar-valued f of a 1-D point, by forward AD."""
-    out = f(seed(x))
-    n = np.atleast_1d(np.asarray(x, dtype=float)).size
+    xs = seed(x)
+    n = xs.val.size
+    out = f(xs)
     if not isinstance(out, Dual):
         return float(out), np.zeros(n)
-    return float(out.val), np.array(out.dot, dtype=float).reshape(n)
+    val, dot = _checked(out, n)
+    return float(val), dot.reshape(n)
 
 
 def jacobian(f, x):
     """(f(x), J) for vector-valued f of a 1-D point, by forward AD."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = f(seed(x))
+    xs = seed(x)
+    n = xs.val.size
+    out = f(xs)
     if not isinstance(out, Dual):
         out = np.atleast_1d(np.asarray(out, dtype=float))
-        return out, np.zeros((out.size, x.size))
-    val = np.atleast_1d(out.val)
-    return val, out.dot.reshape(val.size, x.size)
+        return out, np.zeros((out.size, n))
+    val, dot = _checked(out, n)
+    val = np.atleast_1d(val)
+    return val, dot.reshape(val.size, n)
 
 
 # -- central finite differences (fallback + checker) ---------------------

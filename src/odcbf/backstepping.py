@@ -19,7 +19,7 @@ one level up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,9 +35,9 @@ from .synthesis import SmoothVirtualController, synth_virtual
 class Layer:
     """One block of a strict-feedback cascade.
 
-    f, g, w take the stacked prefix state (x1, ..., xi); g multiplies the
-    next block (or the input at the bottom layer) and w may depend only on
-    the prefix.
+    f, g, w take the stacked prefix state (x1, ..., xi) and return arrays of
+    shape (dim,), (dim, next) and (dim, p); g multiplies the next block (or
+    the input at the bottom layer) and w may depend only on the prefix.
     """
 
     f: Callable
@@ -51,39 +51,41 @@ class StrictFeedbackSystem:
     layers: tuple
     m: int  # input dimension at the bottom layer
     p: int  # disturbance dimension
+    ends: tuple = field(init=False, repr=False, compare=False)  # block i is x[ends[i-1]:ends[i]]
 
-    @property
-    def dims(self):
-        return [layer.dim for layer in self.layers]
+    def __post_init__(self):
+        object.__setattr__(self, "ends", tuple(int(e) for e in np.cumsum([layer.dim for layer in self.layers])))
 
     @property
     def n(self):
-        return sum(self.dims)
+        return self.ends[-1]
 
     def prefix(self, x, i):
         """Stacked state of layers 0..i inclusive."""
-        return x[: sum(self.dims[: i + 1])]
+        return x[: self.ends[i]]
+
+    def block(self, x, i):
+        """State of layer i alone."""
+        return x[self.ends[i] - self.layers[i].dim : self.ends[i]]
 
     def assemble(self) -> DisturbedSystem:
         """Full block-form system: drift chains g_i x_{i+1}, input at the bottom."""
-        dims = self.dims
         n, m, p = self.n, self.m, self.p
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        last = len(self.layers) - 1
 
         def f(x):
             parts = []
             for i, layer in enumerate(self.layers):
                 fi = np.asarray(layer.f(self.prefix(x, i)), dtype=float)
-                if i + 1 < len(self.layers):
+                if i < last:
                     gi = np.asarray(layer.g(self.prefix(x, i)), dtype=float)
-                    nxt = x[offsets[i + 1] : offsets[i + 2]]
-                    fi = fi + gi @ np.asarray(nxt, dtype=float)
+                    fi = fi + gi @ np.asarray(self.block(x, i + 1), dtype=float)
                 parts.append(fi)
             return np.concatenate(parts)
 
         def g(x):
             mat = np.zeros((n, m))
-            mat[offsets[-2] :, :] = np.asarray(self.layers[-1].g(x), dtype=float)
+            mat[n - self.layers[-1].dim :, :] = np.asarray(self.layers[-1].g(x), dtype=float)
             return mat
 
         def w(x):
@@ -99,10 +101,9 @@ class StrictFeedbackSystem:
         Drift stacks the already-closed chain terms; only the last block's g
         feeds the virtual input.
         """
-        dims = self.dims
-        n_top = sum(dims[: i + 1])
-        m_virt = dims[i + 1] if i + 1 < len(dims) else self.m
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+        n_top = self.ends[i]
+        m_virt = self.layers[i + 1].dim if i + 1 < len(self.layers) else self.m
+        zero = np.zeros((n_top - self.layers[i].dim, m_virt))
 
         def f(x):
             parts = []
@@ -110,33 +111,19 @@ class StrictFeedbackSystem:
                 fj = self.layers[j].f(self.prefix(x, j))
                 if j < i:
                     gj = self.layers[j].g(self.prefix(x, j))
-                    nxt = x[offsets[j + 1] : offsets[j + 2]]
-                    fj = fj + ad.matvec(gj, nxt)
+                    fj = fj + ad.matvec(gj, self.block(x, j + 1))
                 parts.append(fj)
-            return _concat(parts)
+            return parts[0] if i == 0 else ad.concatenate(parts)
 
         def g(x):
             gi = self.layers[i].g(self.prefix(x, i))
-            zero = np.zeros((n_top - dims[i], m_virt))
-            return ad.vstack([zero, gi])
+            return gi if i == 0 else ad.vstack([zero, gi])
 
         def w(x):
-            return ad.vstack([self.layers[j].w(self.prefix(x, j)) for j in range(i + 1)])
+            blocks = [self.layers[j].w(self.prefix(x, j)) for j in range(i + 1)]
+            return blocks[0] if i == 0 else ad.vstack(blocks)
 
         return DisturbedSystem(n=n_top, m=m_virt, p=self.p, f=f, g=g, w=w)
-
-
-def _concat(parts):
-    """Concatenate 1-D blocks, Dual-aware."""
-    if not any(isinstance(p, ad.Dual) for p in parts):
-        return np.concatenate([np.atleast_1d(np.asarray(p, dtype=float)) for p in parts])
-    items = []
-    for p in parts:
-        if isinstance(p, ad.Dual):
-            items.extend(p[i] for i in range(len(p)))
-        else:
-            items.extend(np.atleast_1d(np.asarray(p, dtype=float)))
-    return ad.stack(items)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Command-line interface: run / sweep / verify / plotdata.
 
 Exit codes: 0 success, 1 verification fail verdict, 2 usage error (argparse),
-3 scenario build failure. All stochastic sampling is controlled by --seed;
+3 scenario build failure, 4 runtime abort (a rollout or check stopped on a
+state it could not handle). All stochastic sampling is controlled by --seed;
 output files are written atomically (temp + rename).
 
 Config files are INI-style key=value with one section per scenario, e.g.
@@ -26,7 +27,16 @@ import numpy as np
 
 from . import scenarios as sc
 from .barrier import gamma_margin
-from .errors import OdcbfError
+from .errors import (
+    AlignmentError,
+    DomainError,
+    InfeasiblePointError,
+    IntegrationError,
+    NonFiniteError,
+    OdcbfError,
+    SimulationAbort,
+    ThrustDomainError,
+)
 from .sim import RolloutConfig, RolloutSetup, rollout, sweep, sweep_table_to_dict
 from .verify import (
     check_matched,
@@ -38,6 +48,17 @@ from .verify import (
 
 BUILD_FAILURE = 3
 VERIFY_FAILURE = 1
+RUNTIME_FAILURE = 4
+# raised while a built scenario runs, at a state the run reached
+RUNTIME_ERRORS = (
+    SimulationAbort,
+    IntegrationError,
+    InfeasiblePointError,
+    NonFiniteError,
+    DomainError,
+    ThrustDomainError,
+    AlignmentError,
+)
 
 
 def _load_config_section(path, section):
@@ -356,7 +377,7 @@ def main(argv=None):
         return args.fn(args)
     except OdcbfError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return BUILD_FAILURE
+        return RUNTIME_FAILURE if isinstance(exc, RUNTIME_ERRORS) else BUILD_FAILURE
 
 
 if __name__ == "__main__":

@@ -99,15 +99,6 @@ def quadrotor_attitude_map(v_min=0.0) -> AttitudeMap:
     return AttitudeMap(eta_d=eta_d, jacobian=lambda v: ad.jacobian(eta_d, v)[1])
 
 
-def eta_d_rate(amap: AttitudeMap, v, vdot) -> np.ndarray:
-    """Attitude-map rate d/dt eta_d(v(t)) = (d eta_d / d v) vdot.
-
-    Differentiation byproduct used by the full-actuation stretch scenario
-    (desired angular rate); not part of the core construction.
-    """
-    return np.asarray(amap.jacobian(np.asarray(v, dtype=float)), dtype=float) @ np.asarray(vdot, dtype=float)
-
-
 @dataclass(frozen=True)
 class DrdBarrier:
     """Composite h(z, eta) = h_z(z) - 1/(2 mu) ||eta - eta_d(k_v(z))||^2."""

@@ -20,7 +20,11 @@ class ParameterError(OdcbfError, ValueError):
 
 
 class DomainError(OdcbfError, ValueError):
-    """A state lies outside the barrier's domain (h(x) + b <= 0)."""
+    """A state lies outside the barrier's domain (h(x) + b <= 0); carries the state."""
+
+    def __init__(self, x):
+        self.x = x
+        super().__init__(f"state outside barrier domain (h + b <= 0) at x={x}")
 
 
 class MarginUndefinedError(OdcbfError, ValueError):

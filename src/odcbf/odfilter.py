@@ -131,7 +131,7 @@ class OdIssfController:
     def evaluate(self, x, t=0.0) -> StateEval:
         x = np.asarray(x, dtype=float)
         if self.geometry is not None and not self.geometry.in_domain(x):
-            raise DomainError(f"state outside barrier domain (h + b <= 0) at x={x}")
+            raise DomainError(x)
         bar = self.bar
         lie = eval_lie(self.sys, bar, x)
         u_nom = call_law(self.nominal, x, t, lie.bar_eval)

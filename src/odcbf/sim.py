@@ -21,6 +21,7 @@ import numpy as np
 from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin
 from .dynamics import DisturbanceSignal, DisturbedSystem, _check_vec, call_law, eval_dynamics
 from .errors import (
+    DomainError,
     InfeasiblePointError,
     IntegrationError,
     MarginUndefinedError,
@@ -58,6 +59,14 @@ def rk4_step(field, t, x, dt, k1=None):
     if not np.all(np.isfinite(out)):
         raise IntegrationError(t, x)
     return out
+
+
+class _LeftDomain(DomainError):
+    """The closed loop reached a state outside the barrier domain at time t."""
+
+    def __init__(self, t, x):
+        self.t = t
+        super().__init__(x)
 
 
 class Row(NamedTuple):
@@ -164,8 +173,12 @@ def rollout(
 
     Each RK stage is evaluated once, and the row recorded at (t_k, x_k) is
     the first stage of step k, so only the final row is evaluated by itself.
-    Halts with a flagged, truncated trajectory if the state leaves the
-    barrier domain; aborts with the step index on controller infeasibility.
+    With ``geometry``, a state outside the barrier domain ends the rollout:
+    a step's end (checked here) or an RK stage's state that the law rejects
+    with DomainError. The trajectory is flagged truncated and its last row
+    holds that state at its time, with its h and with NaN input and decay
+    scale, as the law is not evaluated there. Aborts with the step index on
+    controller infeasibility.
     The declared disturbance bound is enforced on the sample taken at every
     stage time.
     """
@@ -186,6 +199,10 @@ def rollout(
             u = call_law(law, x, t) if ev is None else ev.result.u
         except InfeasiblePointError as exc:
             raise SimulationAbort(step, t, f"controller infeasible: {exc}") from exc
+        except DomainError as exc:
+            if geometry is None:
+                raise
+            raise _LeftDomain(t, x) from exc
         if ev is None:
             return Row(t, x, u, d, eval_dynamics(sys, x, u, d), None, math.nan)
         lie = ev.lie
@@ -215,16 +232,19 @@ def rollout(
     record(row)
     for k in range(n_steps):
         step = k
-        x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
-        step, t_next = k + 1, (k + 1) * cfg.dt
-        if geometry is not None and not geometry.in_domain(x):
-            truncated = True
-            exit_reason = f"left barrier domain at t={t_next:.6g}"
-        row = evaluate(t_next, x)
-        if (k + 1) % cfg.record_every == 0 or truncated or k + 1 == n_steps:
-            record(row)
-        if truncated:
+        try:
+            x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
+            step, t_next = k + 1, (k + 1) * cfg.dt
+            if geometry is not None and not geometry.in_domain(x):
+                raise _LeftDomain(t_next, x)
+            row = evaluate(t_next, x)
+        except _LeftDomain as left:
+            # the law is not evaluated there: record the state with its h, no input and no decay scale
+            truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"
+            record(Row(left.t, left.x, np.full(sys.m, math.nan), disturbance.at(left.t, left.x), None, None, math.nan))
             break
+        if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
+            record(row)
 
     traj = Trajectory(
         times=np.asarray(times, dtype=float),

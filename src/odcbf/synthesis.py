@@ -17,6 +17,7 @@ sigma q / (2 (a + sqrt(a^2 + sigma q^2))), q = ||b||^2, avoids cancellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +26,9 @@ import numpy as np
 from . import autodiff as ad
 from .barrier import BarrierSpec
 from .dynamics import DisturbedSystem
-from .errors import ParameterError, SynthesisInfeasibleError
+from .errors import NonFiniteError, ParameterError, SynthesisInfeasibleError
+
+_Q_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: ||b||^2 below it has underflowed
 
 
 @dataclass(frozen=True)
@@ -49,18 +52,22 @@ def half_sontag(a, bvec, sigma):
     """Smooth universal-formula input for the affine inequality a + b.u > 0.
 
     Accepts plain arrays or autodiff duals. Returns 0 when b = 0 (requires
-    a > 0 there); raises SynthesisInfeasibleError at b = 0 with a <= 0.
+    a > 0 there); raises SynthesisInfeasibleError with a <= 0 when ||b||^2
+    is below the smallest normal float (dividing by it would overflow), and
+    NonFiniteError when a or ||b||^2 is NaN or infinite.
     """
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
     q = ad.dot(bvec, bvec)  # ||b||^2, so sigma*q^2 = sigma*||b||^4
     a_val = float(ad.value(a))
     q_val = float(ad.value(q))
+    if not (math.isfinite(a_val) and math.isfinite(q_val)):
+        raise NonFiniteError(f"non-finite synthesis data: a={a_val!r}, ||b||^2={q_val!r}")
     if a_val > 0.0:
         # rationalized: smooth through b = 0, no cancellation in -a + sqrt(.)
         lam = sigma * q / (2.0 * (a + ad.sqrt(a * a + sigma * q * q)))
     else:
-        if q_val == 0.0:
+        if q_val < _Q_FLOOR:
             raise SynthesisInfeasibleError(None, a_val)
         lam = (-a + ad.sqrt(a * a + sigma * q * q)) / (2.0 * q)
     return lam * bvec

@@ -90,6 +90,61 @@ class TestAssembledSystem:
         assert np.allclose(scn.sys.w(x), [[0.5], [1.0]])
 
 
+def nonlinear_cascade():
+    """Blocks of dims 1, 2, 1 whose f, g and w all depend on the prefix state."""
+    return StrictFeedbackSystem(
+        layers=(
+            Layer(
+                f=lambda x: ad.stack([ad.sin(x[0])]),
+                g=lambda x: ad.vstack([ad.stack([1.0 + x[0] * x[0], ad.cos(x[0])])]),
+                w=lambda x: np.array([[0.3]]),
+                dim=1,
+            ),
+            Layer(
+                f=lambda x: ad.stack([x[1] * x[0], -x[2]]),
+                g=lambda x: ad.vstack([ad.stack([1.0]), ad.stack([x[1]])]),
+                w=lambda x: ad.vstack([ad.stack([x[0]]), ad.stack([0.0])]),
+                dim=2,
+            ),
+            Layer(f=lambda x: ad.stack([x[3] * x[1]]), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)), dim=1),
+        ),
+        m=1,
+        p=1,
+    )
+
+
+def flat(out):
+    if isinstance(out, ad.Dual):
+        return ad.Dual(np.reshape(out.val, -1), np.reshape(out.dot, (-1, out.dot.shape[-1])))
+    return np.reshape(np.asarray(out, dtype=float), -1)
+
+
+class TestBlockLayout:
+    def test_prefix_and_block_offsets(self):
+        sfs = nonlinear_cascade()
+        x = np.arange(4.0)
+        assert sfs.ends == (1, 3, 4) and sfs.n == 4
+        assert [list(sfs.prefix(x, i)) for i in range(3)] == [[0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]]
+        assert [list(sfs.block(x, i)) for i in range(3)] == [[0.0], [1.0, 2.0], [3.0]]
+
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    @pytest.mark.parametrize("part", ["f", "g", "w"])
+    def test_virtual_top_is_dual_evaluable(self, i, part):
+        top = nonlinear_cascade().virtual_top(i)
+        x = np.array([0.4, -0.7, 1.1, 0.25])[: top.n]
+        fn = lambda y: flat(getattr(top, part)(y))
+        val, jac = ad.jacobian(fn, x)
+        assert np.allclose(val, fn(x), rtol=1e-14, atol=1e-14)  # plain products go through BLAS
+        assert np.allclose(jac, ad.fd_jacobian(fn, x), rtol=1e-7, atol=1e-9)
+
+    def test_bottom_virtual_top_is_the_assembled_system(self):
+        sfs = nonlinear_cascade()
+        top, full = sfs.virtual_top(2), sfs.assemble()
+        x = np.array([0.4, -0.7, 1.1, 0.25])
+        for part in ("f", "g", "w"):
+            assert np.array_equal(flat(getattr(top, part)(x)), flat(getattr(full, part)(x)))
+
+
 class TestRowRank:
     def test_pendulum_constant_g2(self):
         scn = build_pendulum()

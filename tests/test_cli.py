@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from odcbf.cli import main
+from odcbf.cli import BUILD_FAILURE, RUNTIME_FAILURE, main
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -116,6 +116,24 @@ def test_config_file_unknown_key_is_build_failure(tmp_path):
         "run", "--scenario", "pendulum", "--config", str(cfg), "--out", str(tmp_path),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        # the initial state lies outside the barrier domain: DomainError at t = 0
+        ("[pendulum]\ndomain_b = 0.5\nx0 = 2.0,0.0\n", ["--t-final", "0.1"]),
+        # a 1 s step diverges until the filter data overflow: NonFiniteError
+        ("[pendulum]\n", ["--dt", "1.0", "--t-final", "200"]),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_runtime_abort_has_its_own_exit_code(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(config)
+    code = main(["run", "--scenario", "pendulum", "--config", str(cfg), *flags, "--out", str(tmp_path)])
+    assert code == RUNTIME_FAILURE != BUILD_FAILURE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_stretch_scenario_behind_flag(tmp_path):

@@ -8,7 +8,6 @@ from odcbf.drd import (
     alignment_residual,
     check_attitude_alignment,
     drd_barrier,
-    eta_d_rate,
     partial_closed_loop,
     pinv_apply,
     quadrotor_attitude_map,
@@ -77,14 +76,6 @@ class TestQuadrotorEtaD:
         jac = np.asarray(amap.jacobian(v))
         fd = ad.fd_jacobian(lambda u: np.asarray(quadrotor_eta_d(u)), v)
         assert np.allclose(jac, fd, rtol=1e-7, atol=1e-9)
-
-    def test_rate_byproduct(self):
-        amap = quadrotor_attitude_map(v_min=0.0)
-        v, vdot = np.array([0.3, 2.0]), np.array([0.1, -0.2])
-        rate = eta_d_rate(amap, v, vdot)
-        # d/dt atan(-v1/v2) = (-v2 vdot1 + v1 vdot2) / (v1^2 + v2^2)
-        expected = (-v[1] * vdot[0] + v[0] * vdot[1]) / (v[0] ** 2 + v[1] ** 2)
-        assert rate[0] == pytest.approx(expected, rel=1e-10)
 
 
 class TestDrdBarrier:

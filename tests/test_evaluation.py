@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from odcbf import autodiff as ad
 from odcbf import drd, synthesis
 from odcbf.backstepping import CompositeBarrier
 from odcbf.drd import DrdBarrier
@@ -55,6 +56,23 @@ def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatc
     counts.update(half_sontag=0, pinv_apply=0, value_and_grad=0)
     run(scn, scn.psys)
     assert counts == {"half_sontag": 4 * STEPS + 1, "pinv_apply": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+
+
+@pytest.mark.parametrize("build, sys_attr, per_step", [(build_pendulum, "sys", 150), (build_quadrotor, "psys", 135)])
+def test_dual_constructions_per_step(monkeypatch, build, sys_attr, per_step):
+    count = [0]
+    init = ad.Dual.__init__
+
+    def counted(self, val, dot):
+        count[0] += 1
+        init(self, val, dot)
+
+    monkeypatch.setattr(ad.Dual, "__init__", counted)
+    scn = build()
+    count[0] = 0
+    rollout(getattr(scn, sys_attr), scn.filter_law, scn.disturbance, scn.x0, RolloutConfig(dt=1e-2, t_final=2.0),
+            scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
+    assert count[0] <= per_step * 200  # 200 steps
 
 
 @pytest.mark.parametrize("build, sys_attr", [(build_pendulum, "sys"), (build_quadrotor, "psys")])

@@ -8,7 +8,7 @@ import pytest
 from odcbf.barrier import BarrierSpec, SafeSetGeometry, linear_class_k
 from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, FeedbackLaw
 from odcbf.errors import IntegrationError, ParameterError, SimulationAbort
-from odcbf.scenarios import build_pendulum, zero_disturbance
+from odcbf.scenarios import PendulumConfig, build_pendulum, zero_disturbance
 from odcbf.sim import (
     RolloutConfig,
     RolloutSetup,
@@ -137,6 +137,22 @@ class TestRollout:
         assert traj.truncated
         assert "left barrier domain" in traj.exit_reason
         assert traj.times[-1] < 2.0
+
+    def test_filter_law_leaving_domain_truncates(self):
+        # the filter rejects states outside its domain; the rollout must stop there, not raise
+        scn = build_pendulum(PendulumConfig(epsilon=10.0, domain_b=0.5))
+        traj, metrics = rollout(
+            scn.sys, scn.filter_law, scn.disturbance, scn.x0, RolloutConfig(dt=1e-2, t_final=10.0), scn.bar,
+            layer_h=scn.layer_h, geometry=scn.geometry,
+        )
+        assert traj.truncated
+        assert "left barrier domain" in traj.exit_reason
+        assert traj.times[-1] < 10.0 and np.all(np.diff(traj.times) > 0)
+        assert not scn.geometry.in_domain(traj.states[-1])
+        assert np.isnan(traj.inputs[-1]).all() and math.isnan(traj.omegas[-1])
+        assert traj.h_values[-1] == scn.bar.h(traj.states[-1]) <= -0.5
+        assert metrics.min_h == traj.h_values[-1]
+        assert np.isfinite(traj.inputs[:-1]).all()
 
     def test_step_halving_convergence_order(self):
         # smooth closed loop (nominal tracking law, no filter): RK4 order 4

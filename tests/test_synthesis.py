@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
-from odcbf.errors import SynthesisInfeasibleError
+from odcbf.errors import NonFiniteError, SynthesisInfeasibleError
 from odcbf.scenarios import build_pendulum
 from odcbf.synthesis import half_sontag, strict_margin, synth_virtual
 
@@ -29,6 +31,17 @@ class TestHalfSontag:
             half_sontag(-0.5, np.zeros(2), 1.0)
         with pytest.raises(SynthesisInfeasibleError):
             half_sontag(0.0, np.zeros(1), 1.0)
+
+    def test_underflowing_input_direction_is_degenerate(self):
+        # ||b||^2 = 1e-320 is subnormal: dividing by it would return inf
+        with pytest.raises(SynthesisInfeasibleError):
+            half_sontag(-1.0, np.array([1e-160]), 1.0)
+        assert np.array_equal(half_sontag(1.0, np.array([1e-160]), 1.0), [0.0])  # a > 0: no correction needed
+
+    @pytest.mark.parametrize("a, b", [(math.nan, [1.0]), (-math.inf, [1.0]), (1.0, [math.inf]), (-1.0, [math.nan])])
+    def test_non_finite_data_raises(self, a, b):
+        with pytest.raises(NonFiniteError):
+            half_sontag(a, np.array(b), 1.0)
 
     def test_guaranteed_residual_identity(self):
         rng = np.random.default_rng(3)
