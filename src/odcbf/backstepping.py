@@ -152,7 +152,7 @@ class CompositeBarrier:
         hv = top.h - float(e @ e) / (2.0 * self.mu)
         d1 = top.grad + (e @ jac) / self.mu
         d2 = -e / self.mu
-        return BarrierEval(hv, np.concatenate([d1, d2]), k=k_val, k_jac=jac, ref=k_val)
+        return BarrierEval(hv, np.concatenate([d1, d2]), k=k_val, ref=k_val, ref_jac=jac, mu=self.mu)
 
     def grad_h(self, x):
         return self.value_and_grad(x).grad

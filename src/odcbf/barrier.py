@@ -106,17 +106,19 @@ def register_class_k(alpha, alpha_inv, b=math.inf, c=math.inf):
 class BarrierEval(NamedTuple):
     """h and grad h at one state from one pass.
 
-    A backstepped barrier penalizes a block's distance to a reference ``ref``
-    built from a smooth virtual controller k; its pass also leaves k and
-    dk/dx here (all None for a plain barrier), so that readers of the same
-    state need not rerun k.
+    A backstepped barrier h = h_top(x_top) - ||x_bot - ref(x_top)||^2 / (2 mu)
+    penalizes the bottom block's distance to a reference ``ref`` built from a
+    smooth virtual controller k. Its pass also leaves k, ref, the jacobian
+    ``ref_jac`` = dref/dx_top of shape (n_bot, n_top) and mu here (all None
+    for a plain barrier), so that readers of the same state need not rerun k.
     """
 
     h: float
     grad: np.ndarray
     k: Optional[np.ndarray] = None
-    k_jac: Optional[np.ndarray] = None
     ref: Optional[np.ndarray] = None
+    ref_jac: Optional[np.ndarray] = None
+    mu: Optional[float] = None
 
 
 @dataclass(frozen=True)

@@ -123,18 +123,20 @@ class DrdBarrier:
         return float(self.h_z.h(np.asarray(x, dtype=float)[: self.n_top])) - float(e @ e) / (2.0 * self.mu)
 
     def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h, v = k_v(z) and eta_d(v) from one pass of each map's value-and-jacobian."""
+        """h, grad h, v = k_v(z), eta_d(v) and its jacobian in z from one pass of each map's value-and-jacobian."""
         x = np.asarray(x, dtype=float)
         z, eta = self._split(x)
         v, j_kv = self.k_v.with_jacobian(z)
+        j_kv = np.atleast_2d(j_kv)
         ref_dual = ad.jacobian(self.eta_d.eta_d, v)
         ref, j_eta = ref_dual[0].reshape(-1), np.atleast_2d(ref_dual[1])
         e = eta - ref
         top = self.h_z.value_and_grad(z)
         hv = top.h - float(e @ e) / (2.0 * self.mu)
-        dz = top.grad + (e @ j_eta @ np.atleast_2d(j_kv)) / self.mu
+        # (e J_eta) J_kv, not e (J_eta J_kv): this product order fixes the gradient's rounding
+        dz = top.grad + ((e @ j_eta) @ j_kv) / self.mu
         deta = -e / self.mu
-        return BarrierEval(hv, np.concatenate([dz, deta]), k=v, k_jac=j_kv, ref=ref)
+        return BarrierEval(hv, np.concatenate([dz, deta]), k=v, ref=ref, ref_jac=j_eta @ j_kv, mu=self.mu)
 
     def grad_h(self, x):
         return self.value_and_grad(x).grad

@@ -33,6 +33,13 @@ from .odfilter import OdIssfController
 from .synthesis import SmoothVirtualController, synth_virtual
 from .verify import BoxRegionSampler, exterior_sampler
 
+
+def _constant(values):
+    """A read-only float array, built once for a closure to return on every call."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
 # -- disturbance catalog ---------------------------------------------------
 
 
@@ -177,18 +184,19 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         p_weight=cfg.p_weight,
         n=1,
     )
+    zero, one, w1, inv_ml2 = _constant([0.0]), _constant([[1.0]]), _constant([[nu]]), _constant([[1.0 / ml2]])
     layers = (
-        Layer(f=lambda x1: np.zeros(1), g=lambda x1: np.eye(1), w=lambda x1: np.array([[nu]]), dim=1),
+        Layer(f=lambda x1: zero, g=lambda x1: one, w=lambda x1: w1, dim=1),
         Layer(
             f=lambda x: ad.stack([(grav / l) * ad.sin(x[0]) - beta * x[1]]),
-            g=lambda x: np.array([[1.0 / ml2]]),
-            w=lambda x: np.array([[1.0 / ml2]]),
+            g=lambda x: inv_ml2,
+            w=lambda x: inv_ml2,
             dim=1,
         ),
     )
     sfs = StrictFeedbackSystem(layers=layers, m=1, p=1)
     top_sys = sfs.virtual_top(0)
-    k1 = synth_virtual(top_sys, h1, cfg.sigma)
+    k1 = synth_virtual(top_sys, h1, cfg.sigma, layer=1)
     composite = compose_barrier(h1, k1, cfg.mu, n1=1, n2=1)
     bar = composite.to_spec()
     sys = sfs.assemble()
@@ -302,7 +310,8 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     m, grav, a1, x_max = cfg.mass, cfg.gravity, cfg.hocbf_gain, cfg.x_max
     alpha = linear_class_k(cfg.alpha_gain)
 
-    g_z = np.vstack([np.zeros((2, 2)), np.eye(2) / m])
+    g_z = _constant(np.vstack([np.zeros((2, 2)), np.eye(2) / m]))
+    zero, one, no_wind = _constant([0.0]), _constant([[1.0]]), _constant(np.zeros((1, 2)))
 
     dsys = DrdSystem(
         n_top=4,
@@ -314,15 +323,16 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         f_top=lambda z: ad.stack([z[2], z[3], 0.0, -grav]),
         g_top=lambda z: g_z,
         w_top=lambda z: g_z,  # wind gusts act on the center of mass
-        f_bot=lambda eta: np.zeros(1),
-        g_bot=lambda eta: np.eye(1),
-        w_bot=lambda eta: np.zeros((1, 2)),
+        f_bot=lambda eta: zero,
+        g_bot=lambda eta: one,
+        w_bot=lambda eta: no_wind,
         psi=lambda eta: ad.vstack([ad.stack([-ad.sin(eta[0])]), ad.stack([ad.cos(eta[0])])]),
     )
 
+    grad_h_z = _constant([-a1, 0.0, -1.0, 0.0])
     h_z = BarrierSpec(
         h=lambda z: a1 * (x_max - z[0]) - z[2],
-        grad_h=lambda z: np.array([-a1, 0.0, -1.0, 0.0]),
+        grad_h=lambda z: grad_h_z,
         alpha=alpha,
         epsilon=cfg.epsilon,
         theta_d=cfg.theta_d,
@@ -331,8 +341,8 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     )
 
     top_sys = DisturbedSystem(n=4, m=2, p=2, f=dsys.f_top, g=dsys.g_top, w=dsys.w_top)
-    v_ff = np.array([0.0, m * grav])
-    k_v = synth_virtual(top_sys, h_z, cfg.sigma, nominal=lambda z: v_ff)
+    v_ff = _constant([0.0, m * grav])
+    k_v = synth_virtual(top_sys, h_z, cfg.sigma, nominal=lambda z: v_ff, layer=1)
     attitude = quadrotor_attitude_map(v_min=cfg.v_min_frac * m * grav)
     dbar = drd_barrier(h_z, k_v, attitude, cfg.mu, n_top=4, n_bot=1)
     bar = dbar.to_spec()
@@ -382,7 +392,7 @@ def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()):
     j_inertia = cfg.inertia
 
     # top: (z, theta) with omega as the (virtual) input
-    k_omega = synth_virtual(base.psys, base.bar, cfg.sigma, jac_mode="fd")
+    k_omega = synth_virtual(base.psys, base.bar, cfg.sigma, jac_mode="fd", layer=2)
     full_composite = compose_barrier(base.bar, k_omega, cfg.mu, n1=5, n2=1)
     full_bar = full_composite.to_spec()
 

@@ -87,9 +87,12 @@ def synth_virtual(
     added before the half-Sontag correction; it must be written with autodiff
     ops when jac_mode="ad". ``jac_mode="fd"`` switches the jacobian to central
     differences (used for deep recursive layers where the barrier gradient is
-    not dual-evaluable). ``layer`` tags synthesis failures with the layer
-    they came from.
+    not dual-evaluable). Synthesis failures name the state and, when
+    ``layer`` is given, the layer they came from.
     """
+    where = f" (layer {layer})" if layer is not None else ""
+    no_nominal = np.zeros(top.m)
+    no_nominal.flags.writeable = False
 
     def control(x1):
         grad = bar.grad_h(x1)
@@ -100,12 +103,14 @@ def synth_virtual(
         lg = ad.vecmat(grad, g)
         lw = ad.vecmat(grad, w)
         hv = bar.h(x1)
-        v0 = nominal(x1) if nominal is not None else np.zeros(top.m)
+        v0 = nominal(x1) if nominal is not None else no_nominal
         a = lf + ad.dot(lg, v0) + bar.theta_d * bar.alpha(hv) - ad.dot(lw, lw) / bar.epsilon
         try:
             correction = half_sontag(a, lg, sigma)
         except SynthesisInfeasibleError as exc:
             raise SynthesisInfeasibleError(ad.value(x1), exc.a, layer=layer) from None
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{exc}{where} at x={ad.value(x1)}") from None
         return v0 + correction
 
     if jac_mode == "ad":

@@ -18,15 +18,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .autodiff import fd_jacobian
-from .barrier import BarrierSpec, SafeSetGeometry, eval_lie
+from .barrier import BarrierSpec, LieData, SafeSetGeometry, eval_lie
 from .dynamics import DisturbedSystem
 from .errors import SamplerError
 
 RANK_TOL = 1e-8
 MARGIN_TOL = 1e-10
+# bracket_root: absolute and relative width of the final bracket, evaluation cap
+ROOT_XTOL = 1e-12
+ROOT_RTOL = 4 * float(np.finfo(float).eps)
+ROOT_MAXITER = 100
 
 
 # -- sampling ------------------------------------------------------------
@@ -210,28 +213,55 @@ def qp_oracle(lf_h, lg_h, lw_h, alpha_h, epsilon, theta_d, p, k_d) -> OracleSolu
 # -- zero-set refinement ---------------------------------------------------
 
 
-def _gauss_newton_zero(resfn, x0, iters=20, step=1e-7, tol=1e-12):
-    """Drive a small residual vector to zero with min-norm Gauss-Newton steps.
+def lg_jacobian(lie: LieData) -> Optional[np.ndarray]:
+    """d(L_g h)/dx in closed form from a backstepped barrier's pass, or None.
 
-    The Jacobian comes from central differences; underdetermined systems take
-    the pseudoinverse (least-norm) step, so the iterate stays near the seed.
+    For h = h_top(x_top) - ||x_bot - ref(x_top)||^2 / (2 mu) and an input
+    matrix g = (0; g_bot) acting on the bottom block alone,
+    L_g h = -(x_bot - ref)^T g_bot / mu, whose jacobian is
+    (1/mu) g_bot^T [dref/dx_top, -I] plus a term in dg_bot/dx. That term is
+    linear in x_bot - ref, so it vanishes on the zero set wherever g_bot has
+    full row rank (the premise of the construction), and it is dropped: a
+    varying g_bot can only slow Gauss-Newton down, since points are accepted
+    on their evaluated L_g h alone. None when the pass carries no reference
+    jacobian or g acts on the top block too.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    be = lie.bar_eval
+    if be.ref_jac is None:
+        return None
+    n_bot, n_top = be.ref_jac.shape
+    if n_top + n_bot != lie.g.shape[0] or np.any(lie.g[:n_top]):
+        return None
+    return lie.g[n_top:].T @ np.hstack([be.ref_jac, -np.eye(n_bot)]) / be.mu
+
+
+def _gauss_newton_zero(lie_at, x, lie, iters=20, step=1e-7, tol=1e-12):
+    """Drive L_g h to zero from x (with lie = lie_at(x)) by min-norm Gauss-Newton.
+
+    Each iterate costs one evaluation lie_at, which gives the residual and,
+    for a backstepped barrier, its jacobian (``lg_jacobian``); a barrier
+    without a reference takes the jacobian from central differences of
+    lie_at instead. Underdetermined systems take the pseudoinverse
+    (least-norm) step, so the iterate stays near the seed. Returns the last
+    iterate and its LieData.
+    """
     for _ in range(iters):
-        r = np.atleast_1d(np.asarray(resfn(x), dtype=float))
+        r = np.atleast_1d(lie.lg_h)
         if np.linalg.norm(r) < tol:
             break
-        jac = np.atleast_2d(fd_jacobian(resfn, x, step=step))
-        dx, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        jac = lg_jacobian(lie)
+        if jac is None:
+            jac = fd_jacobian(lambda y: lie_at(y).lg_h, x, step=step)
+        dx, *_ = np.linalg.lstsq(np.atleast_2d(jac), -r, rcond=None)
         if not np.all(np.isfinite(dx)):
             break
         x = x + dx
-    return x
+        lie = lie_at(x)
+    return x, lie
 
 
-def lemma_margin(sys: DisturbedSystem, bar: BarrierSpec, x) -> float:
+def lemma_margin(bar: BarrierSpec, lie: LieData) -> float:
     """L_f h + theta_d alpha(h) - ||L_w h||^2 / eps, the strict-verification margin."""
-    lie = eval_lie(sys, bar, x)
     return lie.lf_h + bar.theta_d * float(bar.alpha(lie.h_val)) - float(lie.lw_h @ lie.lw_h) / bar.epsilon
 
 
@@ -250,35 +280,32 @@ def check_od_issf(
     At points of D \\ Int(S) where ||L_g h|| <= rank_tol the margin
     L_f h + theta_d alpha(h) - ||L_w h||^2/eps must be strictly positive.
     Seeds from the sampler are refined onto the zero set by Gauss-Newton on
-    L_g h; refined points that leave the region are discarded.
+    L_g h; refined points that leave the region are discarded. A point's
+    own evaluation gives its hit test and its margin.
     """
     rng = np.random.default_rng(seed)
     seeds = sampler.draw(rng, n_seeds)
     report = SampleReport(samples_checked=len(seeds))
 
-    def lg(x):
-        return eval_lie(sys, bar, x).lg_h
+    def lie_at(x):
+        return eval_lie(sys, bar, x)
 
-    def in_region(x, slack=1e-10):
-        hv = float(bar.h(x))
-        if hv > slack:
+    def on_zero_set(lie, slack=1e-10):
+        if float(np.linalg.norm(lie.lg_h)) > rank_tol or lie.h_val > slack:
             return False
-        return not math.isfinite(geom.b) or hv + geom.b > 0.0
+        return not math.isfinite(geom.b) or lie.h_val + geom.b > 0.0
 
-    def consider(x):
-        m = lemma_margin(sys, bar, x)
+    for x in seeds:
+        lie = lie_at(x)
+        if not on_zero_set(lie):
+            x, lie = _gauss_newton_zero(lie_at, x, lie)
+            if not on_zero_set(lie):
+                continue
+        m = lemma_margin(bar, lie)
         report.zero_set_hits += 1
         report.min_margin = min(report.min_margin, m)
         if m <= margin_tol:
             report.violations.append((x.copy(), m))
-
-    for x0 in seeds:
-        if float(np.linalg.norm(lg(x0))) <= rank_tol and in_region(x0):
-            consider(x0)
-            continue
-        z = _gauss_newton_zero(lg, x0)
-        if float(np.linalg.norm(lg(z))) <= rank_tol and in_region(z):
-            consider(z)
 
     return report.finalize()
 
@@ -307,6 +334,56 @@ def check_prop1(
         if norm_lg <= rank_tol:
             report.violations.append((x.copy(), norm_lg - rank_tol))
     return report.finalize()
+
+
+def bracket_root(f, a, b, fa, fb):
+    """A root of f in the bracket [a, b], given fa = f(a) and fb = f(b).
+
+    fa and fb must be zero or of opposite signs (ValueError otherwise); a
+    zero endpoint is returned as is. Brent-Dekker: a secant or inverse
+    quadratic step while it stays well inside the bracket and shrinks it
+    fast enough, bisection otherwise, so it converges superlinearly on smooth
+    f and always keeps a bracket. Returns once the bracket around the
+    estimate is narrower than ROOT_XTOL + ROOT_RTOL |estimate|; RuntimeError
+    if that takes more than ROOT_MAXITER evaluations of f.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError(f"f(a)={fa!r} and f(b)={fb!r} do not bracket a root")
+    # cur: best estimate; prev: the estimate before it; far: the other end of the bracket
+    prev, f_prev, cur, f_cur = a, fa, b, fb
+    far = f_far = step = last_step = 0.0
+    for _ in range(ROOT_MAXITER):
+        if (f_prev < 0.0) != (f_cur < 0.0):
+            far, f_far = prev, f_prev
+            step = last_step = cur - prev
+        if abs(f_far) < abs(f_cur):
+            prev, f_prev, cur, f_cur, far, f_far = cur, f_cur, far, f_far, cur, f_cur
+        tol = 0.5 * (ROOT_XTOL + ROOT_RTOL * abs(cur))
+        half = 0.5 * (far - cur)
+        if f_cur == 0.0 or abs(half) < tol:
+            return cur
+        trial = None
+        if abs(last_step) > tol and abs(f_cur) < abs(f_prev):
+            if prev == far:  # secant
+                trial = -f_cur * (cur - prev) / (f_cur - f_prev)
+            else:  # inverse quadratic interpolation
+                d_prev = (f_prev - f_cur) / (prev - cur)
+                d_far = (f_far - f_cur) / (far - cur)
+                trial = -f_cur * (f_far * d_far - f_prev * d_prev) / (d_far * d_prev * (f_far - f_prev))
+            if not 2.0 * abs(trial) < min(abs(last_step), 3.0 * abs(half) - tol):
+                trial = None
+        if trial is None:
+            last_step = step = half
+        else:
+            last_step, step = step, trial
+        prev, f_prev = cur, f_cur
+        cur += step if abs(step) > tol else math.copysign(tol, half)
+        f_cur = f(cur)
+    raise RuntimeError(f"no root found in [{a!r}, {b!r}] after {ROOT_MAXITER} evaluations")
 
 
 def check_regular_values(
@@ -338,21 +415,16 @@ def check_regular_values(
                 return float(bar.h(center + t * direction)) - kappa
 
             report.samples_checked += 1
-            t0, t1 = 0.0, ray_length
-            f0 = along(t0)
             # march outward until the level is bracketed
-            ts = np.linspace(0.0, t1, 33)
-            bracket = None
-            prev_t, prev_f = t0, f0
-            for t in ts[1:]:
+            prev_t, prev_f = 0.0, along(0.0)
+            for t in np.linspace(0.0, ray_length, 33)[1:]:
                 ft = along(t)
                 if prev_f == 0.0 or prev_f * ft <= 0.0:
-                    bracket = (prev_t, t)
                     break
                 prev_t, prev_f = t, ft
-            if bracket is None:
+            else:
                 continue
-            t_star = brentq(along, bracket[0], bracket[1], xtol=1e-12)
+            t_star = bracket_root(along, prev_t, t, prev_f, ft)
             x_star = center + t_star * direction
             grad_norm = float(np.linalg.norm(np.asarray(bar.grad_h(x_star), dtype=float)))
             report.zero_set_hits += 1

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odcbf
 from odcbf.cli import BUILD_FAILURE, RUNTIME_FAILURE, main
 
 
@@ -143,3 +148,12 @@ def test_stretch_scenario_behind_flag(tmp_path):
     ])
     assert code == 0
     assert (tmp_path / "quadrotor-full_metrics.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test and benchmark extra
+    src = str(Path(odcbf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, odcbf.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

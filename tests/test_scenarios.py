@@ -209,3 +209,26 @@ class TestFullQuadrotorStretch:
             fd = ad.fd_gradient(bar.h, x)
             rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
             assert rel <= 2e-6
+
+
+def test_closure_constants_are_built_once_and_read_only():
+    pen, quad = build_pendulum(), build_quadrotor()
+    x, z, eta = np.array([0.1, 0.2]), np.array([0.5, 0.0, 0.1, 0.0]), np.array([0.05])
+    calls = [
+        lambda: pen.sfs.layers[0].f(x[:1]),
+        lambda: pen.sfs.layers[0].g(x[:1]),
+        lambda: pen.sfs.layers[0].w(x[:1]),
+        lambda: pen.sfs.layers[1].g(x),
+        lambda: pen.sfs.layers[1].w(x),
+        lambda: quad.dsys.g_top(z),
+        lambda: quad.dsys.w_top(z),
+        lambda: quad.dsys.f_bot(eta),
+        lambda: quad.dsys.g_bot(eta),
+        lambda: quad.dsys.w_bot(eta),
+        lambda: quad.h_z.grad_h(z),
+    ]
+    for call in calls:
+        arr = call()
+        assert call() is arr
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 1.0

@@ -76,6 +76,12 @@ class TestHalfSontag:
 
 
 class TestSynthVirtual:
+    def test_non_finite_synthesis_names_state_and_layer(self):
+        scn = build_pendulum()
+        for run in (scn.k1.k1, scn.k1.with_jacobian):  # the value pass and the jacobian pass
+            with pytest.raises(NonFiniteError, match=r"a=nan.* \(layer 1\) at x=\[nan\]"):
+                run(np.array([math.nan]))
+
     def test_pendulum_interior_zero_correction(self):
         scn = build_pendulum()
         # at q=0: L_g1 h1 = 0 and a = theta_d*1 - 0 > 0, so k1 = 0

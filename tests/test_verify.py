@@ -1,21 +1,27 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from odcbf.barrier import BarrierSpec, SafeSetGeometry, linear_class_k
+from odcbf import verify
+from odcbf.autodiff import fd_jacobian
+from odcbf.barrier import BarrierSpec, SafeSetGeometry, eval_lie, linear_class_k
 from odcbf.dynamics import DisturbedSystem
 from odcbf.errors import SamplerError
 from odcbf.scenarios import build_pendulum, build_quadrotor
 from odcbf.verify import (
     BoxRegionSampler,
+    ROOT_MAXITER,
     SampleReport,
+    bracket_root,
     check_matched,
     check_od_issf,
     check_prop1,
     check_regular_values,
     exterior_sampler,
+    lg_jacobian,
     qp_oracle,
 )
 from tests.test_odfilter import random_raw_terms
@@ -179,6 +185,102 @@ class TestCheckOdIssf:
         r2 = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=5)
         assert r1.zero_set_hits == r2.zero_set_hits
         assert r1.min_margin == r2.min_margin
+
+
+class TestZeroSetSearch:
+    @pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
+    def test_closed_form_lg_jacobian_matches_fd(self, build):
+        scn = build()
+        sys = scn.filter_law.sys  # the closed loop that odcbf verify checks
+        for x in scn.exterior_sampler().draw(np.random.default_rng(7), 200):
+            jac = lg_jacobian(eval_lie(sys, scn.bar, x))
+            fd = fd_jacobian(lambda y: eval_lie(sys, scn.bar, y).lg_h, x)
+            assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("build, per_seed", [(build_pendulum, 6), (build_quadrotor, 5)])
+    def test_one_evaluation_per_gauss_newton_iterate(self, monkeypatch, build, per_seed):
+        scn = build()
+        sys = scn.filter_law.sys
+        calls = []
+        original = verify.eval_lie
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "eval_lie", counted)
+        report = check_od_issf(sys, scn.bar, scn.geometry, scn.exterior_sampler(), seed=0)
+        assert report.zero_set_hits >= 100
+        assert len(calls) <= per_seed * report.samples_checked
+
+    def test_plain_barrier_takes_the_fd_jacobian_to_the_same_points(self):
+        # the composite's h and grad h without its pass: no reference jacobian
+        scn = build_pendulum()
+        plain = BarrierSpec(
+            h=scn.bar.h, grad_h=scn.bar.grad_h, alpha=scn.bar.alpha, epsilon=scn.bar.epsilon,
+            theta_d=scn.bar.theta_d, p_weight=scn.bar.p_weight, n=2,
+        )
+        assert lg_jacobian(eval_lie(scn.sys, plain, np.array([0.5, 1.0]))) is None
+        exact = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
+        fd = check_od_issf(scn.sys, plain, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
+        assert exact.zero_set_hits == fd.zero_set_hits > 0
+        assert fd.min_margin == pytest.approx(exact.min_margin, abs=1e-8)
+
+
+def _bisect(f, a, b, width=1e-14):
+    a, b = min(a, b), max(a, b)
+    fa = f(a)
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+class TestBracketRoot:
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2.0, 1.0, 2.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+            (lambda x: (x - 0.3) * math.exp(x), 0.0, 1.0),
+            (lambda x: 1.0 - x * x - 0.5 * math.sin(3.0 * x), 0.0, 2.0),
+            (lambda x: math.log(x) + x - 2.0, 0.5, 4.0),
+            (lambda x: x**3 - 2.0, 2.0, 1.0),  # the high end first
+        ],
+    )
+    def test_matches_bisection_on_smooth_functions(self, f, a, b):
+        assert abs(bracket_root(f, a, b, f(a), f(b)) - _bisect(f, a, b)) <= 1e-12
+
+    def test_root_at_an_endpoint_is_returned_as_is(self):
+        def unused(t):
+            raise AssertionError("an endpoint root needs no evaluation")
+
+        assert bracket_root(unused, 0.5, 2.0, 0.0, 3.0) == 0.5
+        assert bracket_root(unused, 0.5, 2.0, -1.0, 0.0) == 2.0
+
+    def test_non_bracket_raises(self):
+        with pytest.raises(ValueError, match="do not bracket"):
+            bracket_root(math.sin, 0.5, 2.0, 1.0, 3.0)
+        with pytest.raises(ValueError, match="do not bracket"):
+            bracket_root(math.sin, 0.5, 2.0, -1.0, -3.0)
+
+    def test_step_discontinuity_ends_within_the_iteration_cap(self):
+        evals = []
+
+        def step(x):
+            evals.append(x)
+            return -1.0 if x < 0.3 else 2.0
+
+        root = bracket_root(step, 0.0, 1.0, -1.0, 2.0)
+        assert abs(root - 0.3) <= 1e-12
+        assert len(evals) <= ROOT_MAXITER
 
 
 class TestCheckProp1:
