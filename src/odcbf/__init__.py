@@ -4,7 +4,6 @@ from .backstepping import (
     CompositeBarrier,
     Layer,
     StrictFeedbackSystem,
-    check_row_rank_g2,
     compose_barrier,
     recursive_compose,
 )
@@ -15,22 +14,11 @@ from .barrier import (
     LieData,
     SafeSetGeometry,
     admissible_delta,
-    atan_class_k,
-    cubic_class_k,
     eval_lie,
     gamma_margin,
     linear_class_k,
-    register_class_k,
 )
-from .drd import (
-    AttitudeMap,
-    DrdBarrier,
-    DrdSystem,
-    align_uz,
-    drd_barrier,
-    partial_closed_loop,
-    quadrotor_eta_d,
-)
+from .drd import DrdBarrier, DrdSystem, drd_barrier, partial_closed_loop, quadrotor_eta_d
 from .dynamics import (
     DisturbanceSignal,
     DisturbedSystem,
@@ -38,10 +26,12 @@ from .dynamics import (
     close_loop,
     eval_dynamics,
 )
-from .odfilter import FilterResult, OdIssfController, StateEval, od_issf_filter
+from .odfilter import FilterResult, OdIssfController, StateEval
 from .scenarios import (
+    Check,
     PendulumConfig,
     QuadrotorConfig,
+    Scenario,
     build_pendulum,
     build_quadrotor,
     build_quadrotor_full,

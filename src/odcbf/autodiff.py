@@ -154,38 +154,12 @@ def cos(x):
     return _unary(x, np.cos, lambda v: -np.sin(v))
 
 
-def tan(x):
-    return _unary(x, np.tan, lambda v: 1.0 / np.cos(v) ** 2)
-
-
 def atan(x):
     return _unary(x, np.arctan, lambda v: 1.0 / (1.0 + v * v))
 
 
-def exp(x):
-    return _unary(x, np.exp, np.exp)
-
-
-def log(x):
-    return _unary(x, np.log, lambda v: 1.0 / v)
-
-
 def sqrt(x):
     return _unary(x, np.sqrt, lambda v: 0.5 / np.sqrt(v))
-
-
-def atan2(y, x):
-    if not isinstance(y, Dual) and not isinstance(x, Dual):
-        return np.arctan2(y, x)
-    yv, xv = _value(y), _value(x)
-    denom = (yv * yv + xv * xv)[..., None]
-    if isinstance(y, Dual) and isinstance(x, Dual):
-        dot = xv[..., None] * y.dot - yv[..., None] * x.dot
-    elif isinstance(y, Dual):
-        dot = xv[..., None] * y.dot
-    else:
-        dot = -(yv[..., None] * x.dot)
-    return Dual(np.arctan2(yv, xv), dot / denom)
 
 
 # -- small vector algebra ------------------------------------------------

@@ -216,15 +216,6 @@ def check_full_row_rank(matfn, samples, tol=1e-8) -> RankReport:
     return RankReport(samples_checked=len(samples), min_singular_value=min_sv, flagged=flagged, tol=tol)
 
 
-def check_row_rank_g2(sfs: StrictFeedbackSystem, samples, tol=1e-8) -> RankReport:
-    """Full-row-rank check of the bottom layer's input matrix over samples.
-
-    The samples should cover the region outside the safe set's interior,
-    where the rank condition is needed.
-    """
-    return check_full_row_rank(sfs.layers[-1].g, samples, tol=tol)
-
-
 def recursive_compose(
     sfs: StrictFeedbackSystem,
     h1: BarrierSpec,

@@ -53,54 +53,12 @@ class ExtendedClassK:
     def inverse(self, y):
         return self.alpha_inv(y)
 
-    def self_test(self, n_grid=101, tol=1e-10):
-        """Check alpha(0)=0, strict monotonicity, and inverse consistency."""
-        if abs(float(self.alpha(0.0))) > tol:
-            raise ParameterError("alpha(0) != 0")
-        lo = -min(self.b, 1e3) * (1 - 1e-9)
-        hi = min(self.c, 1e3) * (1 - 1e-9)
-        grid = np.linspace(lo, hi, n_grid)
-        vals = np.array([float(self.alpha(s)) for s in grid])
-        if not np.all(np.diff(vals) > 0):
-            raise ParameterError("alpha not strictly increasing on sampled grid")
-        back = np.array([float(self.alpha_inv(v)) for v in vals])
-        err = np.max(np.abs(back - grid) / (1.0 + np.abs(grid)))
-        if err > tol:
-            raise ParameterError(f"alpha_inv(alpha(s)) != s: relative error {err:.3e}")
-        return True
-
 
 def linear_class_k(gain=1.0, b=math.inf, c=math.inf):
     """alpha(s) = gain * s."""
     if gain <= 0:
         raise ParameterError("gain must be positive")
     return ExtendedClassK(lambda s: gain * s, lambda y: y / gain, b, c)
-
-
-def cubic_class_k(gain=1.0, b=math.inf, c=math.inf):
-    """alpha(s) = gain * s^3."""
-    if gain <= 0:
-        raise ParameterError("gain must be positive")
-    return ExtendedClassK(lambda s: gain * s**3, lambda y: float(np.cbrt(y / gain)), b, c)
-
-
-def atan_class_k(scale=1.0, gain=1.0, b=math.inf, c=math.inf):
-    """Saturating alpha(s) = scale * atan(gain * s); range (-scale*pi/2, scale*pi/2)."""
-    if scale <= 0 or gain <= 0:
-        raise ParameterError("scale and gain must be positive")
-    return ExtendedClassK(
-        lambda s: scale * ad.atan(gain * s),
-        lambda y: math.tan(y / scale) / gain,
-        b,
-        c,
-    )
-
-
-def register_class_k(alpha, alpha_inv, b=math.inf, c=math.inf):
-    """Wrap a custom (alpha, alpha_inv) pair, running the consistency self-test."""
-    k = ExtendedClassK(alpha, alpha_inv, b, c)
-    k.self_test()
-    return k
 
 
 class BarrierEval(NamedTuple):
@@ -154,29 +112,13 @@ class BarrierSpec:
 
 @dataclass(frozen=True)
 class SafeSetGeometry:
-    """Membership tests for S, its boundary, D, and the inflated S_delta.
-
-    b = -inf h, c = sup h; either may be declared finite or left +inf.
-    Boundary membership uses |h(x)| <= boundary_tol * (1 + h_scale).
-    """
+    """The barrier's domain D = {h + b > 0}, with b = -inf h declared finite or left +inf."""
 
     h: Callable
     b: float = math.inf
-    c: float = math.inf
-    boundary_tol: float = 1e-9
-    h_scale: float = 1.0
-
-    def in_safe(self, x):
-        return float(self.h(x)) >= 0.0
-
-    def on_boundary(self, x):
-        return abs(float(self.h(x))) <= self.boundary_tol * (1.0 + self.h_scale)
 
     def in_domain(self, x):
         return not math.isfinite(self.b) or float(self.h(x)) + self.b > 0.0
-
-    def in_inflated(self, x, gamma):
-        return float(self.h(x)) + gamma >= 0.0
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification fail verdict, 2 usage error (argparse),
 3 scenario build failure, 4 runtime abort (a rollout or check stopped on a
-state it could not handle). All stochastic sampling is controlled by --seed;
-output files are written atomically (temp + rename).
+state it could not handle, or a sweep cell did; the sweep still writes its
+table). All stochastic sampling is controlled by --seed; output files are
+written atomically (temp + rename).
 
 Config files are INI-style key=value with one section per scenario, e.g.
 
@@ -19,14 +20,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import scenarios as sc
-from .barrier import gamma_margin
 from .errors import (
     AlignmentError,
     DomainError,
@@ -37,14 +36,9 @@ from .errors import (
     SimulationAbort,
     ThrustDomainError,
 )
-from .sim import RolloutConfig, RolloutSetup, rollout, sweep, sweep_table_to_dict
-from .verify import (
-    check_matched,
-    check_od_issf,
-    check_prop1,
-    check_regular_values,
-    write_json_atomic,
-)
+from .io import write_json_atomic
+from .sim import RolloutConfig, rollout, sweep, sweep_table_to_dict
+from .verify import check_matched, check_od_issf, check_prop1, check_regular_values, exterior_sampler
 
 BUILD_FAILURE = 3
 VERIFY_FAILURE = 1
@@ -80,14 +74,21 @@ def _coerce(value, target):
     return value
 
 
+# name: (config class, config-file section, builder in odcbf.scenarios). The
+# builder is looked up when a scenario is built, so a wrapper installed on
+# odcbf.scenarios sees every build.
+SCENARIOS = {
+    "pendulum": (sc.PendulumConfig, "pendulum", "build_pendulum"),
+    "quadrotor": (sc.QuadrotorConfig, "quadrotor", "build_quadrotor"),
+    "quadrotor-full": (sc.QuadrotorConfig, "quadrotor", "build_quadrotor_full"),
+}
+
+
 def _scenario_config(args):
-    cls = {"pendulum": sc.PendulumConfig, "quadrotor": sc.QuadrotorConfig, "quadrotor-full": sc.QuadrotorConfig}[
-        args.scenario
-    ]
+    cls, section, _ = SCENARIOS[args.scenario]
     cfg = cls()
     overrides = {}
     if args.config:
-        section = "quadrotor" if args.scenario == "quadrotor-full" else args.scenario
         raw = _load_config_section(args.config, section)
         defaults = dataclasses.asdict(cfg)
         for key, val in raw.items():
@@ -103,30 +104,10 @@ def _scenario_config(args):
     return dataclasses.replace(cfg, **overrides)
 
 
-def _build(args):
-    cfg = _scenario_config(args)
-    if args.scenario == "pendulum":
-        scn = sc.build_pendulum(cfg)
-        return dict(
-            sys=scn.sys, law=scn.filter_law, bar=scn.bar, x0=scn.x0,
-            disturbance=scn.disturbance, layer_h=scn.layer_h, geometry=scn.geometry,
-            scenario=scn, cfg=cfg,
-        )
-    if args.scenario == "quadrotor":
-        scn = sc.build_quadrotor(cfg)
-        return dict(
-            sys=scn.psys, law=scn.filter_law, bar=scn.bar, x0=scn.x0,
-            disturbance=scn.disturbance, layer_h=scn.layer_h, geometry=scn.geometry,
-            scenario=scn, cfg=cfg,
-        )
-    if args.scenario == "quadrotor-full":
-        parts = sc.build_quadrotor_full(cfg)
-        return dict(
-            sys=parts["sys"], law=parts["filter_law"], bar=parts["bar"], x0=parts["x0"],
-            disturbance=parts["disturbance"], layer_h=parts["layer_h"],
-            geometry=parts["geometry"], scenario=parts["base"], cfg=cfg,
-        )
-    raise OdcbfError(f"unknown scenario {args.scenario!r}")
+def _build(args, **changes):
+    """The scenario of ``args``, its config further changed by ``changes``."""
+    cfg = dataclasses.replace(_scenario_config(args), **changes)
+    return getattr(sc, SCENARIOS[args.scenario][2])(cfg)
 
 
 def _rollout_config(args):
@@ -138,6 +119,13 @@ def _rollout_config(args):
     return RolloutConfig(**kw)
 
 
+def _rollout(scn, cfg):
+    return rollout(
+        scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar,
+        layer_h=scn.layer_h, geometry=scn.geometry,
+    )
+
+
 def _out_path(args, name):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -145,12 +133,7 @@ def _out_path(args, name):
 
 
 def cmd_run(args):
-    parts = _build(args)
-    cfg = _rollout_config(args)
-    traj, metrics = rollout(
-        parts["sys"], parts["law"], parts["disturbance"], parts["x0"], cfg, parts["bar"],
-        layer_h=parts["layer_h"], geometry=parts["geometry"],
-    )
+    traj, metrics = _rollout(_build(args), _rollout_config(args))
     traj.to_csv(_out_path(args, f"{args.scenario}_trajectory.csv"))
     traj.to_json(_out_path(args, f"{args.scenario}_trajectory.json"))
     write_json_atomic(_out_path(args, f"{args.scenario}_metrics.json"), metrics.to_dict())
@@ -160,103 +143,67 @@ def cmd_run(args):
     return 0
 
 
+def _sweep_change(param, value):
+    """The config change of the sweep cell at ``value``."""
+    if param == "direction":
+        return {"disturbance": f"dir:{float(value)}"}
+    return {param: float(value)}
+
+
 def cmd_sweep(args):
+    """A table of one rollout per value; exits RUNTIME_FAILURE, after writing it, if any cell aborted."""
     cfg = _rollout_config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    cells = {}
-    for v in values:
-        cell_args = argparse.Namespace(**vars(args))
-        if args.param == "epsilon":
-            cell_args.epsilon = float(v)
-        elif args.param == "delta":
-            cell_args.delta = float(v)
-        elif args.param == "direction":
-            cell_args.disturbance = f"dir:{float(v)}"
-        else:
-            raise OdcbfError(f"unknown sweep parameter {args.param!r}")
-        parts = _build(cell_args)
-        cells[v] = RolloutSetup(
-            sys=parts["sys"], law=parts["law"], disturbance=parts["disturbance"],
-            x0=parts["x0"], bar=parts["bar"], layer_h=parts["layer_h"],
-            geometry=parts["geometry"],
-        )
-    table = sweep(cells, cfg)
-    payload = {"scenario": args.scenario, "param": args.param, "cells": sweep_table_to_dict(table)}
+    cells = {v: _build(args, **_sweep_change(args.param, v)) for v in values}
+    payload = {"scenario": args.scenario, "param": args.param, "cells": sweep_table_to_dict(sweep(cells, cfg))}
     path = _out_path(args, f"{args.scenario}_sweep_{args.param}.json")
     write_json_atomic(path, payload)
     for label, entry in payload["cells"].items():
         print(f"{args.param}={label}: {entry}")
+    aborted = [label for label, entry in payload["cells"].items() if "error" in entry]
+    if aborted:
+        print(f"error: {len(aborted)} of {len(cells)} sweep cells aborted ({args.param}={', '.join(aborted)}); "
+              f"table: {path}", file=sys.stderr)
+        return RUNTIME_FAILURE
     return 0
 
 
+def _run_check(check, seed, rng):
+    """Run one scenario check; returns (report entry, passed).
+
+    The sampling checks seed their own generator with ``seed``; the checks
+    on drawn states take them from ``rng``, in the order they are run.
+    """
+    kind = check.kind
+    if kind in ("od_issf", "prop1"):
+        fn = check_od_issf if kind == "od_issf" else check_prop1
+        sampler = exterior_sampler(check.bar, check.geometry, *check.box)
+        rep = fn(check.sys, check.bar, check.geometry, sampler, seed=seed, **check.options)
+        return rep.to_dict(), rep.verdict == "pass"
+    if kind == "regular_values":
+        rep = check_regular_values(check.bar, check.geometry, seed=seed, **check.options)
+        return rep.to_dict(), rep.verdict in ("pass", "vacuous-pass")
+    states = [rng.uniform(*check.box) for _ in range(check.count)]
+    if kind == "matched":
+        res = check_matched(check.sys, states)
+        return {"matched": res["matched"], "max_residual": res["max_residual"]}, res["matched"] == check.expect_matched
+    if kind == "probe":
+        entry = check.probe(states)
+        return entry, entry["ok"]
+    raise OdcbfError(f"unknown check kind {kind!r}")
+
+
 def cmd_verify(args):
-    parts = _build(args)
-    scn = parts["scenario"]
+    scn = _build(args)
+    rng = np.random.default_rng(args.seed)
     report = {"scenario": args.scenario, "checks": {}}
     ok = True
-
-    if args.scenario == "pendulum":
-        layer_sampler = scn.layer_exterior_sampler()
-        prop1 = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, layer_sampler, seed=args.seed)
-        report["checks"]["layer1_prop1"] = prop1.to_dict()
-        ok &= prop1.verdict == "pass"
-
-        od = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), seed=args.seed)
-        report["checks"]["composite_od_issf"] = od.to_dict()
-        ok &= od.verdict == "pass"
-
-        reg = check_regular_values(scn.bar, scn.geometry, [0.0, -0.5], center=np.zeros(2), seed=args.seed)
-        report["checks"]["regular_values"] = reg.to_dict()
-        ok &= reg.verdict in ("pass", "vacuous-pass")
-
-        rng = np.random.default_rng(args.seed)
-        pts1 = [rng.uniform(-2, 2, size=1) for _ in range(100)]
-        matched_top = check_matched(scn.top_sys, pts1)
-        report["checks"]["layer1_matched"] = {
-            "matched": matched_top["matched"], "max_residual": matched_top["max_residual"],
-        }
-        ok &= matched_top["matched"]
-
-        pts2 = [rng.uniform(-2, 2, size=2) for _ in range(100)]
-        matched_full = check_matched(scn.sys, pts2)
-        report["checks"]["full_matched"] = {
-            "matched": matched_full["matched"], "max_residual": matched_full["max_residual"],
-        }
-        ok &= not matched_full["matched"]  # expected unmatched
-
-    else:
-        od = check_od_issf(scn.psys, scn.bar, scn.geometry, scn.exterior_sampler(), seed=args.seed)
-        report["checks"]["drd_od_issf"] = od.to_dict()
-        ok &= od.verdict == "pass"
-
-        reg = check_regular_values(scn.bar, scn.geometry, [0.0, -0.5], center=scn.x0, seed=args.seed)
-        report["checks"]["regular_values"] = reg.to_dict()
-        ok &= reg.verdict in ("pass", "vacuous-pass")
-
-        rng = np.random.default_rng(args.seed)
-        from .drd import check_attitude_alignment
-
-        z_samples = [rng.uniform(scn.cfg.box_lo[:4], scn.cfg.box_hi[:4]) for _ in range(200)]
-        align = check_attitude_alignment(scn.dsys, scn.k_v, scn.attitude, z_samples)
-        report["checks"]["alignment"] = {"max_residual": align["max_residual"], "ok": align["ok"]}
-        ok &= align["ok"]
-
-        from .backstepping import check_full_row_rank
-
-        eta_samples = [rng.uniform(-1.2, 1.2, size=1) for _ in range(100)]
-        rank = check_full_row_rank(scn.dsys.g_bot, eta_samples)
-        report["checks"]["g_bot_row_rank"] = {
-            "min_singular_value": rank.min_singular_value, "ok": rank.ok,
-        }
-        ok &= rank.ok
-
-        pts = [rng.uniform(scn.cfg.box_lo, scn.cfg.box_hi) for _ in range(100)]
-        matched = check_matched(scn.psys, pts)
-        report["checks"]["partial_loop_matched"] = {
-            "matched": matched["matched"], "max_residual": matched["max_residual"],
-        }
-        ok &= not matched["matched"]  # wind gusts are unmatched w.r.t. the rate input
-
+    for check in scn.checks:
+        entry, passed = _run_check(check, args.seed, rng)
+        box = None if check.box is None else {"lo": list(map(float, check.box[0])), "hi": list(map(float, check.box[1]))}
+        entry["checked"] = {"scenario": scn.name, "n": check.sys.n, "m": check.sys.m, "p": check.sys.p, "box": box}
+        report["checks"][check.key] = entry
+        ok &= passed
     report["verdict"] = "pass" if ok else "fail"
     path = _out_path(args, f"{args.scenario}_verify.json")
     write_json_atomic(path, report)
@@ -264,67 +211,19 @@ def cmd_verify(args):
     return 0 if ok else VERIFY_FAILURE
 
 
+def _floats(text):
+    return [float(v) for v in text.split(",")] if text else None
+
+
 def cmd_plotdata(args):
-    parts = _build(args)
-    scn = parts["scenario"]
+    scn = _build(args)
     cfg = _rollout_config(args)
-    payload = {"scenario": args.scenario}
 
-    if args.scenario == "pendulum":
-        epsilons = [float(v) for v in args.epsilons.split(",")] if args.epsilons else [0.1, 1.0, 10.0]
-        series = {}
-        for eps in epsilons:
-            cell_args = argparse.Namespace(**vars(args))
-            cell_args.epsilon = eps
-            cparts = _build(cell_args)
-            traj, _ = rollout(
-                cparts["sys"], cparts["law"], cparts["disturbance"], cparts["x0"], cfg,
-                cparts["bar"], layer_h=cparts["layer_h"], geometry=cparts["geometry"],
-            )
-            series[str(eps)] = {"t": traj.times.tolist(), "q": traj.states[:, 0].tolist()}
-        payload["q_of_t_per_epsilon"] = series
+    def rollout_of(**changes):
+        return _rollout(_build(args, **changes) if changes else scn, cfg)[0]
 
-        deltas = [float(v) for v in args.deltas.split(",")] if args.deltas else [0.25, 0.5, 1.0]
-        boundaries = {"safe_set": None, "inflated": {}}
-        q0, up0, lo0 = scn.delta_boundary(0.0)
-        boundaries["safe_set"] = {"q": q0.tolist(), "qdot_upper": up0.tolist(), "qdot_lower": lo0.tolist()}
-        for delta in deltas:
-            q, up, lo = scn.delta_boundary(delta)
-            boundaries["inflated"][str(delta)] = {
-                "q": q.tolist(), "qdot_upper": up.tolist(), "qdot_lower": lo.tolist(),
-                "gamma": gamma_margin(scn.bar, delta),
-            }
-        payload["delta_boundaries"] = boundaries
-
-    else:
-        directions = (
-            [float(v) for v in args.directions.split(",")]
-            if args.directions
-            else [k * math.pi / 4 for k in range(8)]
-        )
-        traj, _ = rollout(
-            parts["sys"], parts["law"], parts["disturbance"], parts["x0"], cfg,
-            parts["bar"], layer_h=parts["layer_h"], geometry=parts["geometry"],
-        )
-        eta_d_series = [scn.eta_d_of_state(x) for x in traj.states]
-        payload["x_of_t"] = {"t": traj.times.tolist(), "x": traj.states[:, 0].tolist()}
-        payload["theta_of_t"] = {
-            "t": traj.times.tolist(),
-            "theta": traj.states[:, 4].tolist(),
-            "eta_d": eta_d_series,
-        }
-        xy = {}
-        for ang in directions:
-            cell_args = argparse.Namespace(**vars(args))
-            cell_args.disturbance = f"dir:{ang}"
-            cparts = _build(cell_args)
-            t2, _ = rollout(
-                cparts["sys"], cparts["law"], cparts["disturbance"], cparts["x0"], cfg,
-                cparts["bar"], layer_h=cparts["layer_h"], geometry=cparts["geometry"],
-            )
-            xy[str(ang)] = {"x": t2.states[:, 0].tolist(), "y": t2.states[:, 1].tolist()}
-        payload["xy_per_direction"] = xy
-
+    options = {name: _floats(getattr(args, name)) for name in ("epsilons", "deltas", "directions")}
+    payload = {"scenario": args.scenario, **scn.plot_series(rollout_of, options)}
     path = _out_path(args, f"{args.scenario}_plotdata.json")
     write_json_atomic(path, payload)
     print(f"plot data written: {path}")
@@ -336,7 +235,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--scenario", required=True, choices=["pendulum", "quadrotor", "quadrotor-full"])
+        p.add_argument("--scenario", required=True, choices=list(SCENARIOS))
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--disturbance", default=None, help='name: sin | zero | dir:<angle> | const:<v1,v2>')

@@ -50,17 +50,6 @@ class DrdSystem:
     psi: Callable
 
 
-@dataclass(frozen=True)
-class AttitudeMap:
-    """eta_d: virtual input v -> bottom state aligning psi with v."""
-
-    eta_d: Callable
-    jacobian: Callable  # v -> (n_bot, r)
-
-    def __call__(self, v):
-        return self.eta_d(v)
-
-
 def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
     """Left pseudoinverse applied to v via normal equations.
 
@@ -77,11 +66,6 @@ def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
     return np.linalg.solve(gram, mat.T @ v)
 
 
-def align_uz(dsys: DrdSystem, k_v_val, eta) -> np.ndarray:
-    """Least-squares top input: u_z = psi(eta)^+ k_v, minimizing ||k_v - psi u||."""
-    return pinv_apply(dsys.psi(np.asarray(eta, dtype=float)), k_v_val)
-
-
 def quadrotor_eta_d(v, v_min=0.0):
     """Pitch angle atan(-v1 / v2) aligning planar thrust with the command v.
 
@@ -94,9 +78,9 @@ def quadrotor_eta_d(v, v_min=0.0):
     return ad.stack([ad.atan(-v[0] / v[1])])
 
 
-def quadrotor_attitude_map(v_min=0.0) -> AttitudeMap:
-    eta_d = lambda v: quadrotor_eta_d(v, v_min)
-    return AttitudeMap(eta_d=eta_d, jacobian=lambda v: ad.jacobian(eta_d, v)[1])
+def quadrotor_attitude_map(v_min=0.0) -> Callable:
+    """eta_d: virtual input v -> the pitch aligning thrust with v, guarded by v_min."""
+    return lambda v: quadrotor_eta_d(v, v_min)
 
 
 @dataclass(frozen=True)
@@ -105,7 +89,7 @@ class DrdBarrier:
 
     h_z: BarrierSpec
     k_v: SmoothVirtualController
-    eta_d: AttitudeMap
+    eta_d: Callable  # v -> bottom state aligning psi with v (dual-aware)
     mu: float
     n_top: int
     n_bot: int
@@ -128,7 +112,7 @@ class DrdBarrier:
         z, eta = self._split(x)
         v, j_kv = self.k_v.with_jacobian(z)
         j_kv = np.atleast_2d(j_kv)
-        ref_dual = ad.jacobian(self.eta_d.eta_d, v)
+        ref_dual = ad.jacobian(self.eta_d, v)
         ref, j_eta = ref_dual[0].reshape(-1), np.atleast_2d(ref_dual[1])
         e = eta - ref
         top = self.h_z.value_and_grad(z)
@@ -154,7 +138,7 @@ class DrdBarrier:
         )
 
 
-def drd_barrier(h_z: BarrierSpec, k_v: SmoothVirtualController, eta_d: AttitudeMap, mu: float, n_top=None, n_bot=None) -> DrdBarrier:
+def drd_barrier(h_z: BarrierSpec, k_v: SmoothVirtualController, eta_d: Callable, mu: float, n_top=None, n_bot=None) -> DrdBarrier:
     if mu <= 0:
         raise ParameterError("mu must be strictly positive")
     if n_top is None:
@@ -210,7 +194,7 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
     return DisturbedSystem(n=n, m=dsys.m_bot, p=dsys.p, f=f, g=g, w=w, f_with=lambda x, be: drift(x, be.k))
 
 
-def alignment_residual(dsys: DrdSystem, k_v: SmoothVirtualController, eta_d: AttitudeMap, z) -> float:
+def alignment_residual(dsys: DrdSystem, k_v: SmoothVirtualController, eta_d: Callable, z) -> float:
     """|| psi(eta_d(k_v(z))) psi^+ k_v(z) - k_v(z) ||: the alignment identity."""
     v = np.asarray(ad.value(k_v.k1(np.asarray(z, dtype=float))), dtype=float).reshape(-1)
     eta = np.asarray(ad.value(eta_d(v)), dtype=float).reshape(-1)

@@ -12,7 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import fd_jacobian
 from .errors import ShapeError
 
 
@@ -40,21 +39,19 @@ class DisturbanceSignal:
     """Time signal t -> d(t) with a declared bound on sup_t ||d(t)||.
 
     The bound is the supremum over time of the Euclidean vector norm; the
-    simulator checks it at every RK stage time. With ``state_feedback`` the map
-    takes (t, x) — an adversarial extension not covered by the invariance theorem.
+    simulator checks it at every RK stage time.
     """
 
     value: Callable
     sup_norm: float
-    state_feedback: bool = False
 
-    def at(self, t, x=None):
-        return np.asarray(self.value(t, x) if self.state_feedback else self.value(t), dtype=float)
+    def at(self, t):
+        return np.asarray(self.value(t), dtype=float)
 
 
 @dataclass(frozen=True)
 class FeedbackLaw:
-    """State feedback u = control(x), optionally with an (m, n) jacobian.
+    """State feedback u = control(x).
 
     ``time_varying`` laws take (x, t); the closed-loop field supplies t.
     ``control_with`` takes the barrier pass at x as a last argument and
@@ -62,7 +59,6 @@ class FeedbackLaw:
     """
 
     control: Callable
-    jacobian: Optional[Callable] = None
     time_varying: bool = False
     control_with: Optional[Callable] = None
 
@@ -105,26 +101,6 @@ def close_loop(sys: DisturbedSystem, law, dist: DisturbanceSignal):
 
     def field(t, x):
         x = np.asarray(x, dtype=float)
-        return eval_dynamics(sys, x, call_law(law, x, t), dist.at(t, x))
+        return eval_dynamics(sys, x, call_law(law, x, t), dist.at(t))
 
     return field
-
-
-def validate_law_jacobian(law: FeedbackLaw, states, rel_tol=1e-6):
-    """Check law.jacobian against central differences at the given states.
-
-    Returns the worst relative error; raises ValueError if the law has no
-    jacobian.
-    """
-    if law.jacobian is None:
-        raise ValueError("law has no jacobian to validate")
-    worst = 0.0
-    for x in states:
-        x = np.asarray(x, dtype=float)
-        ja = np.asarray(law.jacobian(x), dtype=float)
-        jf = fd_jacobian(lambda y: call_law(law, y), x)
-        err = np.max(np.abs(ja - jf)) / (1.0 + np.max(np.abs(jf)))
-        worst = max(worst, err)
-    if worst > rel_tol:
-        raise AssertionError(f"jacobian mismatch: relative error {worst:.3e} > {rel_tol:.1e}")
-    return worst

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .barrier import BarrierSpec, LieData, SafeSetGeometry, eval_lie
-from .dynamics import DisturbedSystem, call_law
+from .barrier import LieData, eval_lie
+from .dynamics import call_law
 from .errors import DomainError, InfeasiblePointError, NonFiniteError
 
 _DENOM_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: below it xi^2 has underflowed
@@ -146,12 +145,3 @@ class OdIssfController:
 
     def control(self, x, t=0.0) -> np.ndarray:
         return self.evaluate(x, t).result.u
-
-
-def od_issf_filter(sys: DisturbedSystem, bar: BarrierSpec, k_d, x, t=0.0, geometry: Optional[SafeSetGeometry] = None):
-    """Filter the nominal law k_d through the optimal-decay QP at state x.
-
-    For a layer-restricted ``sys`` whose g column space is the next block,
-    this is the virtual filter of that layer.
-    """
-    return OdIssfController(sys, bar, k_d, geometry).result(x, t)

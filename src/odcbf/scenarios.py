@@ -1,4 +1,4 @@
-"""The two shipped experiments as declarative scenarios.
+"""The shipped experiments as declarative scenarios.
 
 Physical parameters and nominal controllers are configuration, not ground
 truth: the pendulum uses m = 1 kg, l = 1 m, g = 9.81, beta = 0.1, nu = 0.5
@@ -7,22 +7,26 @@ has work to do; the quadrotor rides a wind gust toward a wall at
 x_max = 2 m with the wall constraint reduced to relative degree one via
 h_z = a1 (x_max - x) - xdot. Both default to a unit linear decay function,
 which makes the inflation gamma(delta) = eps delta^2 / (2 theta_d) analytic.
+
+Every builder returns a :class:`Scenario`, so that the CLI runs, sweeps,
+verifies and plots any scenario the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, compose_barrier
-from .barrier import BarrierSpec, ExtendedClassK, SafeSetGeometry, linear_class_k
+from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank, compose_barrier
+from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin, linear_class_k
 from .drd import (
-    AttitudeMap,
     DrdBarrier,
     DrdSystem,
+    check_attitude_alignment,
     drd_barrier,
     partial_closed_loop,
     quadrotor_attitude_map,
@@ -87,6 +91,70 @@ def make_disturbance(name: str, p: int, delta: float = 1.0) -> DisturbanceSignal
     raise ParameterError(f"unknown disturbance {name!r}")
 
 
+# -- the scenario shape -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verify check of a scenario, reported under ``key``; its report
+    records the (n, m, p) of ``sys`` and the (lo, hi) corners of ``box``.
+
+    ``kind`` is "od_issf" (``check_od_issf``) or "prop1" (``check_prop1``)
+    on exterior states of ``bar`` drawn from ``box``; "regular_values"
+    (``check_regular_values``, rays from a center, no box); "matched": the
+    disturbance channel of ``sys`` is matched at ``count`` states drawn from
+    ``box`` iff ``expect_matched``; or "probe": ``probe(states)`` on
+    ``count`` drawn states gives the report entry, with the verdict in "ok".
+    ``options`` are keyword arguments of the check function.
+    """
+
+    key: str
+    kind: str
+    sys: DisturbedSystem
+    box: Optional[tuple]
+    bar: Optional[BarrierSpec] = None
+    geometry: Optional[SafeSetGeometry] = None
+    options: dict = field(default_factory=dict)
+    count: int = 100
+    expect_matched: bool = True
+    probe: Optional[Callable] = None
+
+
+@dataclass
+class Scenario:
+    """A built experiment: everything that run, sweep, verify and plotdata read.
+
+    ``layer_h(x)`` is the top layer's barrier at x, ``box`` the (lo, hi)
+    corners of the state box that samplers draw from, and ``checks`` the
+    verify checks of this construction. Subclasses add its pieces.
+    """
+
+    name: str
+    cfg: object
+    sys: DisturbedSystem
+    filter_law: OdIssfController
+    bar: BarrierSpec
+    x0: np.ndarray
+    disturbance: DisturbanceSignal
+    layer_h: Callable
+    geometry: SafeSetGeometry
+    box: tuple
+    checks: tuple
+
+    def exterior_sampler(self) -> BoxRegionSampler:
+        return exterior_sampler(self.bar, self.geometry, *self.box)
+
+    def plot_series(self, rollout_of, options) -> dict:
+        """The series behind the scenario's figures.
+
+        ``rollout_of(**changes)`` is the trajectory of this scenario rebuilt
+        with its config changed by ``changes`` (as built, without any);
+        ``options`` maps "epsilons", "deltas" and "directions" to lists of
+        floats, or to None for the defaults.
+        """
+        raise NotImplementedError(f"scenario {self.name!r} has no figures")
+
+
 # -- pendulum ---------------------------------------------------------------
 
 
@@ -116,35 +184,13 @@ class PendulumConfig:
 
 
 @dataclass
-class PendulumScenario:
-    cfg: PendulumConfig
-    alpha: ExtendedClassK
+class PendulumScenario(Scenario):
     top_sys: DisturbedSystem
     h1: BarrierSpec
     k1: SmoothVirtualController
     composite: CompositeBarrier
-    bar: BarrierSpec
     sfs: StrictFeedbackSystem
-    sys: DisturbedSystem
-    nominal: FeedbackLaw
-    filter_law: OdIssfController
-    disturbance: DisturbanceSignal
-    x0: np.ndarray
-    geometry: SafeSetGeometry
     layer_geometry: SafeSetGeometry
-
-    name = "pendulum"
-
-    def layer_h(self, x):
-        return float(self.h1.h(np.atleast_1d(x)[:1]))
-
-    def exterior_sampler(self) -> BoxRegionSampler:
-        return exterior_sampler(self.bar, self.geometry, self.cfg.box_lo, self.cfg.box_hi)
-
-    def layer_exterior_sampler(self) -> BoxRegionSampler:
-        return exterior_sampler(
-            self.h1, self.layer_geometry, self.cfg.box_lo[:1], self.cfg.box_hi[:1]
-        )
 
     def delta_boundary(self, delta, n_grid=201):
         """Closed-form level set {h = -gamma(delta)} in the (q, qdot) plane.
@@ -153,8 +199,6 @@ class PendulumScenario:
         qdot = k1(q) +/- sqrt(2 mu (h1(q) + gamma)) wherever h1(q) + gamma >= 0.
         Returns (q, qdot_upper, qdot_lower) arrays.
         """
-        from .barrier import gamma_margin
-
         gamma = gamma_margin(self.bar, delta)
         q_max = math.sqrt(1.0 + gamma)  # h1 = 1 - q^2
         q = np.linspace(-q_max, q_max, n_grid)
@@ -163,6 +207,25 @@ class PendulumScenario:
         )
         pad = np.sqrt(np.maximum(2.0 * self.cfg.mu * (1.0 - q**2 + gamma), 0.0))
         return q, k1_vals + pad, k1_vals - pad
+
+    def plot_series(self, rollout_of, options):
+        """q(t) per filter gain epsilon, and the safe set with its inflations per delta."""
+        series = {}
+        for eps in options["epsilons"] or [0.1, 1.0, 10.0]:
+            traj = rollout_of(epsilon=eps)
+            series[str(eps)] = {"t": traj.times.tolist(), "q": traj.states[:, 0].tolist()}
+
+        def level_set(delta):
+            q, upper, lower = self.delta_boundary(delta)
+            return {"q": q.tolist(), "qdot_upper": upper.tolist(), "qdot_lower": lower.tolist()}
+
+        inflated = {}
+        for delta in options["deltas"] or [0.25, 0.5, 1.0]:
+            inflated[str(delta)] = {**level_set(delta), "gamma": gamma_margin(self.bar, delta)}
+        return {
+            "q_of_t_per_epsilon": series,
+            "delta_boundaries": {"safe_set": level_set(0.0), "inflated": inflated},
+        }
 
 
 def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
@@ -213,23 +276,35 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
 
     nominal = FeedbackLaw(control=nominal_torque, time_varying=True)
     geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
-    filter_law = OdIssfController(sys, bar, nominal, geometry=geometry)
+    layer_geometry = SafeSetGeometry(h=lambda x1: float(h1.h(np.atleast_1d(x1))), b=math.inf)
+    box = (cfg.box_lo, cfg.box_hi)
+    checks = (
+        Check("layer1_prop1", "prop1", top_sys, (cfg.box_lo[:1], cfg.box_hi[:1]), h1, layer_geometry),
+        Check("composite_od_issf", "od_issf", sys, box, bar, geometry),
+        Check("regular_values", "regular_values", sys, None, bar, geometry,
+              options={"kappas": [0.0, -0.5], "center": np.zeros(2)}),
+        Check("layer1_matched", "matched", top_sys, ((-2.0,), (2.0,))),
+        # the angle channel's disturbance does not enter through the torque
+        Check("full_matched", "matched", sys, ((-2.0, -2.0), (2.0, 2.0)), expect_matched=False),
+    )
     return PendulumScenario(
+        name="pendulum",
         cfg=cfg,
-        alpha=alpha,
+        sys=sys,
+        filter_law=OdIssfController(sys, bar, nominal, geometry=geometry),
+        bar=bar,
+        x0=np.asarray(cfg.x0, dtype=float),
+        disturbance=make_disturbance(cfg.disturbance, p=1, delta=cfg.delta),
+        layer_h=lambda x: float(h1.h(np.atleast_1d(x)[:1])),
+        geometry=geometry,
+        box=box,
+        checks=checks,
         top_sys=top_sys,
         h1=h1,
         k1=k1,
         composite=composite,
-        bar=bar,
         sfs=sfs,
-        sys=sys,
-        nominal=nominal,
-        filter_law=filter_law,
-        disturbance=make_disturbance(cfg.disturbance, p=1, delta=cfg.delta),
-        x0=np.asarray(cfg.x0, dtype=float),
-        geometry=geometry,
-        layer_geometry=SafeSetGeometry(h=lambda x1: float(h1.h(np.atleast_1d(x1))), b=math.inf),
+        layer_geometry=layer_geometry,
     )
 
 
@@ -264,35 +339,38 @@ class QuadrotorConfig:
 
 
 @dataclass
-class QuadrotorScenario:
-    cfg: QuadrotorConfig
-    alpha: ExtendedClassK
+class QuadrotorScenario(Scenario):
+    """``sys`` is the partial closed loop on (z, eta) with input u_eta."""
+
     dsys: DrdSystem
     top_sys: DisturbedSystem
     h_z: BarrierSpec
     k_v: SmoothVirtualController
-    attitude: AttitudeMap
+    attitude: Callable  # eta_d: virtual input -> aligning pitch
     dbar: DrdBarrier
-    bar: BarrierSpec
-    psys: DisturbedSystem  # partial closed loop on (z, eta) with input u_eta
-    nominal: FeedbackLaw
-    filter_law: OdIssfController
-    disturbance: DisturbanceSignal
-    x0: np.ndarray
-    geometry: SafeSetGeometry
-
-    name = "quadrotor"
-
-    def layer_h(self, x):
-        return float(self.h_z.h(np.asarray(x, dtype=float)[:4]))
 
     def eta_d_of_state(self, x):
         z = np.asarray(x, dtype=float)[:4]
         v = np.asarray(ad.value(self.k_v.k1(z)), dtype=float).reshape(-1)
         return float(np.asarray(ad.value(self.attitude(v)), dtype=float).reshape(-1)[0])
 
-    def exterior_sampler(self) -> BoxRegionSampler:
-        return exterior_sampler(self.bar, self.geometry, self.cfg.box_lo, self.cfg.box_hi)
+    def plot_series(self, rollout_of, options):
+        """x(t) and theta(t) against eta_d along the run, and the (x, y) path per gust direction."""
+        traj = rollout_of()
+        payload = {
+            "x_of_t": {"t": traj.times.tolist(), "x": traj.states[:, 0].tolist()},
+            "theta_of_t": {
+                "t": traj.times.tolist(),
+                "theta": traj.states[:, 4].tolist(),
+                "eta_d": [self.eta_d_of_state(x) for x in traj.states],
+            },
+        }
+        xy = {}
+        for ang in options["directions"] or [k * math.pi / 4 for k in range(8)]:
+            states = rollout_of(disturbance=f"dir:{ang}").states
+            xy[str(ang)] = {"x": states[:, 0].tolist(), "y": states[:, 1].tolist()}
+        payload["xy_per_direction"] = xy
+        return payload
 
 
 def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenario:
@@ -346,7 +424,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     attitude = quadrotor_attitude_map(v_min=cfg.v_min_frac * m * grav)
     dbar = drd_barrier(h_z, k_v, attitude, cfg.mu, n_top=4, n_bot=1)
     bar = dbar.to_spec()
-    psys = partial_closed_loop(dsys, k_v)
+    sys = partial_closed_loop(dsys, k_v)
 
     k_att = cfg.k_att
 
@@ -357,47 +435,83 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     # the DRD barrier pass carries eta_d(k_v(z)) as its reference
     nominal = FeedbackLaw(control=nominal_rate, control_with=lambda x, be: -k_att * (x[4:] - be.ref))
     geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
-    filter_law = OdIssfController(psys, bar, nominal, geometry=geometry)
+    x0 = np.concatenate([np.asarray(cfg.z0, dtype=float), np.asarray(cfg.eta0, dtype=float)])
+    box = (cfg.box_lo, cfg.box_hi)
+
+    def alignment(zs):
+        report = check_attitude_alignment(dsys, k_v, attitude, zs)
+        return {"max_residual": report["max_residual"], "ok": report["ok"]}
+
+    def g_bot_row_rank(etas):
+        report = check_full_row_rank(dsys.g_bot, etas)
+        return {"min_singular_value": report.min_singular_value, "ok": report.ok}
+
+    bottom = DisturbedSystem(n=1, m=1, p=2, f=dsys.f_bot, g=dsys.g_bot, w=dsys.w_bot)
+    checks = (
+        Check("drd_od_issf", "od_issf", sys, box, bar, geometry),
+        Check("regular_values", "regular_values", sys, None, bar, geometry,
+              options={"kappas": [0.0, -0.5], "center": x0}),
+        Check("alignment", "probe", top_sys, (cfg.box_lo[:4], cfg.box_hi[:4]), count=200, probe=alignment),
+        Check("g_bot_row_rank", "probe", bottom, ((-1.2,), (1.2,)), probe=g_bot_row_rank),
+        # wind gusts are unmatched with respect to the rate input
+        Check("partial_loop_matched", "matched", sys, box, expect_matched=False),
+    )
     return QuadrotorScenario(
+        name="quadrotor",
         cfg=cfg,
-        alpha=alpha,
+        sys=sys,
+        filter_law=OdIssfController(sys, bar, nominal, geometry=geometry),
+        bar=bar,
+        x0=x0,
+        disturbance=make_disturbance(cfg.disturbance, p=2, delta=cfg.delta),
+        layer_h=lambda x: float(h_z.h(np.asarray(x, dtype=float)[:4])),
+        geometry=geometry,
+        box=box,
+        checks=checks,
         dsys=dsys,
         top_sys=top_sys,
         h_z=h_z,
         k_v=k_v,
         attitude=attitude,
         dbar=dbar,
-        bar=bar,
-        psys=psys,
-        nominal=nominal,
-        filter_law=filter_law,
-        disturbance=make_disturbance(cfg.disturbance, p=2, delta=cfg.delta),
-        x0=np.concatenate([np.asarray(cfg.z0, dtype=float), np.asarray(cfg.eta0, dtype=float)]),
-        geometry=geometry,
     )
 
 
 # -- stretch: fully actuated quadrotor (moment input) ------------------------
 
 
-def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()):
+@dataclass
+class QuadrotorFullScenario(Scenario):
+    """``base`` is the rate-input quadrotor whose closed loop is backstepped."""
+
+    base: QuadrotorScenario
+    k_omega: SmoothVirtualController
+
+    def plot_series(self, rollout_of, options):
+        # the rate-input figures, on this scenario's rollouts
+        return self.base.plot_series(rollout_of, options)
+
+
+def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorFullScenario:
     """Stretch scenario: backstep the rate-input design through thetaddot = M/J.
 
     Treats the partial closed loop (z, theta) with input omega as the top
     layer of one more strict-feedback step and penalizes the rate deviation
     from a safeguarding omega controller. Excluded from acceptance; shipped
-    behind the CLI flag as scenario "quadrotor-full".
+    behind the CLI flag as scenario "quadrotor-full". Its verify check
+    samples the 6-D composite on the base box with omega in [-2, 2], from
+    40 seeds: each costs ~35 ms, most of it the FD jacobian of k_omega.
     """
     base = build_quadrotor(cfg)
     j_inertia = cfg.inertia
 
     # top: (z, theta) with omega as the (virtual) input
-    k_omega = synth_virtual(base.psys, base.bar, cfg.sigma, jac_mode="fd", layer=2)
+    k_omega = synth_virtual(base.sys, base.bar, cfg.sigma, jac_mode="fd", layer=2)
     full_composite = compose_barrier(base.bar, k_omega, cfg.mu, n1=5, n2=1)
     full_bar = full_composite.to_spec()
 
     def f(x):
-        inner = base.psys.f(x[:5])
+        inner = base.sys.f(x[:5])
         # thetadot = omega chains in through the drift; omegadot comes from M
         return np.concatenate([inner[:4], x[5:6], np.zeros(1)])
 
@@ -407,21 +521,25 @@ def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()):
         return mat
 
     def w(x):
-        return np.vstack([base.psys.w(x[:5]), np.zeros((1, 2))])
+        return np.vstack([base.sys.w(x[:5]), np.zeros((1, 2))])
 
     full_sys = DisturbedSystem(n=6, m=1, p=2, f=f, g=g, w=w)
     nominal = FeedbackLaw(control=lambda x: np.zeros(1))
     geometry = SafeSetGeometry(h=full_bar.h, b=cfg.domain_b)
-    filter_law = OdIssfController(full_sys, full_bar, nominal, geometry=geometry)
-    x0 = np.concatenate([base.x0, np.zeros(1)])
-    return {
-        "base": base,
-        "bar": full_bar,
-        "sys": full_sys,
-        "filter_law": filter_law,
-        "x0": x0,
-        "geometry": geometry,
-        "disturbance": base.disturbance,
-        "layer_h": lambda x: float(base.bar.h(np.asarray(x)[:5])),
-        "name": "quadrotor-full",
-    }
+    box = (cfg.box_lo + (-2.0,), cfg.box_hi + (2.0,))
+    checks = (Check("full_od_issf", "od_issf", full_sys, box, full_bar, geometry, options={"n_seeds": 40}),)
+    return QuadrotorFullScenario(
+        name="quadrotor-full",
+        cfg=cfg,
+        sys=full_sys,
+        filter_law=OdIssfController(full_sys, full_bar, nominal, geometry=geometry),
+        bar=full_bar,
+        x0=np.concatenate([base.x0, np.zeros(1)]),
+        disturbance=base.disturbance,
+        layer_h=lambda x: float(base.bar.h(np.asarray(x)[:5])),
+        geometry=geometry,
+        box=box,
+        checks=checks,
+        base=base,
+        k_omega=k_omega,
+    )

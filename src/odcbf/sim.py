@@ -25,10 +25,11 @@ from .errors import (
     InfeasiblePointError,
     IntegrationError,
     MarginUndefinedError,
+    OdcbfError,
     ParameterError,
     SimulationAbort,
 )
-from .verify import write_atomic, write_json_atomic
+from .io import write_atomic, write_json_atomic
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def rollout(
     step = 0
 
     def evaluate(t, x):
-        d = disturbance.at(t, x)
+        d = disturbance.at(t)
         norm = float(np.linalg.norm(d))
         if norm > disturbance.sup_norm + 1e-9:
             raise SimulationAbort(
@@ -241,7 +242,7 @@ def rollout(
         except _LeftDomain as left:
             # the law is not evaluated there: record the state with its h, no input and no decay scale
             truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"
-            record(Row(left.t, left.x, np.full(sys.m, math.nan), disturbance.at(left.t, left.x), None, None, math.nan))
+            record(Row(left.t, left.x, np.full(sys.m, math.nan), disturbance.at(left.t), None, None, math.nan))
             break
         if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
             record(row)
@@ -281,34 +282,22 @@ def compute_metrics(traj: Trajectory, bar: BarrierSpec, delta: float, slack=1e-6
     )
 
 
-@dataclass(frozen=True)
-class RolloutSetup:
-    """One sweep cell: everything rollout() needs, prebuilt."""
-
-    sys: DisturbedSystem
-    law: object
-    disturbance: DisturbanceSignal
-    x0: np.ndarray
-    bar: BarrierSpec
-    layer_h: Optional[Callable] = None
-    geometry: Optional[SafeSetGeometry] = None
-
-
 def sweep(cells: dict, cfg: RolloutConfig) -> dict:
-    """One rollout per cell; per-cell errors are captured, not raised.
+    """One rollout per cell, a built scenario; a cell's toolkit error is captured, not raised.
 
     Returns {label: SafetyMetrics | {"error": str}}; deterministic given the
-    cells (rollouts draw no randomness).
+    cells (rollouts draw no randomness). Errors outside the toolkit's own
+    (OdcbfError) are programming errors and propagate.
     """
     table = {}
     for label, cell in cells.items():
         try:
             _, metrics = rollout(
-                cell.sys, cell.law, cell.disturbance, cell.x0, cfg, cell.bar,
+                cell.sys, cell.filter_law, cell.disturbance, cell.x0, cfg, cell.bar,
                 layer_h=cell.layer_h, geometry=cell.geometry,
             )
             table[label] = metrics
-        except Exception as exc:  # noqa: BLE001 - sweep must not abort on one cell
+        except OdcbfError as exc:
             table[label] = {"error": f"{type(exc).__name__}: {exc}"}
     return table
 

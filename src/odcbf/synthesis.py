@@ -126,14 +126,3 @@ def synth_virtual(
         raise ValueError(f"unknown jac_mode {jac_mode!r}")
 
     return SmoothVirtualController(k1=control, value_and_jacobian=value_and_jacobian, sigma=sigma)
-
-
-def strict_margin(top: DisturbedSystem, bar: BarrierSpec, ctrl: SmoothVirtualController, x1) -> float:
-    """Residual of the strict inequality the controller must satisfy at x1."""
-    grad = np.asarray(bar.grad_h(x1), dtype=float)
-    lf = float(grad @ np.asarray(top.f(x1), dtype=float))
-    lg = grad @ np.asarray(top.g(x1), dtype=float)
-    lw = grad @ np.asarray(top.w(x1), dtype=float)
-    hv = float(bar.h(x1))
-    k = np.asarray(ad.value(ctrl.k1(np.asarray(x1, dtype=float))), dtype=float)
-    return lf + float(lg @ k) + bar.theta_d * float(bar.alpha(hv)) - float(lw @ lw) / bar.epsilon

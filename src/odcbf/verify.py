@@ -10,10 +10,7 @@ theory predicts one.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,6 +20,7 @@ from .autodiff import fd_jacobian
 from .barrier import BarrierSpec, LieData, SafeSetGeometry, eval_lie
 from .dynamics import DisturbedSystem
 from .errors import SamplerError
+from .io import write_json_atomic
 
 RANK_TOL = 1e-8
 MARGIN_TOL = 1e-10
@@ -120,24 +118,6 @@ class SampleReport:
 
     def to_json(self, path):
         write_json_atomic(path, self.to_dict())
-
-
-def write_atomic(path, write, newline=None):
-    """Call write(fh) on a temp file next to path, then rename it over path."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline=newline) as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json_atomic(path, payload):
-    write_atomic(path, lambda fh: json.dump(payload, fh, indent=2))
 
 
 # -- QP oracle -----------------------------------------------------------

@@ -115,7 +115,7 @@ def test_criterion_3_composite_barrier_evidence():
 def test_criterion_4_drd_barrier_evidence():
     t0 = time.time()
     scn = build_quadrotor()
-    rep = check_od_issf(scn.psys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=300, seed=4)
+    rep = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=300, seed=4)
     rng = np.random.default_rng(4)
     zs = rng.uniform([-1.0, -1.0, -2.0, -2.0], [3.0, 1.0, 3.0, 2.0], size=(1000, 4))
     align = check_attitude_alignment(scn.dsys, scn.k_v, scn.attitude, zs, tol=1e-9)
@@ -185,7 +185,7 @@ def test_criterion_7_quadrotor_wall_study():
     cfg = RolloutConfig(dt=1e-3, t_final=10.0)
     # (a) eps = 1 keeps the wall constraint satisfied throughout
     scn1 = build_quadrotor(QuadrotorConfig(epsilon=1.0))
-    traj1, _ = rollout(scn1.psys, scn1.filter_law, scn1.disturbance, scn1.x0, cfg, scn1.bar,
+    traj1, _ = rollout(scn1.sys, scn1.filter_law, scn1.disturbance, scn1.x0, cfg, scn1.bar,
                        layer_h=scn1.layer_h, geometry=scn1.geometry)
     x_max = scn1.cfg.x_max
     overshoot_1 = float(np.max(traj1.states[:, 0]) - x_max)
@@ -193,7 +193,7 @@ def test_criterion_7_quadrotor_wall_study():
 
     # (b) a large-eps cell exhibits a wall violation
     scn50 = build_quadrotor(QuadrotorConfig(epsilon=50.0))
-    traj50, _ = rollout(scn50.psys, scn50.filter_law, scn50.disturbance, scn50.x0, cfg, scn50.bar,
+    traj50, _ = rollout(scn50.sys, scn50.filter_law, scn50.disturbance, scn50.x0, cfg, scn50.bar,
                         layer_h=scn50.layer_h, geometry=scn50.geometry)
     cond_b = float(np.max(traj50.states[:, 0])) > x_max
 
@@ -203,7 +203,7 @@ def test_criterion_7_quadrotor_wall_study():
     worst_dir_min_h = np.inf
     for k in range(8):
         scn_k = build_quadrotor(QuadrotorConfig(epsilon=1.0, disturbance=f"dir:{k * np.pi / 4}"))
-        traj_k, m_k = rollout(scn_k.psys, scn_k.filter_law, scn_k.disturbance, scn_k.x0, cfg_sweep,
+        traj_k, m_k = rollout(scn_k.sys, scn_k.filter_law, scn_k.disturbance, scn_k.x0, cfg_sweep,
                               scn_k.bar, layer_h=scn_k.layer_h, geometry=scn_k.geometry)
         worst_dir_overshoot = max(worst_dir_overshoot, float(np.max(traj_k.states[:, 0]) - x_max))
         worst_dir_min_h = min(worst_dir_min_h, m_k.min_h)
@@ -256,7 +256,7 @@ def test_criterion_9_zero_disturbance_invariance():
     _, m_p = rollout(pend.sys, pend.filter_law, zero_disturbance(1), pend.x0, cfg, pend.bar,
                      layer_h=pend.layer_h, geometry=pend.geometry)
     quad = build_quadrotor(QuadrotorConfig(disturbance="zero", delta=0.0))
-    _, m_q = rollout(quad.psys, quad.filter_law, zero_disturbance(2), quad.x0, cfg, quad.bar,
+    _, m_q = rollout(quad.sys, quad.filter_law, zero_disturbance(2), quad.x0, cfg, quad.bar,
                      layer_h=quad.layer_h, geometry=quad.geometry)
     ok = m_p.min_h >= -1e-6 and m_q.min_h >= -1e-6
     report(9, ok, f"pendulum min h={m_p.min_h:.3e}, quadrotor min h={m_q.min_h:.3e} (both >= -1e-6, x0 in Int(S))")

@@ -6,7 +6,6 @@ from odcbf.backstepping import (
     Layer,
     StrictFeedbackSystem,
     check_full_row_rank,
-    check_row_rank_g2,
     compose_barrier,
     recursive_compose,
 )
@@ -149,7 +148,7 @@ class TestRowRank:
     def test_pendulum_constant_g2(self):
         scn = build_pendulum()
         samples = [np.array([1.2, 0.5]), np.array([-1.5, 2.0])]
-        report = check_row_rank_g2(scn.sfs, samples)
+        report = check_full_row_rank(scn.sfs.layers[-1].g, samples)
         assert report.ok
         assert report.min_singular_value == pytest.approx(1.0)  # 1/(ml^2) with m=l=1
 
@@ -162,7 +161,7 @@ class TestRowRank:
             m=1,
             p=1,
         )
-        report = check_row_rank_g2(sfs, [np.array([0.0, 1.0]), np.array([2.0, 1.0])])
+        report = check_full_row_rank(sfs.layers[-1].g, [np.array([0.0, 1.0]), np.array([2.0, 1.0])])
         assert not report.ok
         assert len(report.flagged) == 1
 
@@ -177,7 +176,7 @@ class TestRowRank:
     def test_empty_samples_error(self):
         scn = build_pendulum()
         with pytest.raises(SamplerError):
-            check_row_rank_g2(scn.sfs, [])
+            check_full_row_rank(scn.sfs.layers[-1].g, [])
 
 
 class TestRecursiveCompose:

@@ -5,14 +5,12 @@ import pytest
 
 from odcbf.barrier import (
     BarrierSpec,
+    ExtendedClassK,
     SafeSetGeometry,
     admissible_delta,
-    atan_class_k,
-    cubic_class_k,
     eval_lie,
     gamma_margin,
     linear_class_k,
-    register_class_k,
 )
 from odcbf.dynamics import DisturbedSystem
 from odcbf.errors import MarginUndefinedError, ParameterError, ShapeError
@@ -40,27 +38,47 @@ def h1_spec(eps=1.0, theta_d=1.0, p=1.0, alpha=None):
     )
 
 
+def cubic(gain=1.0):
+    return ExtendedClassK(lambda s: gain * s**3, lambda y: float(np.cbrt(y / gain)))
+
+
+def class_k_self_test(k, n_grid=101, tol=1e-10):
+    """Check alpha(0)=0, strict monotonicity, and inverse consistency."""
+    if abs(float(k(0.0))) > tol:
+        raise ParameterError("alpha(0) != 0")
+    grid = np.linspace(-min(k.b, 1e3) * (1 - 1e-9), min(k.c, 1e3) * (1 - 1e-9), n_grid)
+    vals = np.array([float(k(s)) for s in grid])
+    if not np.all(np.diff(vals) > 0):
+        raise ParameterError("alpha not strictly increasing on sampled grid")
+    err = np.max(np.abs(np.array([float(k.inverse(v)) for v in vals]) - grid) / (1.0 + np.abs(grid)))
+    if err > tol:
+        raise ParameterError(f"alpha_inv(alpha(s)) != s: relative error {err:.3e}")
+    return True
+
+
 class TestExtendedClassK:
     def test_catalog_self_tests(self):
-        for k in (linear_class_k(2.0), cubic_class_k(0.5), atan_class_k(1.5, 2.0)):
-            assert k.self_test()
+        for k in (linear_class_k(2.0), linear_class_k(0.5, b=3.0, c=1.0)):
+            assert class_k_self_test(k)
 
     def test_linear_inverse(self):
         k = linear_class_k(3.0)
         assert k.inverse(k(1.7)) == pytest.approx(1.7, abs=1e-12)
 
     def test_register_custom_pair(self):
-        k = register_class_k(np.sinh, np.arcsinh, b=2.0, c=2.0)
+        k = ExtendedClassK(np.sinh, np.arcsinh, b=2.0, c=2.0)
+        assert class_k_self_test(k)
         assert k(0.0) == 0.0
         assert k.inverse(k(1.3)) == pytest.approx(1.3, abs=1e-12)
+        assert k.range_lo == pytest.approx(np.sinh(-2.0))  # probed at construction
 
     def test_register_rejects_broken_inverse(self):
         with pytest.raises(ParameterError):
-            register_class_k(lambda s: s, lambda y: 2 * y)
+            class_k_self_test(ExtendedClassK(lambda s: s, lambda y: 2 * y))
 
     def test_rejects_nonmonotone(self):
         with pytest.raises(ParameterError):
-            register_class_k(lambda s: -s, lambda y: -y)
+            class_k_self_test(ExtendedClassK(lambda s: -s, lambda y: -y))
 
 
 class TestBarrierSpec:
@@ -107,7 +125,7 @@ class TestGammaMargin:
         assert gamma_margin(bar, 1.0) == pytest.approx(1.0)
 
     def test_cubic_alpha_numeric_inversion(self):
-        bar = h1_spec(eps=1.0, theta_d=0.5, alpha=cubic_class_k(1.0))
+        bar = h1_spec(eps=1.0, theta_d=0.5, alpha=cubic(1.0))
         gamma = gamma_margin(bar, 1.0)
         assert gamma == pytest.approx(1.0, abs=1e-10)
         # cross-check by inverting s^3 = -1 numerically
@@ -116,13 +134,14 @@ class TestGammaMargin:
         assert gamma == pytest.approx(-s_star, abs=1e-10)
 
     def test_out_of_range_raises(self):
-        bar = h1_spec(eps=10.0, theta_d=1.0, alpha=atan_class_k(scale=1.0, gain=1.0))
+        saturating = ExtendedClassK(np.arctan, np.tan)
+        bar = h1_spec(eps=10.0, theta_d=1.0, alpha=saturating)
         # required decay -5 below the saturating range (-pi/2, pi/2)
         with pytest.raises(MarginUndefinedError):
             gamma_margin(bar, 1.0)
 
     def test_monotone_in_delta(self):
-        bar = h1_spec(eps=1.0, theta_d=1.0, alpha=cubic_class_k(2.0))
+        bar = h1_spec(eps=1.0, theta_d=1.0, alpha=cubic(2.0))
         deltas = np.linspace(0.0, 2.0, 21)
         gammas = [gamma_margin(bar, d) for d in deltas]
         assert all(g2 >= g1 for g1, g2 in zip(gammas, gammas[1:]))
@@ -142,12 +161,10 @@ class TestAdmissibleDelta:
 class TestSafeSetGeometry:
     def test_membership_consistency(self):
         geom = SafeSetGeometry(h=lambda x: 1.0 - x[0] ** 2, b=1.0)
-        assert geom.in_safe(np.array([0.5]))
-        assert not geom.in_safe(np.array([1.5]))
-        assert geom.on_boundary(np.array([1.0]))
+        assert geom.in_domain(np.array([0.5]))  # inside S
         assert geom.in_domain(np.array([1.2]))  # h = -0.44 > -b
         assert not geom.in_domain(np.array([2.0]))  # h = -3 <= -1
-        assert geom.in_inflated(np.array([1.2]), gamma=0.5)
+        assert SafeSetGeometry(h=geom.h).in_domain(np.array([2.0]))  # b = inf: D is everything
 
     def test_set_nesting_below_admissible(self):
         bar = h1_spec(eps=1.0, theta_d=1.0)
@@ -158,8 +175,8 @@ class TestSafeSetGeometry:
             gamma = gamma_margin(bar, delta)
             assert gamma < geom.b
             for x in rng.uniform(-1.0, 1.0, size=(50, 1)):
-                if geom.in_safe(x):
-                    assert geom.in_inflated(x, gamma)
+                if bar.h(x) >= 0.0:  # x in S, so x in S_delta = {h + gamma >= 0} and in D
+                    assert bar.h(x) + gamma >= 0.0
                     assert geom.in_domain(x)
 
 

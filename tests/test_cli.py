@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import odcbf
-from odcbf.cli import BUILD_FAILURE, RUNTIME_FAILURE, main
+from odcbf import scenarios
+from odcbf.cli import BUILD_FAILURE, RUNTIME_FAILURE, SCENARIOS, main
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -61,6 +62,51 @@ def test_verify_quadrotor_passes(tmp_path):
     assert report["verdict"] == "pass"
     assert report["checks"]["drd_od_issf"]["verdict"] == "pass"
     assert report["checks"]["alignment"]["ok"] is True
+
+
+def _verify_report(tmp_path, scenario):
+    code = main(["verify", "--scenario", scenario, "--seed", "0", "--out", str(tmp_path)])
+    assert code == 0
+    return json.loads((tmp_path / f"{scenario}_verify.json").read_text())
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_verify_reports_what_each_check_checked(tmp_path, scenario):
+    cls, _, builder = SCENARIOS[scenario]
+    x0 = getattr(scenarios, builder)(cls()).x0
+    report = _verify_report(tmp_path, scenario)
+    zero_set = [check for key, check in report["checks"].items() if key.endswith("od_issf")]
+    assert len(zero_set) == 1 and zero_set[0]["checked"]["n"] == x0.size
+    for check in report["checks"].values():
+        checked = check["checked"]
+        assert checked["scenario"] == scenario
+        assert checked["n"] <= x0.size and checked["m"] >= 1 and checked["p"] >= 1
+        if checked["box"] is not None:
+            assert len(checked["box"]["lo"]) == len(checked["box"]["hi"]) == checked["n"]
+
+
+def test_quadrotor_full_verify_samples_its_own_composite(tmp_path):
+    base = _verify_report(tmp_path, "quadrotor")
+    full = _verify_report(tmp_path, "quadrotor-full")
+    assert full["checks"] != base["checks"]
+    assert list(full["checks"]) == ["full_od_issf"]
+    check = full["checks"]["full_od_issf"]
+    assert check["checked"]["n"] == 6 and check["samples_checked"] == 40
+    assert check["checked"]["box"]["lo"][-1] == -2.0 and check["checked"]["box"]["hi"][-1] == 2.0
+    assert check["verdict"] == "pass" and check["zero_set_hits"] > 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_with_aborted_cells_is_a_runtime_failure(tmp_path, capsys):
+    code = main([
+        "sweep", "--scenario", "pendulum", "--param", "epsilon", "--values", "1e-3,2e-3",
+        "--dt", "0.3", "--t-final", "3", "--out", str(tmp_path),
+    ])
+    assert code == RUNTIME_FAILURE
+    # the table is still written, with each aborted cell's error
+    cells = json.loads((tmp_path / "pendulum_sweep_epsilon.json").read_text())["cells"]
+    assert set(cells) == {"1e-3", "2e-3"} and all("error" in cell for cell in cells.values())
+    assert "2 of 2 sweep cells aborted (epsilon=1e-3, 2e-3)" in capsys.readouterr().err
 
 
 def test_plotdata_pendulum(tmp_path):

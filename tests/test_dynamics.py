@@ -7,7 +7,6 @@ from odcbf.dynamics import (
     FeedbackLaw,
     close_loop,
     eval_dynamics,
-    validate_law_jacobian,
 )
 from odcbf.errors import ShapeError
 
@@ -112,29 +111,3 @@ def test_close_loop_with_safety_filter_spot_check():
     u = scn.filter_law.control(x, np.pi / 2)
     expected = eval_dynamics(scn.sys, x, u, np.ones(1))  # sin(pi/2) = 1
     assert np.allclose(field(np.pi / 2, x), expected, atol=1e-12)
-
-
-def test_state_feedback_disturbance_extension():
-    sys = identity_system(1)
-    dist = DisturbanceSignal(value=lambda t, x: -x, sup_norm=10.0, state_feedback=True)
-    law = FeedbackLaw(control=lambda x: np.zeros(1))
-    field = close_loop(sys, law, dist)
-    assert np.allclose(field(0.0, np.array([3.0])), [-3.0])
-
-
-def test_validate_law_jacobian():
-    law = FeedbackLaw(
-        control=lambda x: np.array([np.sin(x[0]) + x[1] ** 2]),
-        jacobian=lambda x: np.array([[np.cos(x[0]), 2 * x[1]]]),
-    )
-    rng = np.random.default_rng(0)
-    states = rng.normal(size=(20, 2))
-    worst = validate_law_jacobian(law, states)
-    assert worst <= 1e-6
-
-    bad = FeedbackLaw(
-        control=lambda x: np.array([np.sin(x[0])]),
-        jacobian=lambda x: np.array([[np.cos(x[0]) + 0.1, 0.0]]),
-    )
-    with pytest.raises(AssertionError):
-        validate_law_jacobian(bad, states)

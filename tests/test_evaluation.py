@@ -54,11 +54,11 @@ def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatc
     counting(monkeypatch, DrdBarrier, "value_and_grad", counts)
     scn = build_quadrotor()
     counts.update(half_sontag=0, pinv_apply=0, value_and_grad=0)
-    run(scn, scn.psys)
+    run(scn, scn.sys)
     assert counts == {"half_sontag": 4 * STEPS + 1, "pinv_apply": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
 
 
-@pytest.mark.parametrize("build, sys_attr, per_step", [(build_pendulum, "sys", 150), (build_quadrotor, "psys", 135)])
+@pytest.mark.parametrize("build, sys_attr, per_step", [(build_pendulum, "sys", 150), (build_quadrotor, "sys", 135)])
 def test_dual_constructions_per_step(monkeypatch, build, sys_attr, per_step):
     count = [0]
     init = ad.Dual.__init__
@@ -75,7 +75,7 @@ def test_dual_constructions_per_step(monkeypatch, build, sys_attr, per_step):
     assert count[0] <= per_step * 200  # 200 steps
 
 
-@pytest.mark.parametrize("build, sys_attr", [(build_pendulum, "sys"), (build_quadrotor, "psys")])
+@pytest.mark.parametrize("build, sys_attr", [(build_pendulum, "sys"), (build_quadrotor, "sys")])
 def test_recorded_inputs_replay_bit_for_bit(build, sys_attr):
     scn = build()
     traj, _ = run(scn, getattr(scn, sys_attr))
@@ -85,7 +85,7 @@ def test_recorded_inputs_replay_bit_for_bit(build, sys_attr):
         assert res.theta_x == theta
 
 
-@pytest.mark.parametrize("build, sys_attr", [(build_pendulum, "sys"), (build_quadrotor, "psys")])
+@pytest.mark.parametrize("build, sys_attr", [(build_pendulum, "sys"), (build_quadrotor, "sys")])
 def test_rollout_matches_generic_rk4_reference(build, sys_attr):
     scn = build()
     sys = getattr(scn, sys_attr)

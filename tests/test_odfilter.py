@@ -4,7 +4,7 @@ import pytest
 from odcbf.barrier import SafeSetGeometry
 from odcbf.dynamics import FeedbackLaw
 from odcbf.errors import DomainError, InfeasiblePointError
-from odcbf.odfilter import od_issf_filter, solve_decay_filter
+from odcbf.odfilter import OdIssfController, solve_decay_filter
 from odcbf.scenarios import build_pendulum
 from odcbf.verify import qp_oracle
 
@@ -146,19 +146,19 @@ class TestFilterOnSystems:
         scn = build_pendulum()
         geom = SafeSetGeometry(h=scn.bar.h, b=0.5)
         with pytest.raises(DomainError):
-            od_issf_filter(scn.sys, scn.bar, scn.nominal, np.array([3.0, 8.0]), geometry=geom)
+            OdIssfController(scn.sys, scn.bar, scn.filter_law.nominal, geom).result(np.array([3.0, 8.0]))
 
     def test_virtual_filter_interior_nominal_safe(self):
         scn = build_pendulum()
         safe_nominal = FeedbackLaw(control=lambda x1: np.zeros(1))
-        res = od_issf_filter(scn.top_sys, scn.h1, safe_nominal, np.array([0.0]))
+        res = OdIssfController(scn.top_sys, scn.h1, safe_nominal).result(np.array([0.0]))
         assert not res.constraint_active
         assert np.allclose(res.u, [0.0])
 
     def test_virtual_filter_active_near_boundary(self):
         scn = build_pendulum()
         aggressive = FeedbackLaw(control=lambda x1: np.array([5.0]))  # drive outward
-        res = od_issf_filter(scn.top_sys, scn.h1, aggressive, np.array([0.99]))
+        res = OdIssfController(scn.top_sys, scn.h1, aggressive).result(np.array([0.99]))
         assert res.lambda_val > 0
         # constraint exactly active at the optimum
         lie_lg = -2 * 0.99

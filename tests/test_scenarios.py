@@ -14,7 +14,7 @@ from odcbf.scenarios import (
     make_disturbance,
 )
 from odcbf.sim import RolloutConfig, rollout
-from odcbf.verify import check_matched, check_prop1
+from odcbf.verify import check_matched, check_prop1, exterior_sampler
 
 
 class TestPendulumAssembly:
@@ -34,7 +34,8 @@ class TestPendulumAssembly:
 
     def test_default_config_passes_prop1_on_layer1(self):
         scn = build_pendulum()
-        report = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, scn.layer_exterior_sampler(), n_samples=500, seed=0)
+        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        report = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_samples=500, seed=0)
         assert report.verdict == "pass"
 
     def test_layer1_matched_full_unmatched(self):
@@ -142,13 +143,13 @@ class TestQuadrotorClosedLoop:
     def test_unit_eps_keeps_wall_satisfied(self):
         scn = build_quadrotor(QuadrotorConfig(epsilon=1.0))
         cfg = RolloutConfig(dt=2e-3, t_final=6.0)
-        traj, m = rollout(scn.psys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
+        traj, m = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
         assert traj.states[:, 0].max() <= scn.cfg.x_max + 1e-9
 
     def test_attitude_points_away_from_wall_near_boundary(self):
         scn = build_quadrotor()
         cfg = RolloutConfig(dt=2e-3, t_final=8.0)
-        traj, _ = rollout(scn.psys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
+        traj, _ = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
         near = traj.states[:, 0] > scn.cfg.x_max - 0.3
         assert near.any()
         # wind pushes +x; with psi = (-sin, cos) the horizontal thrust is
@@ -188,19 +189,18 @@ class TestDisturbanceCatalog:
 
 class TestFullQuadrotorStretch:
     def test_builds_and_runs_briefly(self):
-        parts = build_quadrotor_full(QuadrotorConfig())
+        scn = build_quadrotor_full(QuadrotorConfig())
         cfg = RolloutConfig(dt=2e-3, t_final=0.5)
         traj, m = rollout(
-            parts["sys"], parts["filter_law"], parts["disturbance"], parts["x0"], cfg,
-            parts["bar"], layer_h=parts["layer_h"], geometry=parts["geometry"],
+            scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg,
+            scn.bar, layer_h=scn.layer_h, geometry=scn.geometry,
         )
         assert len(traj.times) > 1
         assert np.all(np.isfinite(traj.states))
         assert m.theta_floor_ok
 
     def test_composite_gradient_matches_fd(self):
-        parts = build_quadrotor_full(QuadrotorConfig())
-        bar = parts["bar"]
+        bar = build_quadrotor_full(QuadrotorConfig()).bar
         rng = np.random.default_rng(11)
         lo = np.array([-0.5, -0.5, -1.0, -1.0, -0.5, -0.5])
         hi = np.array([2.5, 0.5, 2.0, 1.0, 0.5, 0.5])

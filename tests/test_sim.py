@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -11,7 +12,6 @@ from odcbf.errors import IntegrationError, ParameterError, SimulationAbort
 from odcbf.scenarios import PendulumConfig, build_pendulum, zero_disturbance
 from odcbf.sim import (
     RolloutConfig,
-    RolloutSetup,
     SafetyMetrics,
     compute_metrics,
     rk4_step,
@@ -160,7 +160,7 @@ class TestRollout:
         finals = {}
         for dt in (0.02, 0.01, 0.005):
             cfg = RolloutConfig(dt=dt, t_final=2.0)
-            traj, _ = rollout(scn.sys, scn.nominal, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+            traj, _ = rollout(scn.sys, scn.filter_law.nominal, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
             finals[dt] = traj.states[-1]
         e_coarse = np.linalg.norm(finals[0.02] - finals[0.01])
         e_fine = np.linalg.norm(finals[0.01] - finals[0.005])
@@ -256,17 +256,29 @@ class TestMetrics:
 class TestSweep:
     def test_error_cells_captured(self):
         scn = build_pendulum()
-        good = RolloutSetup(sys=scn.sys, law=scn.filter_law, disturbance=scn.disturbance, x0=scn.x0, bar=scn.bar, layer_h=scn.layer_h)
-        bad = RolloutSetup(sys=scn.sys, law=scn.filter_law, disturbance=scn.disturbance,
-                           x0=np.array([0.0, 0.0, 0.0]), bar=scn.bar, layer_h=scn.layer_h)
-        table = sweep({"ok": good, "broken": bad}, RolloutConfig(dt=5e-3, t_final=0.1))
+        bad = dataclasses.replace(scn, x0=np.array([0.0, 0.0, 0.0]))
+        table = sweep({"ok": scn, "broken": bad}, RolloutConfig(dt=5e-3, t_final=0.1))
         assert isinstance(table["ok"], SafetyMetrics)
         assert "error" in table["broken"]
 
     def test_zero_disturbance_cells_deterministic(self):
         scn = build_pendulum()
-        cell = RolloutSetup(sys=scn.sys, law=scn.filter_law, disturbance=zero_disturbance(1), x0=scn.x0, bar=scn.bar, layer_h=scn.layer_h)
+        cell = dataclasses.replace(scn, disturbance=zero_disturbance(1))
         cfg = RolloutConfig(dt=5e-3, t_final=0.3)
         t1 = sweep({"a": cell, "b": cell}, cfg)
-        _, direct = rollout(scn.sys, scn.filter_law, zero_disturbance(1), scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+        _, direct = rollout(scn.sys, scn.filter_law, zero_disturbance(1), scn.x0, cfg, scn.bar,
+                            layer_h=scn.layer_h, geometry=scn.geometry)
         assert t1["a"].min_h == t1["b"].min_h == direct.min_h
+
+    def test_programming_error_in_a_cell_propagates(self):
+        scn = build_pendulum()
+
+        class BrokenLaw:
+            sys, bar = scn.filter_law.sys, scn.filter_law.bar
+
+            def evaluate(self, x, t):
+                raise TypeError("planted")
+
+        broken = dataclasses.replace(scn, filter_law=BrokenLaw())
+        with pytest.raises(TypeError, match="planted"):
+            sweep({"ok": scn, "broken": broken}, RolloutConfig(dt=5e-3, t_final=0.1))

@@ -6,7 +6,18 @@ import pytest
 from odcbf import autodiff as ad
 from odcbf.errors import NonFiniteError, SynthesisInfeasibleError
 from odcbf.scenarios import build_pendulum
-from odcbf.synthesis import half_sontag, strict_margin, synth_virtual
+from odcbf.synthesis import half_sontag, synth_virtual
+
+
+def strict_margin(top, bar, ctrl, x1):
+    """Residual of the strict inequality the controller must satisfy at x1."""
+    grad = np.asarray(bar.grad_h(x1), dtype=float)
+    lf = float(grad @ np.asarray(top.f(x1), dtype=float))
+    lg = grad @ np.asarray(top.g(x1), dtype=float)
+    lw = grad @ np.asarray(top.w(x1), dtype=float)
+    hv = float(bar.h(x1))
+    k = np.asarray(ad.value(ctrl.k1(np.asarray(x1, dtype=float))), dtype=float)
+    return lf + float(lg @ k) + bar.theta_d * float(bar.alpha(hv)) - float(lw @ lw) / bar.epsilon
 
 
 class TestHalfSontag:

@@ -158,9 +158,8 @@ class TestCheckOdIssf:
         # L_g1 h1 = -2q never vanishes outside Int(S1), so the zero-set search
         # comes back empty: the sufficient route, reported as vacuous-pass
         scn = build_pendulum()
-        report = check_od_issf(
-            scn.top_sys, scn.h1, scn.layer_geometry, scn.layer_exterior_sampler(), n_seeds=100, seed=1
-        )
+        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        report = check_od_issf(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_seeds=100, seed=1)
         assert report.verdict == "vacuous-pass"
         assert report.zero_set_hits == 0
 
@@ -286,7 +285,8 @@ class TestBracketRoot:
 class TestCheckProp1:
     def test_pendulum_layer1_passes(self):
         scn = build_pendulum()
-        report = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, scn.layer_exterior_sampler(), n_samples=500, seed=1)
+        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        report = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_samples=500, seed=1)
         assert report.verdict == "pass"
         assert report.min_margin > 0
 
@@ -306,7 +306,7 @@ class TestCheckProp1:
             return scn.bar.h(x) <= 0 and abs(x[4] - scn.eta_d_of_state(x)) > 0.05
 
         sampler = BoxRegionSampler(np.asarray(scn.cfg.box_lo), np.asarray(scn.cfg.box_hi), pred)
-        report = check_prop1(scn.psys, scn.bar, scn.geometry, sampler, n_samples=300, seed=2)
+        report = check_prop1(scn.sys, scn.bar, scn.geometry, sampler, n_samples=300, seed=2)
         assert report.verdict == "pass"
 
 
