@@ -18,7 +18,7 @@ from .barrier import (
     gamma_margin,
     linear_class_k,
 )
-from .drd import DrdBarrier, DrdSystem, drd_barrier, partial_closed_loop, quadrotor_eta_d
+from .drd import DrdSystem, partial_closed_loop, quadrotor_eta_d
 from .dynamics import (
     DisturbanceSignal,
     DisturbedSystem,

@@ -1,16 +1,19 @@
-"""Composite barrier construction for strict-feedback systems.
+"""The backstepped block barrier, and the strict-feedback cascades it is built on.
 
-Given a top-layer barrier h1 over x1 and a smooth safeguarding virtual
-controller k1, the composite
+Given a top-layer barrier h_top over x_top, a smooth safeguarding virtual
+controller k and a reference map r from the virtual input to the bottom
+state that realizes it, the block barrier
 
-    h(x) = h1(x1) - 1/(2 mu) ||x2 - k1(x1)||^2
+    h(x) = h_top(x_top) - 1/(2 mu) ||x_bot - r(k(x_top))||^2
 
 is a valid optimal-decay barrier for the two-layer cascade whenever the
-bottom input matrix has full row rank off the safe set's interior. Its
-gradient follows the chain rule:
+bottom input matrix has full row rank off the safe set's interior. For
+strict-feedback systems r is the identity; for dual-relative-degree systems
+it is the attitude map eta_d (see :mod:`odcbf.drd`). With J = d r(k)/dx_top
+the gradient follows the chain rule:
 
-    dh/dx1 = dh1/dx1 + (1/mu) (x2 - k1)^T dk1/dx1
-    dh/dx2 = -(1/mu) (x2 - k1)^T
+    dh/dx_top = dh_top/dx_top + (1/mu) (x_bot - r)^T J
+    dh/dx_bot = -(1/mu) (x_bot - r)^T
 
 The construction nests: recursing over layers penalizes each block's
 deviation from the safeguarding controller synthesized for the composite
@@ -20,14 +23,14 @@ one level up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .barrier import BarrierEval, BarrierSpec
 from .dynamics import DisturbedSystem
-from .errors import ParameterError, SamplerError, SynthesisInfeasibleError
+from .errors import ParameterError, SamplerError
 from .synthesis import SmoothVirtualController, synth_virtual
 
 
@@ -128,31 +131,42 @@ class StrictFeedbackSystem:
 
 @dataclass(frozen=True)
 class CompositeBarrier:
-    """Backstepped barrier h = h1(x1) - 1/(2 mu) ||x2 - k1(x1)||^2."""
+    """Backstepped barrier h = h_top(x_top) - 1/(2 mu) ||x_bot - r(k(x_top))||^2, with ``k`` the
+    virtual controller and ``ref_map`` the dual-aware reference r (None: the identity r(v) = v)."""
 
-    h1: BarrierSpec
-    k1: SmoothVirtualController
+    h_top: BarrierSpec
+    k: SmoothVirtualController
     mu: float
-    n1: int
-    n2: int
+    n_top: int
+    n_bot: int
+    ref_map: Optional[Callable] = None
+
+    def reference(self, x):
+        """r(k(x_top)): the bottom block's reference at x, value only."""
+        v = self.k.k1(x[: self.n_top])
+        return v if self.ref_map is None else self.ref_map(v)
 
     def h(self, x):
-        x1, x2 = x[: self.n1], x[self.n1 :]
-        e = x2 - self.k1.k1(x1)
-        return self.h1.h(x1) - ad.dot(e, e) / (2.0 * self.mu)
+        e = x[self.n_top :] - self.reference(x)
+        return self.h_top.h(x[: self.n_top]) - ad.dot(e, e) / (2.0 * self.mu)
 
     def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h and k1 from one controller value-and-jacobian pass."""
+        """h, grad h, k, r and dr/dx_top from one value-and-jacobian pass of k (and of r)."""
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[: self.n1], x[self.n1 :]
-        k_val, jac = self.k1.with_jacobian(x1)
-        jac = jac.reshape(self.n2, self.n1)
-        e = x2 - k_val
-        top = self.h1.value_and_grad(x1)
+        x_top, x_bot = x[: self.n_top], x[self.n_top :]
+        k_val, k_jac = self.k.with_jacobian(x_top)
+        if self.ref_map is None:
+            ref, ref_jac = k_val, k_jac
+        else:
+            ref, r_jac = ad.jacobian(self.ref_map, k_val)
+            ref_jac = r_jac @ k_jac
+        e = x_bot - ref
+        # (e J_r) J_k, not e (J_r J_k): this product order fixes the gradient's rounding
+        chain = e @ k_jac if self.ref_map is None else (e @ r_jac) @ k_jac
+        top = self.h_top.value_and_grad(x_top)
         hv = top.h - float(e @ e) / (2.0 * self.mu)
-        d1 = top.grad + (e @ jac) / self.mu
-        d2 = -e / self.mu
-        return BarrierEval(hv, np.concatenate([d1, d2]), k=k_val, ref=k_val, ref_jac=jac, mu=self.mu)
+        grad = np.concatenate([top.grad + chain / self.mu, -e / self.mu])
+        return BarrierEval(hv, grad, k=k_val, ref=ref, ref_jac=ref_jac, mu=self.mu)
 
     def grad_h(self, x):
         return self.value_and_grad(x).grad
@@ -161,30 +175,21 @@ class CompositeBarrier:
         return BarrierSpec(
             h=self.h,
             grad_h=self.grad_h,
-            alpha=self.h1.alpha,
-            epsilon=self.h1.epsilon,
-            theta_d=self.h1.theta_d,
-            p_weight=self.h1.p_weight,
-            n=self.n1 + self.n2,
+            alpha=self.h_top.alpha,
+            epsilon=self.h_top.epsilon,
+            theta_d=self.h_top.theta_d,
+            p_weight=self.h_top.p_weight,
+            n=self.n_top + self.n_bot,
             value_and_grad=self.value_and_grad,
+            layers=self.h_top.layers + 1,
         )
 
 
-def compose_barrier(h1: BarrierSpec, k1: SmoothVirtualController, mu: float, n1=None, n2=None) -> CompositeBarrier:
-    """Penalize deviation of the virtual input from the safeguarding controller."""
+def compose_barrier(h_top: BarrierSpec, k: SmoothVirtualController, mu, n_top, n_bot, ref_map=None) -> CompositeBarrier:
+    """Penalize the bottom block's deviation from the reference of the safeguarding controller."""
     if mu <= 0:
         raise ParameterError("mu must be strictly positive")
-    if n1 is None:
-        n1 = h1.n
-    if n1 is None:
-        raise ParameterError("layer-1 state dimension unknown: set h1.n or pass n1")
-    if n2 is None:
-        try:
-            probe = np.asarray(ad.value(k1.k1(np.zeros(n1))), dtype=float).reshape(-1)
-        except SynthesisInfeasibleError:
-            raise ParameterError("could not infer virtual-input dimension; pass n2 explicitly") from None
-        n2 = probe.size
-    return CompositeBarrier(h1=h1, k1=k1, mu=float(mu), n1=n1, n2=n2)
+    return CompositeBarrier(h_top=h_top, k=k, mu=float(mu), n_top=n_top, n_bot=n_bot, ref_map=ref_map)
 
 
 @dataclass(frozen=True)
@@ -238,7 +243,7 @@ def recursive_compose(
     for i in range(n_layers - 1):
         top = sfs.virtual_top(i)
         k_i = synth_virtual(top, bar, sigmas[i], jac_mode="ad" if i == 0 else "fd", layer=i + 1)
-        composite = compose_barrier(bar, k_i, mus[i], n1=top.n, n2=top.m)
+        composite = compose_barrier(bar, k_i, mus[i], top.n, top.m)
         bar = composite.to_spec()
     return composite
 

@@ -87,6 +87,8 @@ class BarrierSpec:
     ``value_and_grad`` (x -> BarrierEval) defaults to pairing h with grad_h.
     eps > 0 trades robustness against conservatism, theta_d > 0 is the
     minimum decay scale, p_weight > 0 weighs decay deviation in the filter.
+    ``layers`` counts the blocks a backstepped barrier was built over (1 for
+    a plain barrier).
     """
 
     h: Callable
@@ -97,6 +99,7 @@ class BarrierSpec:
     grad_h: Optional[Callable] = None
     n: Optional[int] = None
     value_and_grad: Optional[Callable] = None
+    layers: int = 1
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.theta_d <= 0 or self.p_weight <= 0:

@@ -26,16 +26,7 @@ import sys
 import numpy as np
 
 from . import scenarios as sc
-from .errors import (
-    AlignmentError,
-    DomainError,
-    InfeasiblePointError,
-    IntegrationError,
-    NonFiniteError,
-    OdcbfError,
-    SimulationAbort,
-    ThrustDomainError,
-)
+from .errors import STAGE_ERRORS, DomainError, InfeasiblePointError, IntegrationError, OdcbfError, SimulationAbort
 from .io import write_json_atomic
 from .sim import RolloutConfig, rollout, sweep, sweep_table_to_dict
 from .verify import check_matched, check_od_issf, check_prop1, check_regular_values, exterior_sampler
@@ -44,15 +35,7 @@ BUILD_FAILURE = 3
 VERIFY_FAILURE = 1
 RUNTIME_FAILURE = 4
 # raised while a built scenario runs, at a state the run reached
-RUNTIME_ERRORS = (
-    SimulationAbort,
-    IntegrationError,
-    InfeasiblePointError,
-    NonFiniteError,
-    DomainError,
-    ThrustDomainError,
-    AlignmentError,
-)
+RUNTIME_ERRORS = (SimulationAbort, IntegrationError, InfeasiblePointError, DomainError, *STAGE_ERRORS)
 
 
 def _load_config_section(path, section):
@@ -201,7 +184,10 @@ def cmd_verify(args):
     for check in scn.checks:
         entry, passed = _run_check(check, args.seed, rng)
         box = None if check.box is None else {"lo": list(map(float, check.box[0])), "hi": list(map(float, check.box[1]))}
-        entry["checked"] = {"scenario": scn.name, "n": check.sys.n, "m": check.sys.m, "p": check.sys.p, "box": box}
+        barrier = None if check.bar is None else {"n": check.bar.n, "layers": check.bar.layers}
+        entry["checked"] = {
+            "scenario": scn.name, "n": check.sys.n, "m": check.sys.m, "p": check.sys.p, "box": box, "barrier": barrier,
+        }
         report["checks"][check.key] = entry
         ok &= passed
     report["verdict"] = "pass" if ok else "fail"

@@ -12,7 +12,9 @@ aligned by least squares (u_z = psi^+ k_v), and an attitude map eta_d picks
 the bottom state that makes the alignment exact. Penalizing the attitude
 error with the Lyapunov-like V = 1/(2 mu) ||eta - eta_d(k_v(z))||^2 gives
 the composite barrier h = h_z - V for the partial closed loop, whose input
-is u_eta.
+is u_eta. That is the backstepped barrier of
+:class:`~odcbf.backstepping.CompositeBarrier` with eta_d as its reference
+map, in place of the strict-feedback identity.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .barrier import BarrierEval, BarrierSpec
+from .backstepping import CompositeBarrier
 from .dynamics import DisturbedSystem
-from .errors import AlignmentError, ParameterError, ThrustDomainError
+from .errors import AlignmentError, ThrustDomainError
 from .synthesis import SmoothVirtualController
 
 _SV_FLOOR = 1e-8
@@ -83,72 +85,18 @@ def quadrotor_attitude_map(v_min=0.0) -> Callable:
     return lambda v: quadrotor_eta_d(v, v_min)
 
 
-@dataclass(frozen=True)
-class DrdBarrier:
-    """Composite h(z, eta) = h_z(z) - 1/(2 mu) ||eta - eta_d(k_v(z))||^2."""
+class DrdBarrier(CompositeBarrier):
+    """The dual-relative-degree barrier under its own class name: a
+    :class:`CompositeBarrier` whose ``ref_map`` is an attitude map eta_d.
 
-    h_z: BarrierSpec
-    k_v: SmoothVirtualController
-    eta_d: Callable  # v -> bottom state aligning psi with v (dual-aware)
-    mu: float
-    n_top: int
-    n_bot: int
+    It holds no code of its own. Binding the methods into this class's dict
+    lets span tracers that wrap methods per class count the DRD pass apart
+    from the strict-feedback one; the next change to the benchmark's tracer
+    retargets it to :class:`CompositeBarrier` and deletes this subclass.
+    """
 
-    def _split(self, x):
-        return x[: self.n_top], x[self.n_top :]
-
-    def attitude_error(self, x):
-        z, eta = self._split(np.asarray(x, dtype=float))
-        ref = np.asarray(ad.value(self.eta_d(ad.value(self.k_v.k1(z)))), dtype=float).reshape(-1)
-        return eta - ref
-
-    def h(self, x):
-        e = self.attitude_error(x)
-        return float(self.h_z.h(np.asarray(x, dtype=float)[: self.n_top])) - float(e @ e) / (2.0 * self.mu)
-
-    def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h, v = k_v(z), eta_d(v) and its jacobian in z from one pass of each map's value-and-jacobian."""
-        x = np.asarray(x, dtype=float)
-        z, eta = self._split(x)
-        v, j_kv = self.k_v.with_jacobian(z)
-        j_kv = np.atleast_2d(j_kv)
-        ref_dual = ad.jacobian(self.eta_d, v)
-        ref, j_eta = ref_dual[0].reshape(-1), np.atleast_2d(ref_dual[1])
-        e = eta - ref
-        top = self.h_z.value_and_grad(z)
-        hv = top.h - float(e @ e) / (2.0 * self.mu)
-        # (e J_eta) J_kv, not e (J_eta J_kv): this product order fixes the gradient's rounding
-        dz = top.grad + ((e @ j_eta) @ j_kv) / self.mu
-        deta = -e / self.mu
-        return BarrierEval(hv, np.concatenate([dz, deta]), k=v, ref=ref, ref_jac=j_eta @ j_kv, mu=self.mu)
-
-    def grad_h(self, x):
-        return self.value_and_grad(x).grad
-
-    def to_spec(self) -> BarrierSpec:
-        return BarrierSpec(
-            h=self.h,
-            grad_h=self.grad_h,
-            alpha=self.h_z.alpha,
-            epsilon=self.h_z.epsilon,
-            theta_d=self.h_z.theta_d,
-            p_weight=self.h_z.p_weight,
-            n=self.n_top + self.n_bot,
-            value_and_grad=self.value_and_grad,
-        )
-
-
-def drd_barrier(h_z: BarrierSpec, k_v: SmoothVirtualController, eta_d: Callable, mu: float, n_top=None, n_bot=None) -> DrdBarrier:
-    if mu <= 0:
-        raise ParameterError("mu must be strictly positive")
-    if n_top is None:
-        n_top = h_z.n
-    if n_top is None:
-        raise ParameterError("top-layer dimension unknown: set h_z.n or pass n_top")
-    if n_bot is None:
-        probe = np.asarray(ad.value(eta_d(np.asarray(ad.value(k_v.k1(np.zeros(n_top)))))), dtype=float).reshape(-1)
-        n_bot = probe.size
-    return DrdBarrier(h_z=h_z, k_v=k_v, eta_d=eta_d, mu=float(mu), n_top=n_top, n_bot=n_bot)
+    value_and_grad = CompositeBarrier.value_and_grad
+    h = CompositeBarrier.h
 
 
 def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> DisturbedSystem:
@@ -156,8 +104,8 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
 
     Drift: (f_z + g_z psi psi^+ k_v(z); f_eta); input matrix (0; g_eta);
     disturbance matrix (w_z; w_eta). Alignment errors propagate. ``f_with``
-    reads v = k_v(z) from a barrier pass built on this k_v (a
-    :class:`DrdBarrier`'s) instead of rerunning k_v.
+    reads v = k_v(z) from a barrier pass built on this k_v instead of
+    rerunning k_v.
     """
     n = dsys.n_top + dsys.n_bot
 

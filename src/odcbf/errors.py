@@ -98,3 +98,8 @@ class SimulationAbort(OdcbfError, RuntimeError):
         self.t = t
         self.reason = reason
         super().__init__(f"rollout aborted at step {step} (t={t:.6g}): {reason}")
+
+
+# Raised by evaluating a built scenario at a state that it reached. A rollout
+# re-raises them as a SimulationAbort that names the step and the time.
+STAGE_ERRORS = (NonFiniteError, ThrustDomainError, AlignmentError, SynthesisInfeasibleError)

@@ -23,14 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank, compose_barrier
 from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin, linear_class_k
-from .drd import (
-    DrdBarrier,
-    DrdSystem,
-    check_attitude_alignment,
-    drd_barrier,
-    partial_closed_loop,
-    quadrotor_attitude_map,
-)
+from .drd import DrdBarrier, DrdSystem, check_attitude_alignment, partial_closed_loop, quadrotor_attitude_map
 from .dynamics import DisturbanceSignal, DisturbedSystem, FeedbackLaw
 from .errors import ParameterError
 from .odfilter import OdIssfController
@@ -202,9 +195,7 @@ class PendulumScenario(Scenario):
         gamma = gamma_margin(self.bar, delta)
         q_max = math.sqrt(1.0 + gamma)  # h1 = 1 - q^2
         q = np.linspace(-q_max, q_max, n_grid)
-        k1_vals = np.array(
-            [float(np.asarray(ad.value(self.k1.k1(np.array([qi])))).reshape(-1)[0]) for qi in q]
-        )
+        k1_vals = np.array([float(self.composite.reference(np.array([qi]))[0]) for qi in q])
         pad = np.sqrt(np.maximum(2.0 * self.cfg.mu * (1.0 - q**2 + gamma), 0.0))
         return q, k1_vals + pad, k1_vals - pad
 
@@ -260,7 +251,7 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     sfs = StrictFeedbackSystem(layers=layers, m=1, p=1)
     top_sys = sfs.virtual_top(0)
     k1 = synth_virtual(top_sys, h1, cfg.sigma, layer=1)
-    composite = compose_barrier(h1, k1, cfg.mu, n1=1, n2=1)
+    composite = compose_barrier(h1, k1, cfg.mu, 1, 1)
     bar = composite.to_spec()
     sys = sfs.assemble()
 
@@ -350,9 +341,7 @@ class QuadrotorScenario(Scenario):
     dbar: DrdBarrier
 
     def eta_d_of_state(self, x):
-        z = np.asarray(x, dtype=float)[:4]
-        v = np.asarray(ad.value(self.k_v.k1(z)), dtype=float).reshape(-1)
-        return float(np.asarray(ad.value(self.attitude(v)), dtype=float).reshape(-1)[0])
+        return float(self.dbar.reference(np.asarray(x, dtype=float))[0])
 
     def plot_series(self, rollout_of, options):
         """x(t) and theta(t) against eta_d along the run, and the (x, y) path per gust direction."""
@@ -422,18 +411,18 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     v_ff = _constant([0.0, m * grav])
     k_v = synth_virtual(top_sys, h_z, cfg.sigma, nominal=lambda z: v_ff, layer=1)
     attitude = quadrotor_attitude_map(v_min=cfg.v_min_frac * m * grav)
-    dbar = drd_barrier(h_z, k_v, attitude, cfg.mu, n_top=4, n_bot=1)
+    # compose_barrier(..., ref_map=attitude) under the class name that tracers count apart; mu > 0 is checked above
+    dbar = DrdBarrier(h_top=h_z, k=k_v, mu=float(cfg.mu), n_top=4, n_bot=1, ref_map=attitude)
     bar = dbar.to_spec()
     sys = partial_closed_loop(dsys, k_v)
 
     k_att = cfg.k_att
 
-    def nominal_rate(x):
-        v = np.asarray(ad.value(k_v.k1(x[:4])), dtype=float).reshape(-1)
-        return -k_att * (x[4:] - np.asarray(ad.value(attitude(v)), dtype=float).reshape(-1))
-
-    # the DRD barrier pass carries eta_d(k_v(z)) as its reference
-    nominal = FeedbackLaw(control=nominal_rate, control_with=lambda x, be: -k_att * (x[4:] - be.ref))
+    # track the barrier's reference eta_d(k_v(z)); a barrier pass carries it already
+    nominal = FeedbackLaw(
+        control=lambda x: -k_att * (x[4:] - dbar.reference(x)),
+        control_with=lambda x, be: -k_att * (x[4:] - be.ref),
+    )
     geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
     x0 = np.concatenate([np.asarray(cfg.z0, dtype=float), np.asarray(cfg.eta0, dtype=float)])
     box = (cfg.box_lo, cfg.box_hi)
@@ -507,7 +496,7 @@ def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorF
 
     # top: (z, theta) with omega as the (virtual) input
     k_omega = synth_virtual(base.sys, base.bar, cfg.sigma, jac_mode="fd", layer=2)
-    full_composite = compose_barrier(base.bar, k_omega, cfg.mu, n1=5, n2=1)
+    full_composite = compose_barrier(base.bar, k_omega, cfg.mu, 5, 1)
     full_bar = full_composite.to_spec()
 
     def f(x):

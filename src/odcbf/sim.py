@@ -21,6 +21,7 @@ import numpy as np
 from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin
 from .dynamics import DisturbanceSignal, DisturbedSystem, _check_vec, call_law, eval_dynamics
 from .errors import (
+    STAGE_ERRORS,
     DomainError,
     InfeasiblePointError,
     IntegrationError,
@@ -178,8 +179,9 @@ def rollout(
     a step's end (checked here) or an RK stage's state that the law rejects
     with DomainError. The trajectory is flagged truncated and its last row
     holds that state at its time, with its h and with NaN input and decay
-    scale, as the law is not evaluated there. Aborts with the step index on
-    controller infeasibility.
+    scale, as the law is not evaluated there. Aborts with the step index and
+    the stage time, chained to the cause, on controller infeasibility and on
+    the other errors of a stage evaluation (``STAGE_ERRORS``).
     The declared disturbance bound is enforced on the sample taken at every
     stage time.
     """
@@ -196,22 +198,24 @@ def rollout(
                 step, t, f"disturbance exceeds declared bound ||d||={norm:.6g} > {disturbance.sup_norm:.6g}"
             )
         try:
-            ev = evaluate_law(x, t) if evaluate_law is not None else None
-            u = call_law(law, x, t) if ev is None else ev.result.u
+            if evaluate_law is None:
+                u = call_law(law, x, t)
+                return Row(t, x, u, d, eval_dynamics(sys, x, u, d), None, math.nan)
+            ev = evaluate_law(x, t)
+            u, lie = ev.result.u, ev.lie
+            if law.sys is sys:
+                xdot = lie.f + lie.g @ u + lie.w @ _check_vec("d", d, sys.p)
+            else:
+                xdot = eval_dynamics(sys, x, u, d)
+            return Row(t, x, u, d, xdot, lie.h_val if law.bar is bar else None, ev.result.theta_x)
         except InfeasiblePointError as exc:
             raise SimulationAbort(step, t, f"controller infeasible: {exc}") from exc
+        except STAGE_ERRORS as exc:
+            raise SimulationAbort(step, t, f"{type(exc).__name__}: {exc}") from exc
         except DomainError as exc:
             if geometry is None:
                 raise
             raise _LeftDomain(t, x) from exc
-        if ev is None:
-            return Row(t, x, u, d, eval_dynamics(sys, x, u, d), None, math.nan)
-        lie = ev.lie
-        if law.sys is sys:
-            xdot = lie.f + lie.g @ u + lie.w @ _check_vec("d", d, sys.p)
-        else:
-            xdot = eval_dynamics(sys, x, u, d)
-        return Row(t, x, u, d, xdot, lie.h_val if law.bar is bar else None, ev.result.theta_x)
 
     def field(t, x):
         return evaluate(t, x).xdot

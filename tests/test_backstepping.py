@@ -3,6 +3,7 @@ import pytest
 
 from odcbf import autodiff as ad
 from odcbf.backstepping import (
+    CompositeBarrier,
     Layer,
     StrictFeedbackSystem,
     check_full_row_rank,
@@ -61,13 +62,13 @@ class TestComposeBarrier:
             h=lambda x: 1.0, grad_h=lambda x: np.zeros(1),
             alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1,
         )
-        comp = compose_barrier(flat_h1, ident, mu=1.0, n1=1, n2=1)
+        comp = compose_barrier(flat_h1, ident, 1.0, 1, 1)
         assert comp.h(np.array([0.0, 1.0])) == pytest.approx(0.5)
 
     def test_rejects_nonpositive_mu(self):
         scn = build_pendulum()
         with pytest.raises(ParameterError):
-            compose_barrier(scn.h1, scn.k1, mu=0.0, n1=1, n2=1)
+            compose_barrier(scn.h1, scn.k1, 0.0, 1, 1)
 
     def test_gradient_matches_finite_differences(self):
         scn = build_pendulum()
@@ -76,6 +77,26 @@ class TestComposeBarrier:
             analytic = scn.composite.grad_h(x)
             fd = ad.fd_gradient(scn.composite.h, x)
             assert np.allclose(analytic, fd, rtol=1e-6, atol=1e-8)
+
+    def test_explicit_identity_reference_is_the_strict_feedback_barrier(self):
+        # both branches of the one value_and_grad: ref_map=None and a reference map
+        scn = build_pendulum()
+        ident = compose_barrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=lambda v: ad.stack([v[0]]))
+        assert ident.ref_map is not None and scn.composite.ref_map is None
+        rng = np.random.default_rng(37)
+        for x in rng.uniform([-1.5, -3.0], [1.5, 3.0], size=(50, 2)):
+            plain, mapped = scn.composite.value_and_grad(x), ident.value_and_grad(x)
+            assert abs(ident.h(x) - scn.composite.h(x)) <= 1e-15
+            assert abs(mapped.h - plain.h) <= 1e-15
+            assert np.max(np.abs(mapped.grad - plain.grad)) <= 1e-15
+            assert np.max(np.abs(mapped.ref_jac - plain.ref_jac)) <= 1e-15
+            assert np.max(np.abs(ident.reference(x) - scn.composite.reference(x))) <= 1e-15
+
+    def test_layer_count_nests(self):
+        scn = build_pendulum()
+        assert scn.h1.layers == 1 and scn.bar.layers == 2
+        rec = recursive_compose(triple_integrator(), h1_for(), mus=[0.5, 0.5], sigmas=[1.0, 1.0])
+        assert rec.to_spec().layers == 3 and rec.to_spec().n == 3
 
 
 class TestAssembledSystem:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,17 +73,25 @@ def _verify_report(tmp_path, scenario):
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_verify_reports_what_each_check_checked(tmp_path, scenario):
+    layers = {"pendulum": 2, "quadrotor": 2, "quadrotor-full": 3}[scenario]
     cls, _, builder = SCENARIOS[scenario]
-    x0 = getattr(scenarios, builder)(cls()).x0
+    scn = getattr(scenarios, builder)(cls())
+    x0 = scn.x0
+    # the layer count comes from the barrier's own construction
+    assert scn.bar.n == x0.size and scn.bar.layers == layers
     report = _verify_report(tmp_path, scenario)
     zero_set = [check for key, check in report["checks"].items() if key.endswith("od_issf")]
     assert len(zero_set) == 1 and zero_set[0]["checked"]["n"] == x0.size
+    assert zero_set[0]["checked"]["barrier"] == {"n": x0.size, "layers": layers}
     for check in report["checks"].values():
         checked = check["checked"]
         assert checked["scenario"] == scenario
         assert checked["n"] <= x0.size and checked["m"] >= 1 and checked["p"] >= 1
         if checked["box"] is not None:
             assert len(checked["box"]["lo"]) == len(checked["box"]["hi"]) == checked["n"]
+        if checked["barrier"] is not None:
+            # a check samples its barrier on its own system's states
+            assert checked["barrier"]["n"] == checked["n"] and 1 <= checked["barrier"]["layers"] <= layers
 
 
 def test_quadrotor_full_verify_samples_its_own_composite(tmp_path):
@@ -184,7 +193,11 @@ def test_runtime_abort_has_its_own_exit_code(tmp_path, capsys, config, flags):
     cfg.write_text(config)
     code = main(["run", "--scenario", "pendulum", "--config", str(cfg), *flags, "--out", str(tmp_path)])
     assert code == RUNTIME_FAILURE != BUILD_FAILURE
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "--dt" in flags:
+        # the NonFiniteError abort names the step and the stage time where the run stopped
+        assert re.search(r"rollout aborted at step \d+ \(t=[0-9.e+-]+\): NonFiniteError", err), err
 
 
 def test_stretch_scenario_behind_flag(tmp_path):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
+from odcbf.backstepping import CompositeBarrier, compose_barrier
 from odcbf.barrier import eval_lie
 from odcbf.drd import (
+    DrdBarrier,
     alignment_residual,
     check_attitude_alignment,
-    drd_barrier,
     partial_closed_loop,
     pinv_apply,
     quadrotor_attitude_map,
@@ -90,7 +91,7 @@ class TestDrdBarrier:
     def test_eta_gradient_is_scaled_error(self):
         scn = build_quadrotor()
         x = np.array([0.5, 0.2, 0.4, -0.1, 0.3])
-        e = scn.dbar.attitude_error(x)
+        e = x[4:] - scn.dbar.reference(x)
         grad = scn.dbar.grad_h(x)
         assert np.allclose(grad[4:], -e / scn.cfg.mu, atol=1e-14)
 
@@ -108,7 +109,19 @@ class TestDrdBarrier:
     def test_rejects_nonpositive_mu(self):
         scn = build_quadrotor()
         with pytest.raises(ParameterError):
-            drd_barrier(scn.h_z, scn.k_v, scn.attitude, mu=-1.0, n_top=4, n_bot=1)
+            compose_barrier(scn.h_z, scn.k_v, -1.0, 4, 1, ref_map=scn.attitude)
+
+    def test_one_implementation_under_two_names(self):
+        for name in ("value_and_grad", "h"):
+            assert DrdBarrier.__dict__[name] is CompositeBarrier.__dict__[name]
+        scn = build_quadrotor()
+        plain = compose_barrier(scn.h_z, scn.k_v, scn.cfg.mu, 4, 1, ref_map=scn.attitude)
+        assert type(plain) is CompositeBarrier and plain.to_spec().layers == scn.bar.layers == 2
+        rng = np.random.default_rng(23)
+        for x in rng.uniform([-0.5, -0.5, -1.0, -1.0, -0.8], [2.5, 0.5, 2.0, 1.0, 0.8], size=(20, 5)):
+            a, b = plain.value_and_grad(x), scn.dbar.value_and_grad(x)
+            assert a.h == b.h and np.array_equal(a.grad, b.grad) and np.array_equal(a.ref_jac, b.ref_jac)
+            assert plain.h(x) == scn.dbar.h(x)
 
 
 class TestPartialClosedLoop:
@@ -127,7 +140,7 @@ class TestPartialClosedLoop:
         for _ in range(50):
             x = rng.uniform([-0.5, -0.5, -1.0, -1.0, -0.8], [2.5, 0.5, 2.0, 1.0, 0.8])
             lie = eval_lie(scn.sys, scn.bar, x)
-            e = scn.dbar.attitude_error(x)
+            e = x[4:] - scn.dbar.reference(x)
             hand = -(e / scn.cfg.mu) @ np.eye(1)  # g_eta = 1
             assert np.allclose(lie.lg_h, hand, atol=1e-12)
             # AD cross-check of the same directional derivative

@@ -3,7 +3,7 @@ import pytest
 
 from odcbf.barrier import SafeSetGeometry
 from odcbf.dynamics import FeedbackLaw
-from odcbf.errors import DomainError, InfeasiblePointError
+from odcbf.errors import DomainError, InfeasiblePointError, NonFiniteError
 from odcbf.odfilter import OdIssfController, solve_decay_filter
 from odcbf.scenarios import build_pendulum
 from odcbf.verify import qp_oracle
@@ -180,3 +180,132 @@ class TestFilterOnSystems:
 
             coarse, fine = max_jump(16), max_jump(128)
             assert fine <= 0.6 * coarse + 1e-9
+
+
+# -- the filter's contract as properties ------------------------------------
+#
+# Raw terms come from a grid of step 1e-4, so that exact zeros (L_g h = 0,
+# alpha(h) = 0) are drawn while no magnitude lies between 0 and 1e-4: the
+# oracle's absolute KKT tolerances hold there, and the degenerate branch is
+# reached only through exact zeros and the explicit scans below.
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+FILTER_PROPS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def grid(lo, hi):
+    return st.integers(int(lo * 1e4), int(hi * 1e4)).map(lambda k: k / 1e4)
+
+
+@st.composite
+def raw_terms(draw):
+    m, p_dist = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vec = lambda size: np.array(draw(st.lists(grid(-5.0, 5.0), min_size=size, max_size=size)))
+    return dict(
+        lf_h=draw(grid(-20.0, 20.0)), lg_h=vec(m), lw_h=vec(p_dist), alpha_h=draw(grid(-5.0, 5.0)),
+        epsilon=draw(grid(0.1, 5.0)), theta_d=draw(grid(0.1, 3.0)), p=draw(grid(0.1, 5.0)), k_d=vec(m),
+    )
+
+
+def problem_scale(terms, u, omega):
+    """Sum of the magnitudes of the terms of upsilon and of the constraint at (u, omega): the size of their rounding."""
+    lg, alpha = np.abs(terms["lg_h"]), abs(terms["alpha_h"])
+    lw_sq = float(terms["lw_h"] @ terms["lw_h"])
+    return abs(terms["lf_h"]) + float(lg @ (np.abs(terms["k_d"]) + np.abs(u))) + (terms["theta_d"] + omega) * alpha + lw_sq / terms["epsilon"]
+
+
+def scaled(terms, c):
+    """The same QP with every constraint term times c: (u, omega) must not move."""
+    return dict(
+        terms, lf_h=c * terms["lf_h"], lg_h=c * terms["lg_h"], lw_h=c * terms["lw_h"],
+        alpha_h=c * terms["alpha_h"], epsilon=c * terms["epsilon"],
+    )
+
+
+@FILTER_PROPS
+@given(raw_terms())
+def test_property_agrees_with_oracle(terms):
+    sol = oracle(terms)
+    if not sol.feasible:
+        with pytest.raises(InfeasiblePointError):
+            closed_form(terms)
+        return
+    res = closed_form(terms)
+    scale = 1.0 + float(np.max(np.abs(sol.u)))
+    assert np.max(np.abs(res.u - sol.u)) <= 1e-8 * scale
+    assert abs(res.theta_x - sol.omega) <= 1e-8 * (1.0 + abs(sol.omega))
+
+
+@FILTER_PROPS
+@given(raw_terms())
+def test_property_stays_feasible(terms):
+    try:
+        res = closed_form(terms)
+    except InfeasiblePointError:
+        return
+    assert np.all(np.isfinite(res.u)) and res.theta_x >= terms["theta_d"]
+    residual = constraint_residual(terms, res.u, res.theta_x)
+    assert residual >= -1e-12 * problem_scale(terms, res.u, res.theta_x)
+
+
+@FILTER_PROPS
+@given(raw_terms(), st.integers(-6, 6), st.floats(1.0, 10.0))
+def test_property_scale_invariant(terms, exponent, mantissa):
+    c = mantissa * 10.0**exponent
+    try:
+        res = closed_form(terms)
+    except InfeasiblePointError:
+        with pytest.raises(InfeasiblePointError):
+            closed_form(scaled(terms, c))
+        return
+    big = closed_form(scaled(terms, c))
+    assert np.max(np.abs(big.u - res.u)) <= 1e-12 * (1.0 + float(np.max(np.abs(res.u))))
+    assert abs(big.theta_x - res.theta_x) <= 1e-12 * res.theta_x
+
+
+# L_g h shrunk through the degenerate branch: its square crosses the smallest
+# normal float (~2.2e-308) at |L_g h| ~ 1.5e-154
+SHRINK = [10.0**-k for k in range(0, 320, 8)] + [0.0]
+
+
+def upsilon(terms):
+    lw_sq = float(terms["lw_h"] @ terms["lw_h"])
+    return terms["lf_h"] + float(terms["lg_h"] @ terms["k_d"]) + terms["theta_d"] * terms["alpha_h"] - lw_sq / terms["epsilon"]
+
+
+@FILTER_PROPS
+@given(raw_terms(), st.booleans())
+def test_property_continuous_across_degenerate_branch(terms, zeta_at_zero):
+    """With alpha(h) <= 0 and k_d = 0, upsilon does not depend on L_g h. As
+    L_g h shrinks to 0, the filter stays idle where upsilon >= 0. Where
+    upsilon < 0, the input grows like |upsilon| / |L_g h| with the constraint
+    active while |L_g h|^2 is a normal float, and the filter says infeasible
+    below that, in the degenerate branch. An input too large for a float
+    raises NonFiniteError; a non-finite input is never returned."""
+    alpha = 0.0 if zeta_at_zero else -abs(terms["alpha_h"]) - 0.5
+    terms = dict(terms, alpha_h=alpha, k_d=np.zeros_like(terms["k_d"]))
+    if not np.any(terms["lg_h"]):
+        terms["lg_h"] = np.ones_like(terms["k_d"])
+    unsafe = upsilon(terms) < 0.0
+    for t in SHRINK:
+        shrunk = dict(terms, lg_h=t * terms["lg_h"])
+        xi = float(np.linalg.norm(shrunk["lg_h"]))
+        degenerate = xi**2 < np.finfo(float).tiny
+        try:
+            res = closed_form(shrunk)
+        except InfeasiblePointError:
+            assert degenerate and unsafe
+            continue
+        except NonFiniteError:
+            # |upsilon| / |L_g h| overflows just above the branch: an ill-scaled input, refused
+            assert not degenerate and unsafe and xi < 1e-150
+            continue
+        assert not (unsafe and degenerate)
+        assert np.all(np.isfinite(res.u)) and res.theta_x == terms["theta_d"]
+        if not unsafe:
+            assert np.array_equal(res.u, terms["k_d"])
+        else:
+            residual = constraint_residual(shrunk, res.u, res.theta_x)
+            assert abs(residual) <= 1e-9 * problem_scale(shrunk, res.u, res.theta_x)

@@ -8,7 +8,7 @@ import pytest
 
 from odcbf.barrier import BarrierSpec, SafeSetGeometry, linear_class_k
 from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, FeedbackLaw
-from odcbf.errors import IntegrationError, ParameterError, SimulationAbort
+from odcbf.errors import IntegrationError, NonFiniteError, ParameterError, SimulationAbort
 from odcbf.scenarios import PendulumConfig, build_pendulum, zero_disturbance
 from odcbf.sim import (
     RolloutConfig,
@@ -127,6 +127,21 @@ class TestRollout:
             rollout(sys, law, zero_disturbance(1), np.zeros(1), RolloutConfig(dt=0.1, t_final=1.0), bad_bar)
         assert exc.value.step == 0
         assert "infeasible" in str(exc.value)
+
+    def test_stage_error_aborts_with_step_and_time_chained_to_its_cause(self):
+        # the nominal input turns NaN after t = 0.25; the filter raises NonFiniteError on it
+        from odcbf.odfilter import OdIssfController
+
+        sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
+        bar = tiny_barrier()
+        nominal = FeedbackLaw(control=lambda x, t: np.array([math.nan if t > 0.25 else 0.0]), time_varying=True)
+        law = OdIssfController(sys, bar, nominal)
+        with pytest.raises(SimulationAbort) as exc:
+            rollout(sys, law, zero_disturbance(1), np.zeros(1), RolloutConfig(dt=0.1, t_final=1.0), bar)
+        # step 2 spans [0.2, 0.3]; its last stage, at t = 0.3, is the first past 0.25
+        assert exc.value.step == 2 and exc.value.t == pytest.approx(0.3)
+        assert isinstance(exc.value.__cause__, NonFiniteError)
+        assert "NonFiniteError" in str(exc.value)
 
     def test_exit_from_domain_truncates_with_flag(self):
         sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
