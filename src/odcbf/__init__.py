@@ -19,13 +19,7 @@ from .barrier import (
     linear_class_k,
 )
 from .drd import DrdSystem, partial_closed_loop, quadrotor_eta_d
-from .dynamics import (
-    DisturbanceSignal,
-    DisturbedSystem,
-    FeedbackLaw,
-    close_loop,
-    eval_dynamics,
-)
+from .dynamics import DisturbanceSignal, DisturbedSystem, close_loop, eval_dynamics
 from .odfilter import FilterResult, OdIssfController, StateEval
 from .scenarios import (
     Check,

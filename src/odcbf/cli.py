@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification fail verdict, 2 usage error (argparse),
 3 scenario build failure, 4 runtime abort (a rollout or check stopped on a
-state it could not handle, or a sweep cell did; the sweep still writes its
-table). All stochastic sampling is controlled by --seed; output files are
-written atomically (temp + rename).
+state it could not handle, or a sweep cell did; run still writes the
+trajectory up to the abort, and sweep its table). All stochastic sampling
+is controlled by --seed; output files are written atomically (temp + rename).
 
 Config files are INI-style key=value with one section per scenario, e.g.
 
@@ -102,23 +102,26 @@ def _rollout_config(args):
     return RolloutConfig(**kw)
 
 
-def _rollout(scn, cfg):
-    return rollout(
-        scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar,
-        layer_h=scn.layer_h, geometry=scn.geometry,
-    )
-
-
 def _out_path(args, name):
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return os.path.join(out, name)
 
 
-def cmd_run(args):
-    traj, metrics = _rollout(_build(args), _rollout_config(args))
+def _write_trajectory(args, traj):
     traj.to_csv(_out_path(args, f"{args.scenario}_trajectory.csv"))
     traj.to_json(_out_path(args, f"{args.scenario}_trajectory.json"))
+
+
+def cmd_run(args):
+    """One rollout; an aborted one still writes the rows before the abort, but no metrics."""
+    scn, cfg = _build(args), _rollout_config(args)
+    try:
+        traj, metrics = rollout(scn, cfg)
+    except (SimulationAbort, IntegrationError) as exc:
+        _write_trajectory(args, exc.trajectory)
+        raise
+    _write_trajectory(args, traj)
     write_json_atomic(_out_path(args, f"{args.scenario}_metrics.json"), metrics.to_dict())
     print(f"scenario={args.scenario} steps={len(traj.times)} min_h={metrics.min_h:.6g} "
           f"min_layer_h={metrics.min_layer_h:.6g} max_violation={metrics.max_violation:.6g} "
@@ -206,7 +209,7 @@ def cmd_plotdata(args):
     cfg = _rollout_config(args)
 
     def rollout_of(**changes):
-        return _rollout(_build(args, **changes) if changes else scn, cfg)[0]
+        return rollout(_build(args, **changes) if changes else scn, cfg)[0]
 
     options = {name: _floats(getattr(args, name)) for name in ("epsilons", "deltas", "directions")}
     payload = {"scenario": args.scenario, **scn.plot_series(rollout_of, options)}

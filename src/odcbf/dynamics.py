@@ -1,8 +1,10 @@
-"""Disturbed control-affine systems, disturbance signals, and feedback laws.
+"""Disturbed control-affine systems, disturbance signals, and nominal laws.
 
 Systems are triples of closures (f, g, w) over a configuration record:
 xdot = f(x) + g(x) u + w(x) d with declared dimensions (n, m, p). No symbolic
-layer; gradients of anything built on top come from ``autodiff``.
+layer; gradients of anything built on top come from ``autodiff``. A nominal
+law is a plain function u = law(x, t, be), where ``be`` is the barrier pass
+at x (``BarrierEval``) or None; the safety filter hands it the pass it has.
 """
 
 from __future__ import annotations
@@ -49,26 +51,9 @@ class DisturbanceSignal:
         return np.asarray(self.value(t), dtype=float)
 
 
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """State feedback u = control(x).
-
-    ``time_varying`` laws take (x, t); the closed-loop field supplies t.
-    ``control_with`` takes the barrier pass at x as a last argument and
-    reads the virtual input from it (see ``DisturbedSystem.f_with``).
-    """
-
-    control: Callable
-    time_varying: bool = False
-    control_with: Optional[Callable] = None
-
-
 def call_law(law, x, t=0.0, bar_eval=None):
-    """Evaluate a feedback law, passing t (and a barrier pass to ``control_with``) only where wanted."""
-    tv = getattr(law, "time_varying", False)
-    if bar_eval is not None and bar_eval.k is not None and getattr(law, "control_with", None) is not None:
-        return np.asarray(law.control_with(x, t, bar_eval) if tv else law.control_with(x, bar_eval), dtype=float)
-    return np.asarray(law.control(x, t) if tv else law.control(x), dtype=float)
+    """The nominal input law(x, t, bar_eval) as a float array."""
+    return np.asarray(law(x, t, bar_eval), dtype=float)
 
 
 def _check_vec(name, v, dim):
@@ -96,11 +81,11 @@ def eval_dynamics(sys: DisturbedSystem, x, u, d) -> np.ndarray:
     return f + g @ u + w @ d
 
 
-def close_loop(sys: DisturbedSystem, law, dist: DisturbanceSignal):
-    """Time-varying closed-loop field (t, x) -> eval_dynamics(x, law(x), d(t))."""
+def close_loop(sys: DisturbedSystem, control: Callable, dist: DisturbanceSignal):
+    """Time-varying closed-loop field (t, x) -> eval_dynamics(x, control(x, t), d(t))."""
 
     def field(t, x):
         x = np.asarray(x, dtype=float)
-        return eval_dynamics(sys, x, call_law(law, x, t), dist.at(t))
+        return eval_dynamics(sys, x, control(x, t), dist.at(t))
 
     return field

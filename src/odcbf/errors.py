@@ -84,6 +84,8 @@ class SamplerError(OdcbfError, RuntimeError):
 class IntegrationError(OdcbfError, RuntimeError):
     """Non-finite derivative during integration; carries a state snapshot."""
 
+    trajectory = None  # raised in a rollout: the rows recorded before it
+
     def __init__(self, t, x):
         self.t = t
         self.x = x
@@ -92,6 +94,8 @@ class IntegrationError(OdcbfError, RuntimeError):
 
 class SimulationAbort(OdcbfError, RuntimeError):
     """Rollout aborted (controller infeasibility, disturbance over its bound); carries the step index."""
+
+    trajectory = None  # raised in a rollout: the rows recorded before it
 
     def __init__(self, step, t, reason):
         self.step = step

@@ -113,15 +113,14 @@ class StateEval:
 
 
 class OdIssfController:
-    """A feedback law that filters a nominal through the QP.
+    """The QP filter on a nominal law u_nom = nominal(x, t, be) (see ``dynamics``).
 
     ``evaluate(x, t)`` is the one per-state evaluation that integration and
-    recording read; ``result`` and ``control`` are its filter result and input.
+    recording read, and ``control`` its input. A state outside ``geometry``,
+    the barrier's domain, raises DomainError.
     """
 
-    time_varying = True
-
-    def __init__(self, sys, bar, nominal, geometry=None):
+    def __init__(self, sys, bar, nominal, geometry):
         self.sys = sys
         self.bar = bar
         self.nominal = nominal
@@ -129,7 +128,7 @@ class OdIssfController:
 
     def evaluate(self, x, t=0.0) -> StateEval:
         x = np.asarray(x, dtype=float)
-        if self.geometry is not None and not self.geometry.in_domain(x):
+        if not self.geometry.in_domain(x):
             raise DomainError(x)
         bar = self.bar
         lie = eval_lie(self.sys, bar, x)
@@ -139,9 +138,6 @@ class OdIssfController:
             bar.epsilon, bar.theta_d, bar.p_weight, x=x,
         )
         return StateEval(lie, u_nom, res)
-
-    def result(self, x, t=0.0) -> FilterResult:
-        return self.evaluate(x, t).result
 
     def control(self, x, t=0.0) -> np.ndarray:
         return self.evaluate(x, t).result.u

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank, compose_barrier
 from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin, linear_class_k
 from .drd import DrdBarrier, DrdSystem, check_attitude_alignment, partial_closed_loop, quadrotor_attitude_map
-from .dynamics import DisturbanceSignal, DisturbedSystem, FeedbackLaw
+from .dynamics import DisturbanceSignal, DisturbedSystem
 from .errors import ParameterError
 from .odfilter import OdIssfController
 from .synthesis import SmoothVirtualController, synth_virtual
@@ -117,9 +117,11 @@ class Check:
 class Scenario:
     """A built experiment: everything that run, sweep, verify and plotdata read.
 
-    ``layer_h(x)`` is the top layer's barrier at x, ``box`` the (lo, hi)
-    corners of the state box that samplers draw from, and ``checks`` the
-    verify checks of this construction. Subclasses add its pieces.
+    ``sys``, ``bar`` and ``geometry`` are ``filter_law``'s own, so a rollout
+    runs what verify samples. ``layer_h(x)`` is the top layer's barrier at
+    x, ``box`` the (lo, hi) corners of the state box that samplers draw
+    from, and ``checks`` the verify checks of this construction. Subclasses
+    add its pieces.
     """
 
     name: str
@@ -257,7 +259,7 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
 
     amp, om = cfg.ref_amplitude, cfg.ref_freq
 
-    def nominal_torque(x, t):
+    def nominal_torque(x, t, be):
         q_ref = amp * math.sin(om * t)
         qd_ref = amp * om * math.cos(om * t)
         qdd_ref = -amp * om * om * math.sin(om * t)
@@ -265,7 +267,6 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         # feedback linearization of ml^2 qddot = ml^2 ((g/l) sin q - beta qdot) + u
         return np.array([ml2 * (qdd_des - (grav / l) * math.sin(x[0]) + beta * x[1])])
 
-    nominal = FeedbackLaw(control=nominal_torque, time_varying=True)
     geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
     layer_geometry = SafeSetGeometry(h=lambda x1: float(h1.h(np.atleast_1d(x1))), b=math.inf)
     box = (cfg.box_lo, cfg.box_hi)
@@ -282,7 +283,7 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         name="pendulum",
         cfg=cfg,
         sys=sys,
-        filter_law=OdIssfController(sys, bar, nominal, geometry=geometry),
+        filter_law=OdIssfController(sys, bar, nominal_torque, geometry),
         bar=bar,
         x0=np.asarray(cfg.x0, dtype=float),
         disturbance=make_disturbance(cfg.disturbance, p=1, delta=cfg.delta),
@@ -418,11 +419,10 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
 
     k_att = cfg.k_att
 
-    # track the barrier's reference eta_d(k_v(z)); a barrier pass carries it already
-    nominal = FeedbackLaw(
-        control=lambda x: -k_att * (x[4:] - dbar.reference(x)),
-        control_with=lambda x, be: -k_att * (x[4:] - be.ref),
-    )
+    def nominal(x, t, be):
+        # track the barrier's reference eta_d(k_v(z)); a barrier pass carries it already
+        return -k_att * (x[4:] - (dbar.reference(x) if be is None else be.ref))
+
     geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
     x0 = np.concatenate([np.asarray(cfg.z0, dtype=float), np.asarray(cfg.eta0, dtype=float)])
     box = (cfg.box_lo, cfg.box_hi)
@@ -449,7 +449,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         name="quadrotor",
         cfg=cfg,
         sys=sys,
-        filter_law=OdIssfController(sys, bar, nominal, geometry=geometry),
+        filter_law=OdIssfController(sys, bar, nominal, geometry),
         bar=bar,
         x0=x0,
         disturbance=make_disturbance(cfg.disturbance, p=2, delta=cfg.delta),
@@ -513,7 +513,6 @@ def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorF
         return np.vstack([base.sys.w(x[:5]), np.zeros((1, 2))])
 
     full_sys = DisturbedSystem(n=6, m=1, p=2, f=f, g=g, w=w)
-    nominal = FeedbackLaw(control=lambda x: np.zeros(1))
     geometry = SafeSetGeometry(h=full_bar.h, b=cfg.domain_b)
     box = (cfg.box_lo + (-2.0,), cfg.box_hi + (2.0,))
     checks = (Check("full_od_issf", "od_issf", full_sys, box, full_bar, geometry, options={"n_seeds": 40}),)
@@ -521,7 +520,7 @@ def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorF
         name="quadrotor-full",
         cfg=cfg,
         sys=full_sys,
-        filter_law=OdIssfController(full_sys, full_bar, nominal, geometry=geometry),
+        filter_law=OdIssfController(full_sys, full_bar, lambda x, t, be: np.zeros(1), geometry),
         bar=full_bar,
         x0=np.concatenate([base.x0, np.zeros(1)]),
         disturbance=base.disturbance,

@@ -1,25 +1,28 @@
 """Fixed-step closed-loop integration, trajectory recording, safety metrics.
 
+``rollout(scn, cfg)`` runs one closed loop: a built ``Scenario`` through its
+own filter, xdot = f + g u + w d with u from ``scn.filter_law.evaluate``.
 Fixed-step RK4 (default dt = 1e-3 s over a 10 s horizon) rather than an
 adaptive scheme: reproducibility beats adaptivity for acceptance runs. The
 disturbance is sampled (and its bound checked) at stage times inside the RK4
-stages, so time-varying signals like sin(t) integrate at full order. Discrete-time safety checks
-carry a small slack (default 1e-6) because the continuous-time guarantees
-degrade under sampling; the step-halving test guards against that slack
-hiding real violations.
+stages, so time-varying signals like sin(t) integrate at full order. Every
+step is recorded. The discrete-time ISSf check carries a small slack
+(``SAFETY_SLACK``) because the continuous-time guarantees degrade under
+sampling; the dt-halving checks guard against that slack hiding real
+violations.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin
-from .dynamics import DisturbanceSignal, DisturbedSystem, _check_vec, call_law, eval_dynamics
+from .barrier import BarrierSpec, gamma_margin
+from .dynamics import _check_vec
 from .errors import (
     STAGE_ERRORS,
     DomainError,
@@ -32,21 +35,19 @@ from .errors import (
 )
 from .io import write_atomic, write_json_atomic
 
+SAFETY_SLACK = 1e-6  # allowance of the sampled ISSf bound check min h >= -gamma(delta)
+
 
 @dataclass(frozen=True)
 class RolloutConfig:
     dt: float = 1e-3
     t_final: float = 10.0
-    record_every: int = 1
-    safety_slack: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ParameterError("dt must be positive")
         if self.t_final < self.dt:
             raise ParameterError("t_final must be at least dt")
-        if self.record_every < 1:
-            raise ParameterError("record_every must be >= 1")
 
 
 def rk4_step(field, t, x, dt, k1=None):
@@ -78,14 +79,14 @@ class Row(NamedTuple):
     x: np.ndarray
     u: np.ndarray
     d: np.ndarray
-    xdot: np.ndarray
-    h: Optional[float]  # the filter's barrier pass, if it filters with the recorded barrier
+    xdot: Optional[np.ndarray]  # None on the row that left the barrier domain
+    h: float
     theta: float
 
 
 @dataclass
 class Trajectory:
-    """Recorded rollout: one row per recorded step, columns share length."""
+    """Recorded rollout: one row per step, columns share length; ``truncated`` if it stopped early."""
 
     times: np.ndarray
     states: np.ndarray
@@ -151,43 +152,31 @@ class SafetyMetrics:
     gamma_delta: Optional[float] = None
 
     def to_dict(self):
-        return {
-            "min_h": self.min_h,
-            "min_layer_h": self.min_layer_h,
-            "max_violation": self.max_violation,
-            "issf_bound_satisfied": self.issf_bound_satisfied,
-            "theta_floor_ok": self.theta_floor_ok,
-            "gamma_delta": self.gamma_delta,
-        }
+        return asdict(self)
 
 
-def rollout(
-    sys: DisturbedSystem,
-    law,
-    disturbance: DisturbanceSignal,
-    x0,
-    cfg: RolloutConfig,
-    bar: BarrierSpec,
-    layer_h: Optional[Callable] = None,
-    geometry: Optional[SafeSetGeometry] = None,
-):
-    """Integrate the closed loop, recording h, the decay scale, and inputs.
+def rollout(scn, cfg: RolloutConfig):
+    """Integrate the closed loop of ``scn.filter_law`` (its system, barrier and
+    domain) from ``scn.x0`` under ``scn.disturbance``, recording h,
+    ``scn.layer_h``, the decay scale, and inputs.
 
     Each RK stage is evaluated once, and the row recorded at (t_k, x_k) is
     the first stage of step k, so only the final row is evaluated by itself.
-    With ``geometry``, a state outside the barrier domain ends the rollout:
-    a step's end (checked here) or an RK stage's state that the law rejects
-    with DomainError. The trajectory is flagged truncated and its last row
-    holds that state at its time, with its h and with NaN input and decay
-    scale, as the law is not evaluated there. Aborts with the step index and
-    the stage time, chained to the cause, on controller infeasibility and on
-    the other errors of a stage evaluation (``STAGE_ERRORS``).
-    The declared disturbance bound is enforced on the sample taken at every
-    stage time.
+    A state outside the barrier domain ends the rollout: a step's end
+    (checked here) or an RK stage's state that the filter rejects with
+    DomainError. The trajectory is flagged truncated and its last row holds
+    that state at its time, with its h and with NaN input and decay scale,
+    as the filter is not evaluated there. Aborts with the step index and the
+    stage time, chained to the cause, on controller infeasibility and on the
+    other errors of a stage evaluation (``STAGE_ERRORS``). The declared
+    disturbance bound is enforced on the sample taken at every stage time.
+    A ``SimulationAbort`` or ``IntegrationError`` carries the rows recorded
+    before it as its truncated ``trajectory``.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    law, disturbance, layer_h = scn.filter_law, scn.disturbance, scn.layer_h
+    sys, bar, geometry, evaluate_law = law.sys, law.bar, law.geometry, law.evaluate
+    x = np.asarray(scn.x0, dtype=float).copy()
     n_steps = int(round(cfg.t_final / cfg.dt))
-    evaluate_law = getattr(law, "evaluate", None)  # the QP filter's one evaluation per state
     step = 0
 
     def evaluate(t, x):
@@ -198,79 +187,77 @@ def rollout(
                 step, t, f"disturbance exceeds declared bound ||d||={norm:.6g} > {disturbance.sup_norm:.6g}"
             )
         try:
-            if evaluate_law is None:
-                u = call_law(law, x, t)
-                return Row(t, x, u, d, eval_dynamics(sys, x, u, d), None, math.nan)
             ev = evaluate_law(x, t)
-            u, lie = ev.result.u, ev.lie
-            if law.sys is sys:
-                xdot = lie.f + lie.g @ u + lie.w @ _check_vec("d", d, sys.p)
-            else:
-                xdot = eval_dynamics(sys, x, u, d)
-            return Row(t, x, u, d, xdot, lie.h_val if law.bar is bar else None, ev.result.theta_x)
         except InfeasiblePointError as exc:
             raise SimulationAbort(step, t, f"controller infeasible: {exc}") from exc
         except STAGE_ERRORS as exc:
             raise SimulationAbort(step, t, f"{type(exc).__name__}: {exc}") from exc
         except DomainError as exc:
-            if geometry is None:
-                raise
             raise _LeftDomain(t, x) from exc
+        u, lie = ev.result.u, ev.lie
+        return Row(t, x, u, d, lie.f + lie.g @ u + lie.w @ _check_vec("d", d, sys.p), lie.h_val, ev.result.theta_x)
 
     def field(t, x):
         return evaluate(t, x).xdot
 
     times, states, inputs, omegas, dists, hs, layer_hs = [], [], [], [], [], [], []
-    truncated = False
-    exit_reason = None
 
     def record(row):
         times.append(row.t)
         states.append(row.x.copy())
-        inputs.append(np.asarray(row.u, dtype=float))
+        inputs.append(row.u)
         omegas.append(row.theta)
         dists.append(row.d)
-        hs.append(float(bar.h(row.x)) if row.h is None else row.h)
-        layer_hs.append(float(layer_h(row.x)) if layer_h is not None else math.nan)
+        hs.append(row.h)
+        layer_hs.append(float(layer_h(row.x)))
 
-    row = evaluate(0.0, x)
-    record(row)
-    for k in range(n_steps):
-        step = k
-        try:
-            x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
-            step, t_next = k + 1, (k + 1) * cfg.dt
-            if geometry is not None and not geometry.in_domain(x):
-                raise _LeftDomain(t_next, x)
-            row = evaluate(t_next, x)
-        except _LeftDomain as left:
-            # the law is not evaluated there: record the state with its h, no input and no decay scale
-            truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"
-            record(Row(left.t, left.x, np.full(sys.m, math.nan), disturbance.at(left.t), None, None, math.nan))
-            break
-        if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
+    def trajectory(truncated, exit_reason):
+        rows = len(times)
+        return Trajectory(
+            times=np.asarray(times, dtype=float),
+            states=np.asarray(states, dtype=float).reshape(rows, sys.n),
+            inputs=np.asarray(inputs, dtype=float).reshape(rows, sys.m),
+            omegas=np.asarray(omegas, dtype=float),
+            disturbances=np.asarray(dists, dtype=float).reshape(rows, sys.p),
+            h_values=np.asarray(hs, dtype=float),
+            layer_h_values=np.asarray(layer_hs, dtype=float),
+            truncated=truncated,
+            exit_reason=exit_reason,
+        )
+
+    truncated, exit_reason = False, None
+    try:
+        row = evaluate(0.0, x)
+        record(row)
+        for k in range(n_steps):
+            step = k
+            try:
+                x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
+                step, t_next = k + 1, (k + 1) * cfg.dt
+                if not geometry.in_domain(x):
+                    raise _LeftDomain(t_next, x)
+                row = evaluate(t_next, x)
+            except _LeftDomain as left:
+                # the filter is not evaluated there: record the state with its h, no input and no decay scale
+                truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"
+                nan_u = np.full(sys.m, math.nan)
+                record(Row(left.t, left.x, nan_u, disturbance.at(left.t), None, float(bar.h(left.x)), math.nan))
+                break
             record(row)
+    except (SimulationAbort, IntegrationError) as exc:
+        exc.trajectory = trajectory(True, str(exc))
+        raise
 
-    traj = Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=np.asarray(states, dtype=float),
-        inputs=np.asarray(inputs, dtype=float),
-        omegas=np.asarray(omegas, dtype=float),
-        disturbances=np.asarray(dists, dtype=float),
-        h_values=np.asarray(hs, dtype=float),
-        layer_h_values=np.asarray(layer_hs, dtype=float),
-        truncated=truncated,
-        exit_reason=exit_reason,
-    )
-    return traj, compute_metrics(traj, bar, disturbance.sup_norm, cfg.safety_slack)
+    traj = trajectory(truncated, exit_reason)
+    return traj, compute_metrics(traj, bar, disturbance.sup_norm)
 
 
-def compute_metrics(traj: Trajectory, bar: BarrierSpec, delta: float, slack=1e-6) -> SafetyMetrics:
+def compute_metrics(traj: Trajectory, bar: BarrierSpec, delta: float) -> SafetyMetrics:
     min_h = float(np.min(traj.h_values))
-    min_layer = float(np.nanmin(traj.layer_h_values)) if np.any(np.isfinite(traj.layer_h_values)) else math.nan
+    min_layer = float(np.min(traj.layer_h_values))
     try:
         gamma = gamma_margin(bar, delta)
-        issf_ok = min_h >= -gamma - slack
+        issf_ok = min_h >= -gamma - SAFETY_SLACK
     except MarginUndefinedError:
         gamma = None
         issf_ok = False
@@ -296,11 +283,7 @@ def sweep(cells: dict, cfg: RolloutConfig) -> dict:
     table = {}
     for label, cell in cells.items():
         try:
-            _, metrics = rollout(
-                cell.sys, cell.filter_law, cell.disturbance, cell.x0, cfg, cell.bar,
-                layer_h=cell.layer_h, geometry=cell.geometry,
-            )
-            table[label] = metrics
+            table[label] = rollout(cell, cfg)[1]
         except OdcbfError as exc:
             table[label] = {"error": f"{type(exc).__name__}: {exc}"}
     return table

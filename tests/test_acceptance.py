@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Tolerances are pinned here, not configurable.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -139,8 +140,7 @@ def test_criterion_5_pendulum_epsilon_study():
     for eps in (0.1, 1.0, 10.0):
         scn = build_pendulum(PendulumConfig(epsilon=eps))
         t0 = time.time()
-        _, metrics = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar,
-                             layer_h=scn.layer_h, geometry=scn.geometry)
+        _, metrics = rollout(scn, cfg)
         per_rollout_ok &= (time.time() - t0) < 60.0
         results[eps] = metrics
     gamma_1 = 10.0 * 1.0 / (2.0 * 1.0)  # eps=10, linear alpha, theta_d=1
@@ -149,8 +149,7 @@ def test_criterion_5_pendulum_epsilon_study():
 
     scn10 = build_pendulum(PendulumConfig(epsilon=10.0))
     cfg_half = RolloutConfig(dt=5e-4, t_final=10.0)
-    _, metrics_half = rollout(scn10.sys, scn10.filter_law, scn10.disturbance, scn10.x0, cfg_half,
-                              scn10.bar, layer_h=scn10.layer_h, geometry=scn10.geometry)
+    _, metrics_half = rollout(scn10, cfg_half)
     halving_change = abs(metrics_half.min_h - results[10.0].min_h)
     ok = cond_a and cond_b and halving_change < 1e-4 and per_rollout_ok
     report(5, ok, f"eps=0.1 min h1={results[0.1].min_layer_h:.4f} (>=0); "
@@ -185,16 +184,14 @@ def test_criterion_7_quadrotor_wall_study():
     cfg = RolloutConfig(dt=1e-3, t_final=10.0)
     # (a) eps = 1 keeps the wall constraint satisfied throughout
     scn1 = build_quadrotor(QuadrotorConfig(epsilon=1.0))
-    traj1, _ = rollout(scn1.sys, scn1.filter_law, scn1.disturbance, scn1.x0, cfg, scn1.bar,
-                       layer_h=scn1.layer_h, geometry=scn1.geometry)
+    traj1, _ = rollout(scn1, cfg)
     x_max = scn1.cfg.x_max
     overshoot_1 = float(np.max(traj1.states[:, 0]) - x_max)
     cond_a = overshoot_1 <= 1e-9
 
     # (b) a large-eps cell exhibits a wall violation
     scn50 = build_quadrotor(QuadrotorConfig(epsilon=50.0))
-    traj50, _ = rollout(scn50.sys, scn50.filter_law, scn50.disturbance, scn50.x0, cfg, scn50.bar,
-                        layer_h=scn50.layer_h, geometry=scn50.geometry)
+    traj50, _ = rollout(scn50, cfg)
     cond_b = float(np.max(traj50.states[:, 0])) > x_max
 
     # (c) eight gust directions at eps = 1: no violations (wall and barrier)
@@ -203,8 +200,7 @@ def test_criterion_7_quadrotor_wall_study():
     worst_dir_min_h = np.inf
     for k in range(8):
         scn_k = build_quadrotor(QuadrotorConfig(epsilon=1.0, disturbance=f"dir:{k * np.pi / 4}"))
-        traj_k, m_k = rollout(scn_k.sys, scn_k.filter_law, scn_k.disturbance, scn_k.x0, cfg_sweep,
-                              scn_k.bar, layer_h=scn_k.layer_h, geometry=scn_k.geometry)
+        traj_k, m_k = rollout(scn_k, cfg_sweep)
         worst_dir_overshoot = max(worst_dir_overshoot, float(np.max(traj_k.states[:, 0]) - x_max))
         worst_dir_min_h = min(worst_dir_min_h, m_k.min_h)
     cond_c = worst_dir_overshoot <= 1e-9 and worst_dir_min_h >= 0.0
@@ -253,10 +249,8 @@ def test_criterion_8_matched_classification():
 def test_criterion_9_zero_disturbance_invariance():
     cfg = RolloutConfig(dt=2e-3, t_final=10.0)
     pend = build_pendulum(PendulumConfig(disturbance="zero", delta=0.0))
-    _, m_p = rollout(pend.sys, pend.filter_law, zero_disturbance(1), pend.x0, cfg, pend.bar,
-                     layer_h=pend.layer_h, geometry=pend.geometry)
+    _, m_p = rollout(dataclasses.replace(pend, disturbance=zero_disturbance(1)), cfg)
     quad = build_quadrotor(QuadrotorConfig(disturbance="zero", delta=0.0))
-    _, m_q = rollout(quad.sys, quad.filter_law, zero_disturbance(2), quad.x0, cfg, quad.bar,
-                     layer_h=quad.layer_h, geometry=quad.geometry)
+    _, m_q = rollout(dataclasses.replace(quad, disturbance=zero_disturbance(2)), cfg)
     ok = m_p.min_h >= -1e-6 and m_q.min_h >= -1e-6
     report(9, ok, f"pendulum min h={m_p.min_h:.3e}, quadrotor min h={m_q.min_h:.3e} (both >= -1e-6, x0 in Int(S))")

@@ -200,6 +200,23 @@ def test_runtime_abort_has_its_own_exit_code(tmp_path, capsys, config, flags):
         assert re.search(r"rollout aborted at step \d+ \(t=[0-9.e+-]+\): NonFiniteError", err), err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aborted_run_writes_its_trajectory_up_to_the_abort(tmp_path, capsys):
+    code = main([
+        "run", "--scenario", "pendulum", "--epsilon", "1e-3", "--dt", "0.3", "--t-final", "3", "--out", str(tmp_path),
+    ])
+    assert code == RUNTIME_FAILURE
+    reason = "rollout aborted at step 3 (t=1.05): NonFiniteError"
+    assert reason in capsys.readouterr().err
+    traj = json.loads((tmp_path / "pendulum_trajectory.json").read_text())
+    assert traj["truncated"] is True and traj["exit_reason"].startswith(reason)
+    # the rows up to the last completed step, t = 0.9
+    assert traj["times"] == pytest.approx([0.0, 0.3, 0.6, 0.9])
+    rows = (tmp_path / "pendulum_trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 and rows[0].startswith("t,x_1,x_2")
+    assert not (tmp_path / "pendulum_metrics.json").exists()
+
+
 def test_stretch_scenario_behind_flag(tmp_path):
     code = main([
         "run", "--scenario", "quadrotor-full", "--dt", "0.005", "--t-final", "0.2",

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from odcbf.dynamics import (
-    DisturbanceSignal,
-    DisturbedSystem,
-    FeedbackLaw,
-    close_loop,
-    eval_dynamics,
-)
+from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, close_loop, eval_dynamics
 from odcbf.errors import ShapeError
 
 
@@ -78,24 +72,21 @@ def test_linearity_in_input_random_instances():
 
 def test_close_loop_zero_law_reduces_to_drift():
     sys = pendulum_system()
-    law = FeedbackLaw(control=lambda x: np.zeros(1))
-    field = close_loop(sys, law, DisturbanceSignal(value=lambda t: np.zeros(1), sup_norm=0.0))
+    field = close_loop(sys, lambda x, t: np.zeros(1), DisturbanceSignal(value=lambda t: np.zeros(1), sup_norm=0.0))
     x = np.array([0.4, -0.2])
     assert np.allclose(field(1.23, x), sys.f(x))
 
 
 def test_close_loop_scalar_integrator():
     sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
-    law = FeedbackLaw(control=lambda x: -x)
-    field = close_loop(sys, law, DisturbanceSignal(value=lambda t: np.zeros(1), sup_norm=0.0))
+    field = close_loop(sys, lambda x, t: -x, DisturbanceSignal(value=lambda t: np.zeros(1), sup_norm=0.0))
     assert np.allclose(field(0.0, np.array([2.0])), [-2.0])
 
 
 def test_close_loop_sinusoidal_disturbance_spot_check():
     sys = pendulum_system()
-    law = FeedbackLaw(control=lambda x: np.zeros(1))
     dist = DisturbanceSignal(value=lambda t: np.array([np.sin(t)]), sup_norm=1.0)
-    field = close_loop(sys, law, dist)
+    field = close_loop(sys, lambda x, t: np.zeros(1), dist)
     x = np.array([0.1, 0.0])
     # at t = pi/2 the disturbance is exactly 1
     expected = eval_dynamics(sys, x, np.zeros(1), np.ones(1))
@@ -106,7 +97,7 @@ def test_close_loop_with_safety_filter_spot_check():
     from odcbf.scenarios import build_pendulum
 
     scn = build_pendulum()
-    field = close_loop(scn.sys, scn.filter_law, scn.disturbance)
+    field = close_loop(scn.sys, scn.filter_law.control, scn.disturbance)
     x = np.array([0.3, 0.5])
     u = scn.filter_law.control(x, np.pi / 2)
     expected = eval_dynamics(scn.sys, x, u, np.ones(1))  # sin(pi/2) = 1

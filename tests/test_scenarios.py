@@ -133,8 +133,7 @@ class TestPendulumClosedLoop:
         mins = []
         for eps in (0.1, 1.0, 10.0):
             scn = build_pendulum(PendulumConfig(epsilon=eps))
-            _, m = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar,
-                           layer_h=scn.layer_h, geometry=scn.geometry)
+            _, m = rollout(scn, cfg)
             mins.append(m.min_h)
         assert mins[0] >= mins[1] >= mins[2]
 
@@ -143,13 +142,13 @@ class TestQuadrotorClosedLoop:
     def test_unit_eps_keeps_wall_satisfied(self):
         scn = build_quadrotor(QuadrotorConfig(epsilon=1.0))
         cfg = RolloutConfig(dt=2e-3, t_final=6.0)
-        traj, m = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
+        traj, m = rollout(scn, cfg)
         assert traj.states[:, 0].max() <= scn.cfg.x_max + 1e-9
 
     def test_attitude_points_away_from_wall_near_boundary(self):
         scn = build_quadrotor()
         cfg = RolloutConfig(dt=2e-3, t_final=8.0)
-        traj, _ = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h, geometry=scn.geometry)
+        traj, _ = rollout(scn, cfg)
         near = traj.states[:, 0] > scn.cfg.x_max - 0.3
         assert near.any()
         # wind pushes +x; with psi = (-sin, cos) the horizontal thrust is
@@ -191,10 +190,7 @@ class TestFullQuadrotorStretch:
     def test_builds_and_runs_briefly(self):
         scn = build_quadrotor_full(QuadrotorConfig())
         cfg = RolloutConfig(dt=2e-3, t_final=0.5)
-        traj, m = rollout(
-            scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg,
-            scn.bar, layer_h=scn.layer_h, geometry=scn.geometry,
-        )
+        traj, m = rollout(scn, cfg)
         assert len(traj.times) > 1
         assert np.all(np.isfinite(traj.states))
         assert m.theta_floor_ok
@@ -209,6 +205,16 @@ class TestFullQuadrotorStretch:
             fd = ad.fd_gradient(bar.h, x)
             rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
             assert rel <= 2e-6
+
+
+@pytest.mark.parametrize("build", [build_pendulum, build_quadrotor, build_quadrotor_full])
+def test_rollout_runs_what_verify_samples(build):
+    # rollout reads the system, barrier and domain from the filter law; verify's zero-set check from the scenario
+    scn = build()
+    law = scn.filter_law
+    assert scn.sys is law.sys and scn.bar is law.bar and scn.geometry is law.geometry
+    (zero_set,) = [check for check in scn.checks if check.kind == "od_issf"]
+    assert zero_set.sys is law.sys and zero_set.bar is law.bar and zero_set.geometry is law.geometry
 
 
 def test_closure_constants_are_built_once_and_read_only():

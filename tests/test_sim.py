@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 
 from odcbf.barrier import BarrierSpec, SafeSetGeometry, linear_class_k
-from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, FeedbackLaw
+from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, call_law, close_loop
 from odcbf.errors import IntegrationError, NonFiniteError, ParameterError, SimulationAbort
-from odcbf.scenarios import PendulumConfig, build_pendulum, zero_disturbance
-from odcbf.sim import (
-    RolloutConfig,
-    SafetyMetrics,
-    compute_metrics,
-    rk4_step,
-    rollout,
-    sweep,
-)
+from odcbf.odfilter import OdIssfController
+from odcbf.scenarios import PendulumConfig, Scenario, build_pendulum, make_disturbance, zero_disturbance
+from odcbf.sim import RolloutConfig, SafetyMetrics, rk4_step, rollout, sweep
 
 
 class TestRk4Step:
@@ -61,14 +55,20 @@ def tiny_barrier(n=1):
     )
 
 
+def small_scenario(bar, disturbance, nominal=lambda x, t, be: np.zeros(1), lw=0.0):
+    """xdot = u + lw d on the line, from x = 0, filtered on ``bar``."""
+    lw_mat = np.array([[lw]])
+    sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: lw_mat)
+    geometry = SafeSetGeometry(h=bar.h)
+    law = OdIssfController(sys, bar, nominal, geometry)
+    return Scenario("line", None, sys, law, bar, np.zeros(1), disturbance, bar.h, geometry, ((-1.0,), (1.0,)), ())
+
+
 class TestRollout:
     def test_zero_disturbance_filtered_pendulum_stays_safe(self):
         scn = build_pendulum()
         cfg = RolloutConfig(dt=2e-3, t_final=4.0)
-        traj, metrics = rollout(
-            scn.sys, scn.filter_law, zero_disturbance(1), scn.x0, cfg, scn.bar,
-            layer_h=scn.layer_h, geometry=scn.geometry,
-        )
+        traj, metrics = rollout(dataclasses.replace(scn, disturbance=zero_disturbance(1)), cfg)
         assert metrics.min_h >= -1e-6
         assert metrics.max_violation <= 1e-6
         assert metrics.theta_floor_ok
@@ -76,90 +76,65 @@ class TestRollout:
     def test_theta_recorded_and_floored(self):
         scn = build_pendulum()
         cfg = RolloutConfig(dt=5e-3, t_final=1.0)
-        traj, _ = rollout(
-            scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar,
-            layer_h=scn.layer_h, geometry=scn.geometry,
-        )
+        traj, _ = rollout(scn, cfg)
         assert np.all(traj.omegas >= scn.bar.theta_d - 1e-12)
 
     def test_times_strictly_increasing_with_stride(self):
         scn = build_pendulum()
-        cfg = RolloutConfig(dt=1e-3, t_final=0.5, record_every=10)
-        traj, _ = rollout(
-            scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar,
-            layer_h=scn.layer_h,
-        )
+        # every step is recorded: the stride is dt
+        cfg = RolloutConfig(dt=1e-3, t_final=0.5)
+        traj, _ = rollout(scn, cfg)
         diffs = np.diff(traj.times)
-        assert np.all(diffs > 0)
-        assert np.allclose(diffs, 0.01)
+        assert len(traj.times) == 501 and np.all(diffs > 0)
+        assert np.allclose(diffs, 1e-3)
         cols = (traj.states, traj.inputs, traj.omegas, traj.disturbances, traj.h_values, traj.layer_h_values)
         assert all(len(c) == len(traj.times) for c in cols)
 
     def test_disturbance_bound_enforced(self):
-        sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.eye(1))
         lying = DisturbanceSignal(value=lambda t: np.array([2.0]), sup_norm=1.0)
-        law = FeedbackLaw(control=lambda x: np.zeros(1))
         with pytest.raises(SimulationAbort):
-            rollout(sys, law, lying, np.zeros(1), RolloutConfig(dt=0.1, t_final=1.0), tiny_barrier())
+            rollout(small_scenario(tiny_barrier(), lying, lw=1.0), RolloutConfig(dt=0.1, t_final=1.0))
 
     def test_bound_checked_every_step_not_just_recorded(self):
-        # signal legal until t = 0.25, violating after; stride skips most records
-        sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.eye(1))
+        # signal legal until t = 0.25, violating after: the first stage past it aborts
         spiky = DisturbanceSignal(value=lambda t: np.array([0.0 if t < 0.25 else 2.0]), sup_norm=1.0)
-        law = FeedbackLaw(control=lambda x: np.zeros(1))
         with pytest.raises(SimulationAbort) as exc:
-            rollout(sys, law, spiky, np.zeros(1), RolloutConfig(dt=0.1, t_final=10.0, record_every=1000), tiny_barrier())
+            rollout(small_scenario(tiny_barrier(), spiky, lw=1.0), RolloutConfig(dt=0.1, t_final=10.0))
         assert exc.value.t < 0.5
+        # the rows recorded before the abort come with it, truncated
+        traj = exc.value.trajectory
+        assert traj.truncated and traj.exit_reason == str(exc.value)
+        assert np.allclose(traj.times, [0.0, 0.1, 0.2]) and traj.states.shape == (3, 1)
 
     def test_controller_infeasibility_aborts_with_step_index(self):
         # h = -x^2 - 1: at x = 0 the gradient vanishes, alpha(h) < 0, and the
         # barrier condition has no feasible (u, omega); the filter must abort
-        from odcbf.odfilter import OdIssfController
-
-        sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
         bad_bar = BarrierSpec(
             h=lambda x: -float(x[0] ** 2) - 1.0,
             grad_h=lambda x: np.array([-2.0 * x[0]]),
             alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1,
         )
-        law = OdIssfController(sys, bad_bar, FeedbackLaw(control=lambda x: np.zeros(1)))
         with pytest.raises(SimulationAbort) as exc:
-            rollout(sys, law, zero_disturbance(1), np.zeros(1), RolloutConfig(dt=0.1, t_final=1.0), bad_bar)
+            rollout(small_scenario(bad_bar, zero_disturbance(1)), RolloutConfig(dt=0.1, t_final=1.0))
         assert exc.value.step == 0
         assert "infeasible" in str(exc.value)
+        # aborted at the first state: no row was recorded
+        assert exc.value.trajectory.times.size == 0 and exc.value.trajectory.states.shape == (0, 1)
 
     def test_stage_error_aborts_with_step_and_time_chained_to_its_cause(self):
         # the nominal input turns NaN after t = 0.25; the filter raises NonFiniteError on it
-        from odcbf.odfilter import OdIssfController
-
-        sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
-        bar = tiny_barrier()
-        nominal = FeedbackLaw(control=lambda x, t: np.array([math.nan if t > 0.25 else 0.0]), time_varying=True)
-        law = OdIssfController(sys, bar, nominal)
+        nominal = lambda x, t, be: np.array([math.nan if t > 0.25 else 0.0])
         with pytest.raises(SimulationAbort) as exc:
-            rollout(sys, law, zero_disturbance(1), np.zeros(1), RolloutConfig(dt=0.1, t_final=1.0), bar)
+            rollout(small_scenario(tiny_barrier(), zero_disturbance(1), nominal), RolloutConfig(dt=0.1, t_final=1.0))
         # step 2 spans [0.2, 0.3]; its last stage, at t = 0.3, is the first past 0.25
         assert exc.value.step == 2 and exc.value.t == pytest.approx(0.3)
         assert isinstance(exc.value.__cause__, NonFiniteError)
         assert "NonFiniteError" in str(exc.value)
 
-    def test_exit_from_domain_truncates_with_flag(self):
-        sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
-        law = FeedbackLaw(control=lambda x: np.ones(1))  # drives x upward
-        bar = BarrierSpec(h=lambda x: -float(x[0]), grad_h=lambda x: np.array([-1.0]), alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1)
-        geom = SafeSetGeometry(h=bar.h, b=1.0)  # domain is x < 1
-        traj, _ = rollout(sys, law, zero_disturbance(1), np.array([0.5]), RolloutConfig(dt=0.01, t_final=2.0), bar, geometry=geom)
-        assert traj.truncated
-        assert "left barrier domain" in traj.exit_reason
-        assert traj.times[-1] < 2.0
-
     def test_filter_law_leaving_domain_truncates(self):
         # the filter rejects states outside its domain; the rollout must stop there, not raise
         scn = build_pendulum(PendulumConfig(epsilon=10.0, domain_b=0.5))
-        traj, metrics = rollout(
-            scn.sys, scn.filter_law, scn.disturbance, scn.x0, RolloutConfig(dt=1e-2, t_final=10.0), scn.bar,
-            layer_h=scn.layer_h, geometry=scn.geometry,
-        )
+        traj, metrics = rollout(scn, RolloutConfig(dt=1e-2, t_final=10.0))
         assert traj.truncated
         assert "left barrier domain" in traj.exit_reason
         assert traj.times[-1] < 10.0 and np.all(np.diff(traj.times) > 0)
@@ -172,11 +147,13 @@ class TestRollout:
     def test_step_halving_convergence_order(self):
         # smooth closed loop (nominal tracking law, no filter): RK4 order 4
         scn = build_pendulum()
+        field = close_loop(scn.sys, lambda x, t: call_law(scn.filter_law.nominal, x, t), scn.disturbance)
         finals = {}
         for dt in (0.02, 0.01, 0.005):
-            cfg = RolloutConfig(dt=dt, t_final=2.0)
-            traj, _ = rollout(scn.sys, scn.filter_law.nominal, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
-            finals[dt] = traj.states[-1]
+            x = scn.x0
+            for k in range(int(round(2.0 / dt))):
+                x = rk4_step(field, k * dt, x, dt)
+            finals[dt] = x
         e_coarse = np.linalg.norm(finals[0.02] - finals[0.01])
         e_fine = np.linalg.norm(finals[0.01] - finals[0.005])
         assert 8.0 <= e_coarse / e_fine <= 32.0
@@ -186,7 +163,7 @@ class TestExports:
     def test_csv_schema_and_roundtrip(self, tmp_path):
         scn = build_pendulum()
         cfg = RolloutConfig(dt=5e-3, t_final=0.2)
-        traj, _ = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+        traj, _ = rollout(scn, cfg)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         with open(path) as fh:
@@ -199,7 +176,7 @@ class TestExports:
     def test_json_export(self, tmp_path):
         scn = build_pendulum()
         cfg = RolloutConfig(dt=5e-3, t_final=0.1)
-        traj, _ = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+        traj, _ = rollout(scn, cfg)
         path = tmp_path / "traj.json"
         traj.to_json(path)
         payload = json.loads(path.read_text())
@@ -210,7 +187,7 @@ class TestExports:
         cfg = RolloutConfig(dt=5e-3, t_final=0.2)
         out = []
         for name in ("a.csv", "b.csv"):
-            traj, _ = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+            traj, _ = rollout(scn, cfg)
             p = tmp_path / name
             traj.to_csv(p)
             out.append(p.read_bytes())
@@ -221,13 +198,13 @@ class TestMetrics:
     def test_violation_consistency(self):
         scn = build_pendulum()
         cfg = RolloutConfig(dt=5e-3, t_final=0.5)
-        traj, metrics = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+        traj, metrics = rollout(scn, cfg)
         assert (metrics.max_violation == 0.0) == (metrics.min_h >= 0.0)
 
     def test_issf_bound_uses_gamma(self):
         scn = build_pendulum()
         cfg = RolloutConfig(dt=5e-3, t_final=0.5)
-        traj, metrics = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+        traj, metrics = rollout(scn, cfg)
         assert metrics.gamma_delta == pytest.approx(scn.cfg.epsilon * 1.0 / (2 * scn.cfg.theta_d))
         assert metrics.issf_bound_satisfied
 
@@ -235,7 +212,7 @@ class TestMetrics:
         scn = build_pendulum()
         for dt in (4e-3, 2e-3):
             cfg = RolloutConfig(dt=dt, t_final=3.0)
-            _, metrics = rollout(scn.sys, scn.filter_law, scn.disturbance, scn.x0, cfg, scn.bar, layer_h=scn.layer_h)
+            _, metrics = rollout(scn, cfg)
             assert metrics.min_h + metrics.gamma_delta >= -1e-6
 
     def test_admissible_delta_gates_certification(self):
@@ -244,7 +221,6 @@ class TestMetrics:
         # margin-undefined (certification unavailable)
         from odcbf.barrier import admissible_delta, gamma_margin
         from odcbf.errors import MarginUndefinedError
-        from odcbf.scenarios import make_disturbance
 
         scn = build_pendulum()
         geom = SafeSetGeometry(h=scn.bar.h, b=1.0)
@@ -254,8 +230,8 @@ class TestMetrics:
         below = 1.3
         gamma = gamma_margin(scn.bar, below)
         assert gamma < geom.b
-        dist = make_disturbance("sin", p=1, delta=below)
-        _, metrics = rollout(scn.sys, scn.filter_law, dist, scn.x0, RolloutConfig(dt=2e-3, t_final=3.0), scn.bar, layer_h=scn.layer_h)
+        cell = dataclasses.replace(scn, disturbance=make_disturbance("sin", p=1, delta=below))
+        _, metrics = rollout(cell, RolloutConfig(dt=2e-3, t_final=3.0))
         assert metrics.min_h + gamma >= -1e-6
 
         above = 1.5
@@ -281,15 +257,14 @@ class TestSweep:
         cell = dataclasses.replace(scn, disturbance=zero_disturbance(1))
         cfg = RolloutConfig(dt=5e-3, t_final=0.3)
         t1 = sweep({"a": cell, "b": cell}, cfg)
-        _, direct = rollout(scn.sys, scn.filter_law, zero_disturbance(1), scn.x0, cfg, scn.bar,
-                            layer_h=scn.layer_h, geometry=scn.geometry)
+        _, direct = rollout(cell, cfg)
         assert t1["a"].min_h == t1["b"].min_h == direct.min_h
 
     def test_programming_error_in_a_cell_propagates(self):
         scn = build_pendulum()
 
         class BrokenLaw:
-            sys, bar = scn.filter_law.sys, scn.filter_law.bar
+            sys, bar, geometry = scn.filter_law.sys, scn.filter_law.bar, scn.filter_law.geometry
 
             def evaluate(self, x, t):
                 raise TypeError("planted")
