@@ -5,7 +5,6 @@ from .backstepping import (
     Layer,
     StrictFeedbackSystem,
     compose_barrier,
-    recursive_compose,
 )
 from .barrier import (
     BarrierEval,
@@ -19,7 +18,7 @@ from .barrier import (
     linear_class_k,
 )
 from .drd import DrdSystem, partial_closed_loop, quadrotor_eta_d
-from .dynamics import DisturbanceSignal, DisturbedSystem, close_loop, eval_dynamics
+from .dynamics import DisturbanceSignal, DisturbedSystem, eval_dynamics
 from .odfilter import FilterResult, OdIssfController, StateEval
 from .scenarios import (
     Check,
@@ -28,7 +27,6 @@ from .scenarios import (
     Scenario,
     build_pendulum,
     build_quadrotor,
-    build_quadrotor_full,
 )
 from .sim import RolloutConfig, SafetyMetrics, Trajectory, rk4_step, rollout, sweep
 from .synthesis import SmoothVirtualController, half_sontag, synth_virtual

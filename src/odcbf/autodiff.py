@@ -16,8 +16,9 @@ Dual; :func:`dot`, :func:`matvec` and :func:`vecmat` form their value and
 derivative parts as whole-array products reduced over one axis, summed in
 the same order as the elementwise definitions, so they round identically.
 
-Central finite differences (:func:`fd_gradient`, :func:`fd_jacobian`) are the
-always-available fallback and the checker used throughout the test suite.
+Forward AD is the program's one derivative path. Central finite differences
+(:func:`fd_gradient`, :func:`fd_jacobian`) are kept as an independent
+checker for the test suite; no program path takes them.
 """
 
 from __future__ import annotations
@@ -213,27 +214,17 @@ def vecmat(v, mat):
     return _contract(v, mat, 0, a_index=(slice(None), None))
 
 
-def _join(blocks, promote):
-    """Concatenate blocks along axis 0 after ``promote``; plain blocks get zero seeds."""
+def vstack(blocks):
+    """Stack 2-D blocks row-wise, Dual-aware. Plain blocks are promoted; they get zero seeds."""
     if not any(isinstance(b, Dual) for b in blocks):
-        return np.concatenate([promote(np.asarray(b, dtype=float)) for b in blocks])
+        return np.concatenate([np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks])
     k = next(b.dot.shape[-1] for b in blocks if isinstance(b, Dual))
-    vals = [promote(_value(b)) for b in blocks]
+    vals = [np.atleast_2d(_value(b)) for b in blocks]
     dots = [
         b.dot.reshape(v.shape + (k,)) if isinstance(b, Dual) else np.zeros(v.shape + (k,))
         for b, v in zip(blocks, vals)
     ]
     return Dual(np.concatenate(vals), np.concatenate(dots))
-
-
-def concatenate(blocks):
-    """Concatenate 1-D blocks (scalars count as length 1), Dual-aware."""
-    return _join(blocks, np.atleast_1d)
-
-
-def vstack(blocks):
-    """Stack 2-D blocks row-wise, Dual-aware. Plain blocks are promoted."""
-    return _join(blocks, np.atleast_2d)
 
 
 # -- derivative drivers --------------------------------------------------
@@ -272,7 +263,7 @@ def jacobian(f, x):
     return val, dot.reshape(val.size, n)
 
 
-# -- central finite differences (fallback + checker) ---------------------
+# -- central finite differences (the tests' checker) ----------------------
 
 
 def fd_gradient(f, x, step=1e-6):

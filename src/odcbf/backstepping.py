@@ -15,15 +15,18 @@ the gradient follows the chain rule:
     dh/dx_top = dh_top/dx_top + (1/mu) (x_bot - r)^T J
     dh/dx_bot = -(1/mu) (x_bot - r)^T
 
-The construction nests: recursing over layers penalizes each block's
-deviation from the safeguarding controller synthesized for the composite
-one level up.
+The toolkit builds the paper's two-layer constructions. Nesting them over
+more layers is future work: each level differentiates the controller of the
+level above, so the terms grow quickly with depth (Swaroop et al., IEEE TAC
+2000), and the jacobian of a deeper controller needs second derivatives of
+the first, which forward AD carries with second-order jets such as
+hyper-dual numbers (Fike & Alonso, AIAA 2011).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from . import autodiff as ad
 from .barrier import BarrierEval, BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
-from .synthesis import SmoothVirtualController, synth_virtual
+from .synthesis import SmoothVirtualController
 
 
 @dataclass(frozen=True)
@@ -98,35 +101,10 @@ class StrictFeedbackSystem:
 
         return DisturbedSystem(n=n, m=m, p=p, f=f, g=g, w=w)
 
-    def virtual_top(self, i) -> DisturbedSystem:
-        """Layers 0..i as a system whose input is block i+1 (the virtual channel).
-
-        Drift stacks the already-closed chain terms; only the last block's g
-        feeds the virtual input.
-        """
-        n_top = self.ends[i]
-        m_virt = self.layers[i + 1].dim if i + 1 < len(self.layers) else self.m
-        zero = np.zeros((n_top - self.layers[i].dim, m_virt))
-
-        def f(x):
-            parts = []
-            for j in range(i + 1):
-                fj = self.layers[j].f(self.prefix(x, j))
-                if j < i:
-                    gj = self.layers[j].g(self.prefix(x, j))
-                    fj = fj + ad.matvec(gj, self.block(x, j + 1))
-                parts.append(fj)
-            return parts[0] if i == 0 else ad.concatenate(parts)
-
-        def g(x):
-            gi = self.layers[i].g(self.prefix(x, i))
-            return gi if i == 0 else ad.vstack([zero, gi])
-
-        def w(x):
-            blocks = [self.layers[j].w(self.prefix(x, j)) for j in range(i + 1)]
-            return blocks[0] if i == 0 else ad.vstack(blocks)
-
-        return DisturbedSystem(n=n_top, m=m_virt, p=self.p, f=f, g=g, w=w)
+    def virtual_top(self) -> DisturbedSystem:
+        """Layer 0 as a system whose input is block 1 (the virtual channel)."""
+        top = self.layers[0]
+        return DisturbedSystem(n=top.dim, m=self.layers[1].dim, p=self.p, f=top.f, g=top.g, w=top.w)
 
 
 @dataclass(frozen=True)
@@ -219,31 +197,3 @@ def check_full_row_rank(matfn, samples, tol=1e-8) -> RankReport:
         if smin < tol:
             flagged.append((np.asarray(x, dtype=float), smin))
     return RankReport(samples_checked=len(samples), min_singular_value=min_sv, flagged=flagged, tol=tol)
-
-
-def recursive_compose(
-    sfs: StrictFeedbackSystem,
-    h1: BarrierSpec,
-    mus: Sequence[float],
-    sigmas: Sequence[float],
-) -> CompositeBarrier:
-    """Peel layers one at a time: synthesize, penalize deviation, repeat.
-
-    Layer 1 controllers are differentiated by forward AD; deeper layers fall
-    back to central differences for their jacobians (composite gradients are
-    not dual-evaluable). Synthesis failure propagates with the layer index.
-    """
-    n_layers = len(sfs.layers)
-    if n_layers < 2:
-        raise ParameterError("recursive composition needs at least two layers")
-    if len(mus) != n_layers - 1 or len(sigmas) != n_layers - 1:
-        raise ParameterError(f"need {n_layers - 1} mus/sigmas for {n_layers} layers")
-    bar = h1
-    composite = None
-    for i in range(n_layers - 1):
-        top = sfs.virtual_top(i)
-        k_i = synth_virtual(top, bar, sigmas[i], jac_mode="ad" if i == 0 else "fd", layer=i + 1)
-        composite = compose_barrier(bar, k_i, mus[i], top.n, top.m)
-        bar = composite.to_spec()
-    return composite
-

@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .dynamics import DisturbedSystem
 from .errors import MarginUndefinedError, ParameterError, ShapeError
 
@@ -83,7 +82,8 @@ class BarrierEval(NamedTuple):
 class BarrierSpec:
     """A barrier h with gradient access and its robustness parameters.
 
-    grad_h defaults to central finite differences of h when not supplied;
+    grad_h is required (there is no finite-difference default); write it
+    with autodiff ops where a virtual controller is differentiated through it.
     ``value_and_grad`` (x -> BarrierEval) defaults to pairing h with grad_h.
     eps > 0 trades robustness against conservatism, theta_d > 0 is the
     minimum decay scale, p_weight > 0 weighs decay deviation in the filter.
@@ -92,11 +92,11 @@ class BarrierSpec:
     """
 
     h: Callable
+    grad_h: Callable
     alpha: ExtendedClassK
     epsilon: float
     theta_d: float
     p_weight: float
-    grad_h: Optional[Callable] = None
     n: Optional[int] = None
     value_and_grad: Optional[Callable] = None
     layers: int = 1
@@ -104,11 +104,8 @@ class BarrierSpec:
     def __post_init__(self):
         if self.epsilon <= 0 or self.theta_d <= 0 or self.p_weight <= 0:
             raise ParameterError("epsilon, theta_d, p_weight must all be strictly positive")
-        h = self.h
-        if self.grad_h is None:
-            object.__setattr__(self, "grad_h", lambda x: ad.fd_gradient(h, x))
         if self.value_and_grad is None:
-            grad_h = self.grad_h
+            h, grad_h = self.h, self.grad_h
             pair = lambda x: BarrierEval(float(h(x)), np.asarray(grad_h(x), dtype=float).reshape(-1))
             object.__setattr__(self, "value_and_grad", pair)
 

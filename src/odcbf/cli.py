@@ -57,26 +57,24 @@ def _coerce(value, target):
     return value
 
 
-# name: (config class, config-file section, builder in odcbf.scenarios). The
-# builder is looked up when a scenario is built, so a wrapper installed on
-# odcbf.scenarios sees every build.
+# name (and config-file section): (config class, builder in odcbf.scenarios).
+# The builder is looked up when a scenario is built, so a wrapper installed
+# on odcbf.scenarios sees every build.
 SCENARIOS = {
-    "pendulum": (sc.PendulumConfig, "pendulum", "build_pendulum"),
-    "quadrotor": (sc.QuadrotorConfig, "quadrotor", "build_quadrotor"),
-    "quadrotor-full": (sc.QuadrotorConfig, "quadrotor", "build_quadrotor_full"),
+    "pendulum": (sc.PendulumConfig, "build_pendulum"),
+    "quadrotor": (sc.QuadrotorConfig, "build_quadrotor"),
 }
 
 
 def _scenario_config(args):
-    cls, section, _ = SCENARIOS[args.scenario]
-    cfg = cls()
+    cfg = SCENARIOS[args.scenario][0]()
     overrides = {}
     if args.config:
-        raw = _load_config_section(args.config, section)
+        raw = _load_config_section(args.config, args.scenario)
         defaults = dataclasses.asdict(cfg)
         for key, val in raw.items():
             if key not in defaults:
-                raise OdcbfError(f"unknown config key {key!r} in section [{section}]")
+                raise OdcbfError(f"unknown config key {key!r} in section [{args.scenario}]")
             overrides[key] = _coerce(val, defaults[key])
     if getattr(args, "epsilon", None) is not None:
         overrides["epsilon"] = args.epsilon
@@ -90,7 +88,7 @@ def _scenario_config(args):
 def _build(args, **changes):
     """The scenario of ``args``, its config further changed by ``changes``."""
     cfg = dataclasses.replace(_scenario_config(args), **changes)
-    return getattr(sc, SCENARIOS[args.scenario][2])(cfg)
+    return getattr(sc, SCENARIOS[args.scenario][1])(cfg)
 
 
 def _rollout_config(args):

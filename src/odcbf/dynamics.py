@@ -79,13 +79,3 @@ def eval_dynamics(sys: DisturbedSystem, x, u, d) -> np.ndarray:
     g = _check_mat("g(x)", sys.g(x), (sys.n, sys.m))
     w = _check_mat("w(x)", sys.w(x), (sys.n, sys.p))
     return f + g @ u + w @ d
-
-
-def close_loop(sys: DisturbedSystem, control: Callable, dist: DisturbanceSignal):
-    """Time-varying closed-loop field (t, x) -> eval_dynamics(x, control(x, t), d(t))."""
-
-    def field(t, x):
-        x = np.asarray(x, dtype=float)
-        return eval_dynamics(sys, x, control(x, t), dist.at(t))
-
-    return field

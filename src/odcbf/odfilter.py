@@ -59,11 +59,15 @@ def solve_decay_filter(
 ) -> FilterResult:
     """Closed-form filter on raw Lie-derivative terms.
 
-    Raises NonFiniteError when upsilon, xi or zeta is NaN or infinite, or
-    when the input would overflow. The degenerate branch is decided on the
-    computed denominator xi^2 + p ReLU(zeta)^2, so a denominator that
-    underflows (to zero or below the smallest normal float) counts as
-    degenerate.
+    Raises NonFiniteError when upsilon, xi or zeta is NaN or infinite, when
+    the denominator xi^2 + p ReLU(zeta)^2 overflows with upsilon < 0, or
+    when the step ||u - u_nom|| or the decay scale does. The degenerate branch is
+    decided on the computed denominator xi^2 + p ReLU(zeta)^2, so a
+    denominator that underflows (to zero or below the smallest normal
+    float) counts as degenerate. Just above it the multiplier lambda may
+    overflow while the step lambda L_g h does not; the step and psi are then
+    formed as (|upsilon| / sqrt(denom)) (L_g h / sqrt(denom)), and
+    ``lambda_val`` holds the overflowed multiplier, +inf.
     """
     lg_h = np.asarray(lg_h, dtype=float).reshape(-1)
     lw_h = np.asarray(lw_h, dtype=float).reshape(-1)
@@ -76,7 +80,12 @@ def solve_decay_filter(
         raise NonFiniteError(f"non-finite filter data at x={x}: upsilon={upsilon!r}, xi={xi!r}, zeta={zeta!r}")
 
     relu_zeta = max(0.0, zeta)
-    denom = xi**2 + p * relu_zeta**2
+    try:
+        denom = xi**2 + p * relu_zeta**2
+    except OverflowError:  # a float power raises where a product gives inf
+        denom = math.inf
+    if upsilon < 0.0 and not math.isfinite(denom):  # lambda would round to 0 and pass the nominal input through
+        raise NonFiniteError(f"filter denominator overflows at x={x}: xi={xi!r}, zeta={zeta!r}")
     if denom < _DENOM_FLOOR:
         if upsilon < 0.0:
             raise InfeasiblePointError(x, upsilon, xi, zeta)
@@ -86,13 +95,20 @@ def solve_decay_filter(
         relu_neg_ups = max(0.0, -upsilon)
         lam = relu_neg_ups / denom
         psi = relu_neg_ups * relu_zeta / denom
-        if not math.isfinite(lam * xi):  # ||u - u_nom|| = lam xi
-            raise NonFiniteError(f"filter input overflows at x={x}: upsilon={upsilon!r}, xi={xi!r}")
-
-    u = u_nom + lam * lg_h
+    step = lam * xi  # ||u - u_nom||
+    if math.isfinite(step):
+        u = u_nom + lam * lg_h
+    else:
+        # lam overflows just above the degenerate floor while the step may not
+        root = math.sqrt(denom)
+        scale = relu_neg_ups / root
+        u, psi, step = u_nom + scale * (lg_h / root), scale * (relu_zeta / root), scale * (xi / root)
+    theta_x = theta_d + psi
+    if not (math.isfinite(step) and math.isfinite(theta_x)):
+        raise NonFiniteError(f"filter input overflows at x={x}: upsilon={upsilon!r}, xi={xi!r}, zeta={zeta!r}")
     return FilterResult(
         u=u,
-        theta_x=theta_d + psi,
+        theta_x=theta_x,
         upsilon=upsilon,
         xi=xi,
         zeta=zeta,

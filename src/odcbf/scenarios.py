@@ -251,7 +251,7 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         ),
     )
     sfs = StrictFeedbackSystem(layers=layers, m=1, p=1)
-    top_sys = sfs.virtual_top(0)
+    top_sys = sfs.virtual_top()
     k1 = synth_virtual(top_sys, h1, cfg.sigma, layer=1)
     composite = compose_barrier(h1, k1, cfg.mu, 1, 1)
     bar = composite.to_spec()
@@ -463,71 +463,4 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         k_v=k_v,
         attitude=attitude,
         dbar=dbar,
-    )
-
-
-# -- stretch: fully actuated quadrotor (moment input) ------------------------
-
-
-@dataclass
-class QuadrotorFullScenario(Scenario):
-    """``base`` is the rate-input quadrotor whose closed loop is backstepped."""
-
-    base: QuadrotorScenario
-    k_omega: SmoothVirtualController
-
-    def plot_series(self, rollout_of, options):
-        # the rate-input figures, on this scenario's rollouts
-        return self.base.plot_series(rollout_of, options)
-
-
-def build_quadrotor_full(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorFullScenario:
-    """Stretch scenario: backstep the rate-input design through thetaddot = M/J.
-
-    Treats the partial closed loop (z, theta) with input omega as the top
-    layer of one more strict-feedback step and penalizes the rate deviation
-    from a safeguarding omega controller. Excluded from acceptance; shipped
-    behind the CLI flag as scenario "quadrotor-full". Its verify check
-    samples the 6-D composite on the base box with omega in [-2, 2], from
-    40 seeds: each costs ~35 ms, most of it the FD jacobian of k_omega.
-    """
-    base = build_quadrotor(cfg)
-    j_inertia = cfg.inertia
-
-    # top: (z, theta) with omega as the (virtual) input
-    k_omega = synth_virtual(base.sys, base.bar, cfg.sigma, jac_mode="fd", layer=2)
-    full_composite = compose_barrier(base.bar, k_omega, cfg.mu, 5, 1)
-    full_bar = full_composite.to_spec()
-
-    def f(x):
-        inner = base.sys.f(x[:5])
-        # thetadot = omega chains in through the drift; omegadot comes from M
-        return np.concatenate([inner[:4], x[5:6], np.zeros(1)])
-
-    def g(x):
-        mat = np.zeros((6, 1))
-        mat[5, 0] = 1.0 / j_inertia
-        return mat
-
-    def w(x):
-        return np.vstack([base.sys.w(x[:5]), np.zeros((1, 2))])
-
-    full_sys = DisturbedSystem(n=6, m=1, p=2, f=f, g=g, w=w)
-    geometry = SafeSetGeometry(h=full_bar.h, b=cfg.domain_b)
-    box = (cfg.box_lo + (-2.0,), cfg.box_hi + (2.0,))
-    checks = (Check("full_od_issf", "od_issf", full_sys, box, full_bar, geometry, options={"n_seeds": 40}),)
-    return QuadrotorFullScenario(
-        name="quadrotor-full",
-        cfg=cfg,
-        sys=full_sys,
-        filter_law=OdIssfController(full_sys, full_bar, lambda x, t, be: np.zeros(1), geometry),
-        bar=full_bar,
-        x0=np.concatenate([base.x0, np.zeros(1)]),
-        disturbance=base.disturbance,
-        layer_h=lambda x: float(base.bar.h(np.asarray(x)[:5])),
-        geometry=geometry,
-        box=box,
-        checks=checks,
-        base=base,
-        k_omega=k_omega,
     )

@@ -162,11 +162,11 @@ def rollout(scn, cfg: RolloutConfig):
 
     Each RK stage is evaluated once, and the row recorded at (t_k, x_k) is
     the first stage of step k, so only the final row is evaluated by itself.
-    A state outside the barrier domain ends the rollout: a step's end
-    (checked here) or an RK stage's state that the filter rejects with
-    DomainError. The trajectory is flagged truncated and its last row holds
-    that state at its time, with its h and with NaN input and decay scale,
-    as the filter is not evaluated there. Aborts with the step index and the
+    A state outside the barrier domain ends the rollout: a step's end or
+    an RK stage's state, which the filter rejects with DomainError. The
+    trajectory is flagged truncated and its last row holds that state at
+    its time, with its h and with NaN input and decay scale, as the filter
+    is not evaluated there. Aborts with the step index and the
     stage time, chained to the cause, on controller infeasibility and on the
     other errors of a stage evaluation (``STAGE_ERRORS``). The declared
     disturbance bound is enforced on the sample taken at every stage time.
@@ -174,7 +174,7 @@ def rollout(scn, cfg: RolloutConfig):
     before it as its truncated ``trajectory``.
     """
     law, disturbance, layer_h = scn.filter_law, scn.disturbance, scn.layer_h
-    sys, bar, geometry, evaluate_law = law.sys, law.bar, law.geometry, law.evaluate
+    sys, bar, evaluate_law = law.sys, law.bar, law.evaluate
     x = np.asarray(scn.x0, dtype=float).copy()
     n_steps = int(round(cfg.t_final / cfg.dt))
     step = 0
@@ -233,10 +233,8 @@ def rollout(scn, cfg: RolloutConfig):
             step = k
             try:
                 x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
-                step, t_next = k + 1, (k + 1) * cfg.dt
-                if not geometry.in_domain(x):
-                    raise _LeftDomain(t_next, x)
-                row = evaluate(t_next, x)
+                step = k + 1
+                row = evaluate(step * cfg.dt, x)
             except _LeftDomain as left:
                 # the filter is not evaluated there: record the state with its h, no input and no decay scale
                 truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"

@@ -78,17 +78,15 @@ def synth_virtual(
     bar: BarrierSpec,
     sigma: float = 1.0,
     nominal: Optional[Callable] = None,
-    jac_mode: str = "ad",
     layer: Optional[int] = None,
 ) -> SmoothVirtualController:
     """Safeguarding controller for the layer whose input is the next block.
 
     ``nominal`` is an optional smooth feedforward (e.g. gravity compensation)
-    added before the half-Sontag correction; it must be written with autodiff
-    ops when jac_mode="ad". ``jac_mode="fd"`` switches the jacobian to central
-    differences (used for deep recursive layers where the barrier gradient is
-    not dual-evaluable). Synthesis failures name the state and, when
-    ``layer`` is given, the layer they came from.
+    added before the half-Sontag correction; like the system and the
+    barrier's gradient it must be written with autodiff ops, since the
+    jacobian comes from forward AD. Synthesis failures name the state and,
+    when ``layer`` is given, the layer they came from.
     """
     where = f" (layer {layer})" if layer is not None else ""
     no_nominal = np.zeros(top.m)
@@ -113,16 +111,4 @@ def synth_virtual(
             raise NonFiniteError(f"{exc}{where} at x={ad.value(x1)}") from None
         return v0 + correction
 
-    if jac_mode == "ad":
-        value_and_jacobian = lambda x1: ad.jacobian(control, x1)
-    elif jac_mode == "fd":
-
-        def value_and_jacobian(x1):
-            x1 = np.asarray(x1, dtype=float)
-            val = np.asarray(ad.value(control(x1)), dtype=float).reshape(-1)
-            return val, np.atleast_2d(ad.fd_jacobian(lambda y: ad.value(control(y)), x1))
-
-    else:
-        raise ValueError(f"unknown jac_mode {jac_mode!r}")
-
-    return SmoothVirtualController(k1=control, value_and_jacobian=value_and_jacobian, sigma=sigma)
+    return SmoothVirtualController(k1=control, value_and_jacobian=lambda x1: ad.jacobian(control, x1), sigma=sigma)

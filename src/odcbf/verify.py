@@ -16,10 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import fd_jacobian
 from .barrier import BarrierSpec, LieData, SafeSetGeometry, eval_lie
 from .dynamics import DisturbedSystem
-from .errors import SamplerError
+from .errors import ParameterError, SamplerError
 from .io import write_json_atomic
 
 RANK_TOL = 1e-8
@@ -215,15 +214,14 @@ def lg_jacobian(lie: LieData) -> Optional[np.ndarray]:
     return lie.g[n_top:].T @ np.hstack([be.ref_jac, -np.eye(n_bot)]) / be.mu
 
 
-def _gauss_newton_zero(lie_at, x, lie, iters=20, step=1e-7, tol=1e-12):
+def _gauss_newton_zero(lie_at, x, lie, iters=20, tol=1e-12):
     """Drive L_g h to zero from x (with lie = lie_at(x)) by min-norm Gauss-Newton.
 
     Each iterate costs one evaluation lie_at, which gives the residual and,
-    for a backstepped barrier, its jacobian (``lg_jacobian``); a barrier
-    without a reference takes the jacobian from central differences of
-    lie_at instead. Underdetermined systems take the pseudoinverse
-    (least-norm) step, so the iterate stays near the seed. Returns the last
-    iterate and its LieData.
+    for a backstepped barrier, its jacobian (``lg_jacobian``). A barrier
+    whose pass carries no reference jacobian raises ParameterError.
+    Underdetermined systems take the pseudoinverse (least-norm) step, so the
+    iterate stays near the seed. Returns the last iterate and its LieData.
     """
     for _ in range(iters):
         r = np.atleast_1d(lie.lg_h)
@@ -231,7 +229,10 @@ def _gauss_newton_zero(lie_at, x, lie, iters=20, step=1e-7, tol=1e-12):
             break
         jac = lg_jacobian(lie)
         if jac is None:
-            jac = fd_jacobian(lambda y: lie_at(y).lg_h, x, step=step)
+            raise ParameterError(
+                "zero-set refinement needs a backstepped barrier: its pass carries no reference "
+                "jacobian (ref_jac), or the input matrix acts on the top block"
+            )
         dx, *_ = np.linalg.lstsq(np.atleast_2d(jac), -r, rcond=None)
         if not np.all(np.isfinite(dx)):
             break
@@ -261,7 +262,10 @@ def check_od_issf(
     L_f h + theta_d alpha(h) - ||L_w h||^2/eps must be strictly positive.
     Seeds from the sampler are refined onto the zero set by Gauss-Newton on
     L_g h; refined points that leave the region are discarded. A point's
-    own evaluation gives its hit test and its margin.
+    own evaluation gives its hit test and its margin. Refinement takes the
+    jacobian of L_g h in closed form from a backstepped barrier's pass
+    (``lg_jacobian``); with a barrier that has no such pass it raises
+    ParameterError.
     """
     rng = np.random.default_rng(seed)
     seeds = sampler.draw(rng, n_seeds)

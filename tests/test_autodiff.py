@@ -225,11 +225,10 @@ def test_stack_matches_fd_and_its_entries(data, count):
 
 
 @PROPS
-@given(st.data(), st.lists(dims, min_size=1, max_size=3), dims, st.booleans())
-def test_vstack_and_concatenate_match_fd_and_their_blocks(data, rows, c, matrices):
-    join, tail = (ad.vstack, (c,)) if matrices else (ad.concatenate, ())
-    blocks = [operand(data, (r,) + tail) for r in rows]
-    f = lambda x: join([make(x) for make in blocks])
+@given(st.data(), st.lists(dims, min_size=1, max_size=3), dims)
+def test_vstack_matches_fd_and_its_blocks(data, rows, c):
+    blocks = [operand(data, (r, c)) for r in rows]
+    f = lambda x: ad.vstack([make(x) for make in blocks])
     x = seed_point(data)
     assert_matches_fd(f, x)
     xs = ad.seed(x)

@@ -3,42 +3,15 @@ import pytest
 
 from odcbf import autodiff as ad
 from odcbf.backstepping import (
-    CompositeBarrier,
     Layer,
     StrictFeedbackSystem,
     check_full_row_rank,
     compose_barrier,
-    recursive_compose,
 )
 from odcbf.barrier import BarrierSpec, eval_lie, linear_class_k
 from odcbf.errors import ParameterError, SamplerError
 from odcbf.scenarios import build_pendulum
 from odcbf.synthesis import SmoothVirtualController
-
-
-def triple_integrator(nu=0.3):
-    """x1dot = x2 + nu d, x2dot = x3, x3dot = u."""
-    return StrictFeedbackSystem(
-        layers=(
-            Layer(f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.array([[nu]]), dim=1),
-            Layer(f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)), dim=1),
-            Layer(f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)), dim=1),
-        ),
-        m=1,
-        p=1,
-    )
-
-
-def h1_for(n=1):
-    return BarrierSpec(
-        h=lambda x: 1.0 - x[0] ** 2,
-        grad_h=lambda x: ad.stack([-2.0 * x[0]]),
-        alpha=linear_class_k(1.0),
-        epsilon=1.0,
-        theta_d=1.0,
-        p_weight=1.0,
-        n=n,
-    )
 
 
 class TestComposeBarrier:
@@ -95,8 +68,6 @@ class TestComposeBarrier:
     def test_layer_count_nests(self):
         scn = build_pendulum()
         assert scn.h1.layers == 1 and scn.bar.layers == 2
-        rec = recursive_compose(triple_integrator(), h1_for(), mus=[0.5, 0.5], sigmas=[1.0, 1.0])
-        assert rec.to_spec().layers == 3 and rec.to_spec().n == 3
 
 
 class TestAssembledSystem:
@@ -147,22 +118,20 @@ class TestBlockLayout:
         assert [list(sfs.prefix(x, i)) for i in range(3)] == [[0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]]
         assert [list(sfs.block(x, i)) for i in range(3)] == [[0.0], [1.0, 2.0], [3.0]]
 
-    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_virtual_top_is_layer_zero(self):
+        sfs = nonlinear_cascade()
+        top, layer = sfs.virtual_top(), sfs.layers[0]
+        assert (top.n, top.m, top.p) == (1, 2, 1)
+        assert top.f is layer.f and top.g is layer.g and top.w is layer.w
+
     @pytest.mark.parametrize("part", ["f", "g", "w"])
-    def test_virtual_top_is_dual_evaluable(self, i, part):
-        top = nonlinear_cascade().virtual_top(i)
-        x = np.array([0.4, -0.7, 1.1, 0.25])[: top.n]
+    def test_virtual_top_is_dual_evaluable(self, part):
+        top = nonlinear_cascade().virtual_top()
+        x = np.array([0.4])
         fn = lambda y: flat(getattr(top, part)(y))
         val, jac = ad.jacobian(fn, x)
         assert np.allclose(val, fn(x), rtol=1e-14, atol=1e-14)  # plain products go through BLAS
         assert np.allclose(jac, ad.fd_jacobian(fn, x), rtol=1e-7, atol=1e-9)
-
-    def test_bottom_virtual_top_is_the_assembled_system(self):
-        sfs = nonlinear_cascade()
-        top, full = sfs.virtual_top(2), sfs.assemble()
-        x = np.array([0.4, -0.7, 1.1, 0.25])
-        for part in ("f", "g", "w"):
-            assert np.array_equal(flat(getattr(top, part)(x)), flat(getattr(full, part)(x)))
 
 
 class TestRowRank:
@@ -198,46 +167,6 @@ class TestRowRank:
         scn = build_pendulum()
         with pytest.raises(SamplerError):
             check_full_row_rank(scn.sfs.layers[-1].g, [])
-
-
-class TestRecursiveCompose:
-    def test_two_layer_reduces_to_compose_barrier(self):
-        scn = build_pendulum()
-        rec = recursive_compose(scn.sfs, scn.h1, mus=[scn.cfg.mu], sigmas=[scn.cfg.sigma])
-        rng = np.random.default_rng(5)
-        for x in rng.uniform([-1.5, -3.0], [1.5, 3.0], size=(50, 2)):
-            assert rec.h(x) == pytest.approx(scn.composite.h(x), rel=1e-12, abs=1e-12)
-            assert np.allclose(rec.grad_h(x), scn.composite.grad_h(x), rtol=1e-12, atol=1e-12)
-
-    def test_three_layer_nested_manifold_point(self):
-        sfs = triple_integrator()
-        rec = recursive_compose(sfs, h1_for(), mus=[0.5, 0.5], sigmas=[1.0, 1.0])
-        # at fixed x1 the max of h over (x2, x3) sits on the nested manifold,
-        # where both deviation penalties vanish and h = h1(x1)
-        from scipy.optimize import minimize
-
-        x1 = 0.3
-
-        def neg_h(z):
-            return -rec.h(np.array([x1, z[0], z[1]]))
-
-        res = minimize(neg_h, np.zeros(2), method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14})
-        assert -res.fun == pytest.approx(1.0 - x1**2, abs=1e-8)
-
-    def test_three_layer_gradient_matches_fd(self):
-        sfs = triple_integrator()
-        rec = recursive_compose(sfs, h1_for(), mus=[0.5, 0.8], sigmas=[1.0, 1.5])
-        rng = np.random.default_rng(9)
-        for x in rng.uniform([-1.4, -2.0, -3.0], [1.4, 2.0, 3.0], size=(100, 3)):
-            analytic = rec.grad_h(x)
-            fd = ad.fd_gradient(rec.h, x)
-            rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
-            assert rel <= 1e-6
-
-    def test_wrong_parameter_counts(self):
-        sfs = triple_integrator()
-        with pytest.raises(ParameterError):
-            recursive_compose(sfs, h1_for(), mus=[0.5], sigmas=[1.0, 1.0])
 
 
 class TestTheoremEvidence:

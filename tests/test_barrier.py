@@ -90,10 +90,10 @@ class TestBarrierSpec:
         with pytest.raises(ParameterError):
             h1_spec(p=0.0)
 
-    def test_default_gradient_is_finite_difference(self):
-        bar = BarrierSpec(h=lambda x: float(np.sin(x[0])), alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1)
-        g = bar.grad_h(np.array([0.3]))
-        assert g[0] == pytest.approx(np.cos(0.3), rel=1e-8)
+    def test_grad_h_is_required(self):
+        # no finite-difference default: a barrier comes with its gradient
+        with pytest.raises(TypeError, match="grad_h"):
+            BarrierSpec(h=lambda x: float(np.sin(x[0])), alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1)
 
 
 class TestEvalLie:

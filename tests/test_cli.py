@@ -9,7 +9,8 @@ import pytest
 
 import odcbf
 from odcbf import scenarios
-from odcbf.cli import BUILD_FAILURE, RUNTIME_FAILURE, SCENARIOS, main
+from odcbf.cli import BUILD_FAILURE, RUNTIME_FAILURE, SCENARIOS, _scenario_config, build_parser, main
+from odcbf.scenarios import PendulumConfig, QuadrotorConfig
 
 
 def test_run_writes_artifacts(tmp_path):
@@ -73,16 +74,15 @@ def _verify_report(tmp_path, scenario):
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_verify_reports_what_each_check_checked(tmp_path, scenario):
-    layers = {"pendulum": 2, "quadrotor": 2, "quadrotor-full": 3}[scenario]
-    cls, _, builder = SCENARIOS[scenario]
+    cls, builder = SCENARIOS[scenario]
     scn = getattr(scenarios, builder)(cls())
     x0 = scn.x0
     # the layer count comes from the barrier's own construction
-    assert scn.bar.n == x0.size and scn.bar.layers == layers
+    assert scn.bar.n == x0.size and scn.bar.layers == 2
     report = _verify_report(tmp_path, scenario)
     zero_set = [check for key, check in report["checks"].items() if key.endswith("od_issf")]
     assert len(zero_set) == 1 and zero_set[0]["checked"]["n"] == x0.size
-    assert zero_set[0]["checked"]["barrier"] == {"n": x0.size, "layers": layers}
+    assert zero_set[0]["checked"]["barrier"] == {"n": x0.size, "layers": 2}
     for check in report["checks"].values():
         checked = check["checked"]
         assert checked["scenario"] == scenario
@@ -91,18 +91,7 @@ def test_verify_reports_what_each_check_checked(tmp_path, scenario):
             assert len(checked["box"]["lo"]) == len(checked["box"]["hi"]) == checked["n"]
         if checked["barrier"] is not None:
             # a check samples its barrier on its own system's states
-            assert checked["barrier"]["n"] == checked["n"] and 1 <= checked["barrier"]["layers"] <= layers
-
-
-def test_quadrotor_full_verify_samples_its_own_composite(tmp_path):
-    base = _verify_report(tmp_path, "quadrotor")
-    full = _verify_report(tmp_path, "quadrotor-full")
-    assert full["checks"] != base["checks"]
-    assert list(full["checks"]) == ["full_od_issf"]
-    check = full["checks"]["full_od_issf"]
-    assert check["checked"]["n"] == 6 and check["samples_checked"] == 40
-    assert check["checked"]["box"]["lo"][-1] == -2.0 and check["checked"]["box"]["hi"][-1] == 2.0
-    assert check["verdict"] == "pass" and check["zero_set_hits"] > 0
+            assert checked["barrier"]["n"] == checked["n"] and 1 <= checked["barrier"]["layers"] <= 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -169,6 +158,14 @@ def test_config_file_overridden_by_flags(tmp_path):
     assert code == 0
 
 
+def test_config_file_section_is_the_scenario_name(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[pendulum]\nmu = 0.25\n\n[quadrotor]\nx_max = 3.0\nk_att = 2.0\n")
+    for scenario, expected in (("quadrotor", QuadrotorConfig(x_max=3.0, k_att=2.0)), ("pendulum", PendulumConfig(mu=0.25))):
+        args = build_parser().parse_args(["run", "--scenario", scenario, "--config", str(cfg)])
+        assert _scenario_config(args) == expected
+
+
 def test_config_file_unknown_key_is_build_failure(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[pendulum]\nwarp_factor = 9\n")
@@ -215,15 +212,6 @@ def test_aborted_run_writes_its_trajectory_up_to_the_abort(tmp_path, capsys):
     rows = (tmp_path / "pendulum_trajectory.csv").read_text().splitlines()
     assert len(rows) == 1 + 4 and rows[0].startswith("t,x_1,x_2")
     assert not (tmp_path / "pendulum_metrics.json").exists()
-
-
-def test_stretch_scenario_behind_flag(tmp_path):
-    code = main([
-        "run", "--scenario", "quadrotor-full", "--dt", "0.005", "--t-final", "0.2",
-        "--out", str(tmp_path),
-    ])
-    assert code == 0
-    assert (tmp_path / "quadrotor-full_metrics.json").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, close_loop, eval_dynamics
+from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, eval_dynamics
 from odcbf.errors import ShapeError
+
+
+def close_loop(sys, control, dist):
+    """Reference closed-loop field (t, x) -> eval_dynamics(x, control(x, t), d(t))."""
+
+    def field(t, x):
+        x = np.asarray(x, dtype=float)
+        return eval_dynamics(sys, x, control(x, t), dist.at(t))
+
+    return field
 
 
 def identity_system(n=2):

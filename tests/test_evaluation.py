@@ -10,11 +10,12 @@ from odcbf import autodiff as ad
 from odcbf import drd, synthesis
 from odcbf.backstepping import CompositeBarrier
 from odcbf.drd import DrdBarrier
-from odcbf.dynamics import DisturbanceSignal, call_law, close_loop
+from odcbf.dynamics import DisturbanceSignal, call_law
 from odcbf.errors import InfeasiblePointError, NonFiniteError, OdcbfError, SimulationAbort
 from odcbf.odfilter import solve_decay_filter
-from odcbf.scenarios import build_pendulum, build_quadrotor
+from odcbf.scenarios import PendulumConfig, build_pendulum, build_quadrotor
 from odcbf.sim import RolloutConfig, rk4_step, rollout
+from tests.test_dynamics import close_loop
 from tests.test_sim import small_scenario
 
 CFG = RolloutConfig(dt=1e-2, t_final=0.1)
@@ -51,6 +52,16 @@ def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatc
     counts.update(half_sontag=0, pinv_apply=0, value_and_grad=0)
     rollout(scn, CFG)
     assert counts == {"half_sontag": 4 * STEPS + 1, "pinv_apply": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+
+
+def test_finite_domain_tests_each_state_once(monkeypatch):
+    # the filter's domain test is the only one: one h per stage state, none for the step end a second time
+    counts = {"h": 0}
+    counting(monkeypatch, CompositeBarrier, "h", counts)
+    scn = build_pendulum(PendulumConfig(domain_b=10.0))
+    counts["h"] = 0
+    rollout(scn, CFG)
+    assert counts["h"] == 4 * STEPS + 1
 
 
 @pytest.mark.parametrize("build, per_step", [(build_pendulum, 150), (build_quadrotor, 135)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -281,8 +283,10 @@ def test_property_continuous_across_degenerate_branch(terms, zeta_at_zero):
     L_g h shrinks to 0, the filter stays idle where upsilon >= 0. Where
     upsilon < 0, the input grows like |upsilon| / |L_g h| with the constraint
     active while |L_g h|^2 is a normal float, and the filter says infeasible
-    below that, in the degenerate branch. An input too large for a float
-    raises NonFiniteError; a non-finite input is never returned."""
+    below that, in the degenerate branch. Just above it the multiplier
+    overflows while the input does not, and the input is still returned;
+    only an input too large for a float raises NonFiniteError, and a
+    non-finite input is never returned."""
     alpha = 0.0 if zeta_at_zero else -abs(terms["alpha_h"]) - 0.5
     terms = dict(terms, alpha_h=alpha, k_d=np.zeros_like(terms["k_d"]))
     if not np.any(terms["lg_h"]):
@@ -298,8 +302,8 @@ def test_property_continuous_across_degenerate_branch(terms, zeta_at_zero):
             assert degenerate and unsafe
             continue
         except NonFiniteError:
-            # |upsilon| / |L_g h| overflows just above the branch: an ill-scaled input, refused
-            assert not degenerate and unsafe and xi < 1e-150
+            # only an input |upsilon| / |L_g h| too large for a float is refused
+            assert not degenerate and unsafe and abs(upsilon(terms)) > np.finfo(float).max * xi
             continue
         assert not (unsafe and degenerate)
         assert np.all(np.isfinite(res.u)) and res.theta_x == terms["theta_d"]
@@ -308,3 +312,31 @@ def test_property_continuous_across_degenerate_branch(terms, zeta_at_zero):
         else:
             residual = constraint_residual(shrunk, res.u, res.theta_x)
             assert abs(residual) <= 1e-9 * problem_scale(shrunk, res.u, res.theta_x)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's objective overflows; its input does not
+def test_multiplier_overflow_just_above_the_degenerate_floor():
+    # |L_g h|^2 = 2.25e-308 is a normal float, so the branch is not degenerate; lambda = 5.05 / 2.25e-308
+    # overflows, while the input 5.05 / 1.5e-154 and the decay scale are finite
+    terms = dict(lf_h=-4.05, lg_h=np.array([1.5e-154]), lw_h=np.zeros(1), alpha_h=-1.0,
+                 epsilon=1.0, theta_d=1.0, p=1.0, k_d=np.zeros(1))
+    res = closed_form(terms)
+    assert res.upsilon == pytest.approx(-5.05) and res.lambda_val == math.inf and res.constraint_active
+    assert res.u[0] == pytest.approx(5.05 / 1.5e-154, rel=1e-14) and res.theta_x == 1.0
+    assert res.u[0] == pytest.approx(oracle(terms).u[0], rel=1e-14)
+    assert abs(constraint_residual(terms, res.u, res.theta_x)) <= 1e-14
+    # with xi = 0 the decay scale carries the step: lambda overflows, u stays nominal
+    res = solve_decay_filter(-5.0, [0.0], [0.0], 1.5e-154, [0.0], 1.0, 1.0, 1.0)
+    assert res.lambda_val == math.inf and res.u[0] == 0.0
+    assert res.theta_x == pytest.approx(1.0 + 5.0 / 1.5e-154, rel=1e-14)
+
+
+def test_overflowing_denominator_raises_only_where_the_filter_must_act():
+    # p zeta^2 overflows (as a product, p = 1e10, or in zeta^2 itself, p = 1): lambda and psi would
+    # round to 0 and pass the unsafe nominal input through
+    for alpha_h, p in ((1e160, 1e10), (2e154, 1.0)):
+        with pytest.raises(NonFiniteError):
+            solve_decay_filter(-alpha_h * (1.0 + 2.0**-40), [1.0], [0.0], alpha_h, [0.0], 1.0, 1.0, p)
+        # with upsilon >= 0 the nominal input is the solution
+        res = solve_decay_filter(0.0, [1.0], [0.0], alpha_h, [0.0], 1.0, 1.0, p)
+        assert res.u[0] == 0.0 and res.theta_x == 1.0 and not res.constraint_active

@@ -10,7 +10,6 @@ from odcbf.scenarios import (
     QuadrotorConfig,
     build_pendulum,
     build_quadrotor,
-    build_quadrotor_full,
     make_disturbance,
 )
 from odcbf.sim import RolloutConfig, rollout
@@ -186,28 +185,7 @@ class TestDisturbanceCatalog:
             make_disturbance("dir:0.0", p=1)
 
 
-class TestFullQuadrotorStretch:
-    def test_builds_and_runs_briefly(self):
-        scn = build_quadrotor_full(QuadrotorConfig())
-        cfg = RolloutConfig(dt=2e-3, t_final=0.5)
-        traj, m = rollout(scn, cfg)
-        assert len(traj.times) > 1
-        assert np.all(np.isfinite(traj.states))
-        assert m.theta_floor_ok
-
-    def test_composite_gradient_matches_fd(self):
-        bar = build_quadrotor_full(QuadrotorConfig()).bar
-        rng = np.random.default_rng(11)
-        lo = np.array([-0.5, -0.5, -1.0, -1.0, -0.5, -0.5])
-        hi = np.array([2.5, 0.5, 2.0, 1.0, 0.5, 0.5])
-        for x in rng.uniform(lo, hi, size=(30, 6)):
-            analytic = bar.grad_h(x)
-            fd = ad.fd_gradient(bar.h, x)
-            rel = np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(fd)))
-            assert rel <= 2e-6
-
-
-@pytest.mark.parametrize("build", [build_pendulum, build_quadrotor, build_quadrotor_full])
+@pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
 def test_rollout_runs_what_verify_samples(build):
     # rollout reads the system, barrier and domain from the filter law; verify's zero-set check from the scenario
     scn = build()

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from odcbf.barrier import BarrierSpec, SafeSetGeometry, linear_class_k
-from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, call_law, close_loop
+from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, call_law
 from odcbf.errors import IntegrationError, NonFiniteError, ParameterError, SimulationAbort
 from odcbf.odfilter import OdIssfController
 from odcbf.scenarios import PendulumConfig, Scenario, build_pendulum, make_disturbance, zero_disturbance
 from odcbf.sim import RolloutConfig, SafetyMetrics, rk4_step, rollout, sweep
+from tests.test_dynamics import close_loop
 
 
 class TestRk4Step:

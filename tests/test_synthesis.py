@@ -139,9 +139,3 @@ class TestSynthVirtual:
         assert np.all(np.isfinite(ja))
         jf = ad.fd_jacobian(lambda y: np.asarray(ad.value(scn.k1.k1(y)), dtype=float), np.array([0.0]))
         assert np.allclose(ja, jf, rtol=1e-6, atol=1e-8)
-
-    def test_fd_mode_agrees_with_ad_mode(self):
-        scn = build_pendulum()
-        k_fd = synth_virtual(scn.top_sys, scn.h1, 1.0, jac_mode="fd")
-        x1 = np.array([0.8])
-        assert np.allclose(k_fd.value_and_jacobian(x1)[1], scn.k1.value_and_jacobian(x1)[1], rtol=1e-6, atol=1e-8)

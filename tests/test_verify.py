@@ -9,7 +9,7 @@ from odcbf import verify
 from odcbf.autodiff import fd_jacobian
 from odcbf.barrier import BarrierSpec, SafeSetGeometry, eval_lie, linear_class_k
 from odcbf.dynamics import DisturbedSystem
-from odcbf.errors import SamplerError
+from odcbf.errors import ParameterError, SamplerError
 from odcbf.scenarios import build_pendulum, build_quadrotor
 from odcbf.verify import (
     BoxRegionSampler,
@@ -154,14 +154,10 @@ class TestSamplers:
 
 
 class TestCheckOdIssf:
-    def test_pendulum_layer1_vacuous(self):
-        # L_g1 h1 = -2q never vanishes outside Int(S1), so the zero-set search
-        # comes back empty: the sufficient route, reported as vacuous-pass
-        scn = build_pendulum()
-        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
-        report = check_od_issf(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_seeds=100, seed=1)
-        assert report.verdict == "vacuous-pass"
-        assert report.zero_set_hits == 0
+    def test_no_zero_set_hit_is_a_vacuous_pass(self):
+        report = SampleReport(samples_checked=100).finalize()
+        assert report.verdict == "vacuous-pass" and report.zero_set_hits == 0
+        assert SampleReport(samples_checked=100).finalize(vacuous_ok=True).verdict == "pass"
 
     def test_backstepped_pendulum_passes_with_hits(self):
         scn = build_pendulum()
@@ -212,18 +208,20 @@ class TestZeroSetSearch:
         assert report.zero_set_hits >= 100
         assert len(calls) <= per_seed * report.samples_checked
 
-    def test_plain_barrier_takes_the_fd_jacobian_to_the_same_points(self):
-        # the composite's h and grad h without its pass: no reference jacobian
+    def test_plain_barrier_is_refused(self):
+        # the composite's h and grad h without its pass: no reference jacobian to refine with
         scn = build_pendulum()
         plain = BarrierSpec(
             h=scn.bar.h, grad_h=scn.bar.grad_h, alpha=scn.bar.alpha, epsilon=scn.bar.epsilon,
             theta_d=scn.bar.theta_d, p_weight=scn.bar.p_weight, n=2,
         )
         assert lg_jacobian(eval_lie(scn.sys, plain, np.array([0.5, 1.0]))) is None
-        exact = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
-        fd = check_od_issf(scn.sys, plain, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
-        assert exact.zero_set_hits == fd.zero_set_hits > 0
-        assert fd.min_margin == pytest.approx(exact.min_margin, abs=1e-8)
+        with pytest.raises(ParameterError, match="ref_jac"):
+            check_od_issf(scn.sys, plain, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
+        # layer 1 alone is a plain barrier too: the pendulum checks it by Proposition 1 (check_prop1)
+        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        with pytest.raises(ParameterError, match="ref_jac"):
+            check_od_issf(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_seeds=100, seed=1)
 
 
 def _bisect(f, a, b, width=1e-14):
