@@ -154,6 +154,20 @@ class TestSamplers:
 
 
 class TestCheckOdIssf:
+    def test_pendulum_layer1_vacuous(self):
+        # L_g h1 = -2q never vanishes outside Int(S1): no seed starts on the zero
+        # set, so the implication holds vacuously. Layer 1 is a plain barrier, so
+        # check_od_issf refuses to refine it; Proposition 1 (check_prop1) covers it
+        scn = build_pendulum()
+        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        seeds = sampler.draw(np.random.default_rng(1), 100)
+        lg_norms = [np.linalg.norm(eval_lie(scn.top_sys, scn.h1, x).lg_h) for x in seeds]
+        assert min(lg_norms) > verify.RANK_TOL
+        report = SampleReport(samples_checked=len(seeds)).finalize()
+        assert report.verdict == "vacuous-pass" and report.zero_set_hits == 0
+        with pytest.raises(ParameterError, match="ref_jac"):
+            check_od_issf(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_seeds=100, seed=1)
+
     def test_no_zero_set_hit_is_a_vacuous_pass(self):
         report = SampleReport(samples_checked=100).finalize()
         assert report.verdict == "vacuous-pass" and report.zero_set_hits == 0
@@ -218,10 +232,6 @@ class TestZeroSetSearch:
         assert lg_jacobian(eval_lie(scn.sys, plain, np.array([0.5, 1.0]))) is None
         with pytest.raises(ParameterError, match="ref_jac"):
             check_od_issf(scn.sys, plain, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
-        # layer 1 alone is a plain barrier too: the pendulum checks it by Proposition 1 (check_prop1)
-        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
-        with pytest.raises(ParameterError, match="ref_jac"):
-            check_od_issf(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_seeds=100, seed=1)
 
 
 def _bisect(f, a, b, width=1e-14):
