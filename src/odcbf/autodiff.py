@@ -16,9 +16,19 @@ Dual; :func:`dot`, :func:`matvec` and :func:`vecmat` form their value and
 derivative parts as whole-array products reduced over one axis, summed in
 the same order as the elementwise definitions, so they round identically.
 
-Forward AD is the program's one derivative path. Central finite differences
-(:func:`fd_gradient`, :func:`fd_jacobian`) are kept as an independent
-checker for the test suite; no program path takes them.
+The same code runs on traced scalars: :mod:`odcbf.lower` seeds a Dual whose
+values are numpy object arrays of :class:`Traced` nodes, and records every
+scalar operation to emit float code. Code meant to be lowered therefore
+makes each decision on its data through :func:`branch`, which a traced
+value records as a guard, and never converts a value to float. The sums of
+:func:`_contract` start from 0.0, as numpy's float reductions do, so a
+traced sum rounds like the float one.
+
+Forward AD is the program's one derivative path; the lowered code is a
+compiled form of it, and this module's Dual pass stays its reference.
+Central finite differences (:func:`fd_gradient`, :func:`fd_jacobian`) are
+kept as an independent checker for the test suite; no program path takes
+them.
 """
 
 from __future__ import annotations
@@ -114,6 +124,26 @@ class Dual:
         return f"Dual(val={self.val!r}, dot={self.dot!r})"
 
 
+class Traced:
+    """Base class of the scalars that :mod:`odcbf.lower` traces a pass with."""
+
+    __slots__ = ()
+
+
+def branch(test, *args):
+    """``test`` applied to the values of ``args`` (Duals or plain scalars), as a bool.
+
+    Code that is lowered to float code (:mod:`odcbf.lower`) takes each decision
+    on its data through this helper: a traced value records the decision, with
+    its outcome, as a guard of the emitted code.
+    """
+    vals = [a.val if isinstance(a, Dual) else a for a in args]
+    for v in vals:
+        if isinstance(v, Traced):
+            return v.branch(test, vals)
+    return bool(test(*vals))
+
+
 def _shifted(val, dot):
     """Dual of ``val`` whose derivative is ``dot``, broadcast if a plain term widened it."""
     if np.shape(val) != dot.shape[:-1]:
@@ -172,7 +202,8 @@ def stack(items):
     if first is None:
         return np.array([float(it) for it in items])
     zero = np.zeros(first.dot.shape[-1])
-    val = np.array([it.val if isinstance(it, Dual) else it for it in items], dtype=float)
+    vals = [it.val if isinstance(it, Dual) else it for it in items]
+    val = np.array(vals, dtype=object if any(isinstance(v, Traced) for v in vals) else float)
     dot = np.array([it.dot if isinstance(it, Dual) else zero for it in items])
     return Dual(val, dot)
 
@@ -190,7 +221,8 @@ def _contract(a, b, axis, a_index=Ellipsis):
             dot = dot + b.dot * av[..., None]
     else:
         dot = b.dot * av[..., None]
-    return Dual((av * bv).sum(axis=axis), dot.sum(axis=axis))
+    # numpy's float sums start from 0.0; saying so makes a traced (object) sum round the same way
+    return Dual((av * bv).sum(axis=axis, initial=0.0), dot.sum(axis=axis, initial=0.0))
 
 
 def dot(u, v):

@@ -64,6 +64,11 @@ class SynthesisInfeasibleError(OdcbfError, RuntimeError):
         super().__init__(f"synthesis infeasible{where} at x={x}: a={a:.6g} with zero input direction")
 
 
+class TraceError(OdcbfError, RuntimeError):
+    """A pass cannot be lowered to float code: it used a traced value as a float or a
+    truth value outside ``autodiff.branch``, or its lowering disagrees with the pass."""
+
+
 class ThrustDomainError(OdcbfError, ValueError):
     """Virtual input leaves the guarded thrust-positive domain of the attitude map."""
 

@@ -1,0 +1,221 @@
+"""Lowering of a forward-AD pass to straight-line float code.
+
+The virtual controller's value-and-jacobian pass runs the same closures at
+every state; only its data-dependent branches can change which operations it
+performs. :func:`trace` runs such a pass once on traced scalars: numpy object
+arrays of nodes that carry their concrete values, inside ordinary
+:class:`~odcbf.autodiff.Dual` numbers, so the Dual code runs unchanged and
+each of its scalar operations lands on a tape. Decisions taken through
+:func:`odcbf.autodiff.branch` are recorded as guards. The tape, pruned to
+what the outputs and the guards read and with repeated expressions shared,
+is emitted as one Python function over floats with the forward-derivative
+lines inline (Griewank & Walther, *Evaluating Derivatives*, ch. 2-3 and 6),
+and compiled once. The function returns None where a guard fails: the
+explicit-conditional rule of tracing compilers (Frostig, Johnson & Leary,
+SysML 2018).
+
+Rounding: each emitted line is one IEEE operation of the Dual pass, in the
+same order (the Dual sums start from 0.0, as numpy's float reductions do);
+sqrt is correctly rounded on both sides, and sin and cos are emitted as
+``math``'s, which equal numpy's on the inputs tested; other functions, such
+as arctan (whose ``math`` form differs from numpy's in the last bit on some
+inputs), have no lowering, and a pass that calls them fails to trace. A
+float ``@`` is never rewritten as scalar code, because it does not round
+like one: a plain ``@`` on traced values would need their floats, and any
+float coercion of a traced value fails the trace with
+:class:`~odcbf.errors.TraceError`. Constant operands are folded at trace
+time by numpy itself. The only rewrites are the exact identities x*1, 1*x,
+x/1 and x-0, and the emitted source never holds a traced value.
+
+:class:`LoweredJacobian` keeps one compiled variant per branch combination
+met so far. At a state where every variant's guards fail, the reference
+pass ``ad.jacobian`` runs there: its errors propagate unchanged, and
+otherwise the new combination is traced, checked against the reference
+result at that state, and kept.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
+
+from . import autodiff as ad
+from .errors import TraceError
+
+_RIGHT_IDENTITIES = {("*", "1.0"), ("/", "1.0"), ("-", "0.0")}  # x op c == x bit for bit
+
+
+def _binary(sym, op):
+    return (lambda a, b: a.tape.binary(sym, op, a, b), lambda a, b: a.tape.binary(sym, op, b, a))
+
+
+class _Node(ad.Traced):
+    """A traced scalar: its name on the tape and its concrete value (a numpy float64)."""
+
+    __slots__ = ("tape", "name", "v")
+
+    def __init__(self, tape, name, v):
+        self.tape, self.name, self.v = tape, name, v
+
+    def _refuse(self, *args):
+        raise TraceError(
+            f"traced value {self.name} was used as a number or a truth value; "
+            "decide on traced values through autodiff.branch"
+        )
+
+    __float__ = __int__ = __bool__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+    def __getitem__(self, idx):
+        # the Dual code reads val[..., None] of scalar values; with no __len__, numpy still sees a scalar
+        box = np.empty((), dtype=object)
+        box[()] = self
+        return box[idx]
+
+    __add__, __radd__ = _binary("+", operator.add)
+    __sub__, __rsub__ = _binary("-", operator.sub)
+    __mul__, __rmul__ = _binary("*", operator.mul)
+    __truediv__, __rtruediv__ = _binary("/", operator.truediv)
+
+    def __neg__(self):
+        return self.tape.node(f"-{self.name}", -self.v, (self,))
+
+    # numpy's ufuncs call these methods on object arrays
+    def sqrt(self):
+        return self.tape.node(f"_sqrt({self.name})", np.sqrt(self.v), (self,))
+
+    def sin(self):
+        return self.tape.node(f"_sin({self.name})", np.sin(self.v), (self,))
+
+    def cos(self):
+        return self.tape.node(f"_cos({self.name})", np.cos(self.v), (self,))
+
+    def branch(self, test, vals):
+        return self.tape.guard(test, vals)
+
+
+class _Tape:
+    def __init__(self):
+        self.lines = []  # (name, expression, names read); a guard has name None and its failure condition
+        self.shared = {}  # expression -> node, so that a repeated operation is emitted once
+        self.env = {"_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos, "inf": math.inf, "nan": math.nan}
+        self.tests = {}  # guard test -> its name in env
+
+    def ref(self, a):
+        """The source text of an operand: a node's name or a constant's literal."""
+        if isinstance(a, _Node) and a.tape is self:
+            return a.name
+        if isinstance(a, (float, int)) and not isinstance(a, bool):
+            return repr(float(a))
+        raise TraceError(f"cannot lower an operand of type {type(a).__name__}")
+
+    def node(self, expr, value, operands):
+        hit = self.shared.get(expr)
+        if hit is None:
+            hit = self.shared[expr] = _Node(self, f"v{len(self.shared)}", value)
+            self.lines.append((hit.name, expr, [o.name for o in operands if isinstance(o, _Node)]))
+        return hit
+
+    def binary(self, sym, op, a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return NotImplemented  # numpy broadcasts the scalar over the array
+        ra, rb = self.ref(a), self.ref(b)
+        if (sym, rb) in _RIGHT_IDENTITIES:
+            return a
+        if sym == "*" and ra == "1.0":
+            return b
+        value = op(np.float64(a.v if isinstance(a, _Node) else a), b.v if isinstance(b, _Node) else b)
+        return self.node(f"{ra} {sym} {rb}", value, (a, b))
+
+    def guard(self, test, vals):
+        outcome = bool(test(*(v.v if isinstance(v, _Node) else v for v in vals)))
+        name = self.tests.setdefault(test, f"_t{len(self.tests)}")
+        self.env[name] = test
+        call = f"{name}({', '.join(self.ref(v) for v in vals)})"
+        self.lines.append((None, f"not {call}" if outcome else call, [v.name for v in vals if isinstance(v, _Node)]))
+        return outcome
+
+
+def _source(tape, n, val, dot):
+    outs = [tape.ref(v) for v in val]
+    rows = [[tape.ref(d) for d in row] for row in dot]
+    live = set(outs).union(*rows)
+    body = []
+    for name, expr, reads in reversed(tape.lines):
+        if name is None:
+            body.append(f"    if {expr}: return None")
+        elif name in live:
+            body.append(f"    {name} = {expr}")
+        else:
+            continue
+        live.update(reads)
+    body.reverse()
+    args = ", ".join(f"x{i}" for i in range(n))
+    ret = "(" + "".join(f"{o}, " for o in outs) + "), (" + "".join(f"({', '.join(r)},), " for r in rows) + ")"
+    return "\n".join([f"def lowered({args}):", *body, f"    return {ret}", ""])
+
+
+def trace(fn, x):
+    """fn's value-and-jacobian pass at the 1-D point x, lowered: (compiled function, its source).
+
+    The function takes the n coordinates as floats and returns (value, jacobian)
+    as nested tuples, or None where a recorded guard fails.
+    """
+    x = np.asarray(x, dtype=float)
+    tape = _Tape()
+    point = np.empty(x.size, dtype=object)
+    for i, xi in enumerate(x):
+        point[i] = _Node(tape, f"x{i}", xi)
+    with np.errstate(all="ignore"):
+        out = fn(ad.Dual(point, np.eye(x.size)))
+    val, dot = (out.val, out.dot) if isinstance(out, ad.Dual) else (out, np.zeros(np.shape(out) + (x.size,)))
+    val = np.atleast_1d(np.asarray(val, dtype=object))
+    source = _source(tape, x.size, val, np.asarray(dot, dtype=object).reshape(val.size, x.size))
+    env = dict(tape.env)
+    exec(compile(source, "<lowered pass>", "exec"), env)
+    return env["lowered"], source
+
+
+class LoweredJacobian:
+    """x -> (fn(x), dfn/dx) for 1-D points of size n, from compiled variants of ``ad.jacobian(fn, x)``.
+
+    ``variants`` holds the compiled variants, the last one to match first;
+    ``sources`` their emitted sources, in the order traced.
+    """
+
+    def __init__(self, fn, n):
+        self.fn, self.n = fn, n
+        self.variants, self.sources = [], []
+
+    def __call__(self, x):
+        xs = np.asarray(x, dtype=float)
+        if xs.shape != (self.n,):
+            return ad.jacobian(self.fn, x)
+        args = xs.tolist()
+        try:
+            for i, variant in enumerate(self.variants):
+                out = variant(*args)
+                if out is not None:
+                    if i:  # the next state most likely takes the same branches
+                        self.variants.insert(0, self.variants.pop(i))
+                    return np.array(out[0]), np.array(out[1])
+        except (ArithmeticError, ValueError):
+            # Python floats raise where numpy returns inf or nan: the reference pass serves this state
+            return ad.jacobian(self.fn, x)
+        val, jac = ad.jacobian(self.fn, x)  # no variant's guards hold here; its errors are the answer
+        self._add(xs, args, val, jac)
+        return val, jac
+
+    def _add(self, xs, args, val, jac):
+        variant, source = trace(self.fn, xs)
+        try:
+            out = variant(*args)
+        except (ArithmeticError, ValueError):
+            return  # float arithmetic faults at the trace point itself: leave such states to the reference
+        if out is None or not (
+            np.array_equal(out[0], val, equal_nan=True) and np.array_equal(out[1], jac, equal_nan=True)
+        ):
+            raise TraceError(f"the lowered pass disagrees with the reference pass at x={xs}:\n{source}")
+        self.variants.append(variant)
+        self.sources.append(source)

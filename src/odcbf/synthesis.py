@@ -13,11 +13,20 @@ The half-Sontag construction k = v_nom + lam_hs * b^T with
 achieves a + b . (k - v_nom) = (a + sqrt(a^2 + sigma ||b||^4)) / 2 > 0 and is
 real-analytic on {a > 0 or b != 0}. Near b = 0 the rationalized form
 sigma q / (2 (a + sqrt(a^2 + sigma q^2))), q = ||b||^2, avoids cancellation.
+
+``synth_virtual`` returns the controller's closure ``k1``, which runs on
+plain arrays or autodiff duals, and its value-and-jacobian pass: the forward
+AD pass of that closure lowered to compiled float code
+(:class:`~odcbf.lower.LoweredJacobian`), with ``ad.jacobian(k1, x)`` as its
+reference. Half-Sontag's decisions (a and ||b||^2 finite, a > 0, ||b||^2
+below the floor) go through ``ad.branch``, so they become the lowered code's
+guards; where a guard fails, the Dual pass runs and raises or is traced.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,6 +36,7 @@ from . import autodiff as ad
 from .barrier import BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import NonFiniteError, ParameterError, SynthesisInfeasibleError
+from .lower import LoweredJacobian
 
 _Q_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: ||b||^2 below it has underflowed
 
@@ -36,7 +46,8 @@ class SmoothVirtualController:
     """Smooth virtual input k1(x1) satisfying the strict margin.
 
     ``k1`` gives the value alone (and accepts autodiff duals);
-    ``value_and_jacobian`` gives (k1(x1), dk1/dx1) from one pass.
+    ``value_and_jacobian`` gives (k1(x1), dk1/dx1) from one pass, the
+    lowered forward-AD pass of ``k1`` for the synthesized controllers.
     """
 
     k1: Callable
@@ -59,16 +70,15 @@ def half_sontag(a, bvec, sigma):
     if sigma <= 0:
         raise ParameterError("sigma must be positive")
     q = ad.dot(bvec, bvec)  # ||b||^2, so sigma*q^2 = sigma*||b||^4
-    a_val = float(ad.value(a))
-    q_val = float(ad.value(q))
-    if not (math.isfinite(a_val) and math.isfinite(q_val)):
-        raise NonFiniteError(f"non-finite synthesis data: a={a_val!r}, ||b||^2={q_val!r}")
-    if a_val > 0.0:
+    # every decision on a or q goes through ad.branch: a lowered pass keeps it as a guard
+    if not (ad.branch(math.isfinite, a) and ad.branch(math.isfinite, q)):
+        raise NonFiniteError(f"non-finite synthesis data: a={float(ad.value(a))!r}, ||b||^2={float(ad.value(q))!r}")
+    if ad.branch(operator.gt, a, 0.0):
         # rationalized: smooth through b = 0, no cancellation in -a + sqrt(.)
         lam = sigma * q / (2.0 * (a + ad.sqrt(a * a + sigma * q * q)))
     else:
-        if q_val < _Q_FLOOR:
-            raise SynthesisInfeasibleError(None, a_val)
+        if ad.branch(operator.lt, q, _Q_FLOOR):
+            raise SynthesisInfeasibleError(None, float(ad.value(a)))
         lam = (-a + ad.sqrt(a * a + sigma * q * q)) / (2.0 * q)
     return lam * bvec
 
@@ -85,8 +95,10 @@ def synth_virtual(
     ``nominal`` is an optional smooth feedforward (e.g. gravity compensation)
     added before the half-Sontag correction; like the system and the
     barrier's gradient it must be written with autodiff ops, since the
-    jacobian comes from forward AD. Synthesis failures name the state and,
-    when ``layer`` is given, the layer they came from.
+    jacobian comes from forward AD, and it must decide on its data only
+    through ``ad.branch``, since that pass is lowered to float code.
+    Synthesis failures name the state and, when ``layer`` is given, the
+    layer they came from.
     """
     where = f" (layer {layer})" if layer is not None else ""
     no_nominal = np.zeros(top.m)
@@ -111,4 +123,4 @@ def synth_virtual(
             raise NonFiniteError(f"{exc}{where} at x={ad.value(x1)}") from None
         return v0 + correction
 
-    return SmoothVirtualController(k1=control, value_and_jacobian=lambda x1: ad.jacobian(control, x1), sigma=sigma)
+    return SmoothVirtualController(k1=control, value_and_jacobian=LoweredJacobian(control, top.n), sigma=sigma)

@@ -391,6 +391,7 @@ def check_regular_values(
     for kappa in kappas:
         if math.isfinite(geom.b) and not (-geom.b < kappa <= 0.0):
             raise ValueError(f"kappa={kappa} outside (-b, 0]")
+        at_center = float(bar.h(center)) - kappa  # every ray starts here
         for _ in range(n_rays):
             direction = rng.normal(size=center.size)
             direction /= np.linalg.norm(direction)
@@ -400,7 +401,7 @@ def check_regular_values(
 
             report.samples_checked += 1
             # march outward until the level is bracketed
-            prev_t, prev_f = 0.0, along(0.0)
+            prev_t, prev_f = 0.0, at_center
             for t in np.linspace(0.0, ray_length, 33)[1:]:
                 ft = along(t)
                 if prev_f == 0.0 or prev_f * ft <= 0.0:

@@ -15,6 +15,7 @@ from odcbf.errors import InfeasiblePointError, NonFiniteError, OdcbfError, Simul
 from odcbf.odfilter import solve_decay_filter
 from odcbf.scenarios import PendulumConfig, build_pendulum, build_quadrotor
 from odcbf.sim import RolloutConfig, rk4_step, rollout
+from odcbf.synthesis import SmoothVirtualController
 from tests.test_dynamics import close_loop
 from tests.test_sim import small_scenario
 
@@ -33,25 +34,47 @@ def counting(monkeypatch, owner, name, counts):
 
 
 def test_pendulum_evaluates_k_and_grad_h_four_times_per_step(monkeypatch):
-    counts = {"half_sontag": 0, "value_and_grad": 0}
-    counting(monkeypatch, synthesis, "half_sontag", counts)
+    counts = {"with_jacobian": 0, "value_and_grad": 0}
+    counting(monkeypatch, SmoothVirtualController, "with_jacobian", counts)
     counting(monkeypatch, CompositeBarrier, "value_and_grad", counts)  # bound into the spec at build time
     scn = build_pendulum()
-    counts.update(half_sontag=0, value_and_grad=0)
+    counts.update(with_jacobian=0, value_and_grad=0)
     rollout(scn, CFG)
     # the row at t = 0 is step 1's first stage; each step adds three stages and its end row
-    assert counts == {"half_sontag": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+    assert counts == {"with_jacobian": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
 
 
 def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatch):
-    counts = {"half_sontag": 0, "pinv_apply": 0, "value_and_grad": 0}
-    counting(monkeypatch, synthesis, "half_sontag", counts)
+    counts = {"with_jacobian": 0, "pinv_apply": 0, "value_and_grad": 0}
+    counting(monkeypatch, SmoothVirtualController, "with_jacobian", counts)
     counting(monkeypatch, drd, "pinv_apply", counts)
     counting(monkeypatch, DrdBarrier, "value_and_grad", counts)
     scn = build_quadrotor()
-    counts.update(half_sontag=0, pinv_apply=0, value_and_grad=0)
+    counts.update(with_jacobian=0, pinv_apply=0, value_and_grad=0)
     rollout(scn, CFG)
-    assert counts == {"half_sontag": 4 * STEPS + 1, "pinv_apply": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+    assert counts == {"with_jacobian": 4 * STEPS + 1, "pinv_apply": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+
+
+def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
+    # each branch combination costs one Dual pass and one trace; every other step runs the lowered code
+    counts = {"half_sontag": 0, "dual": 0}
+    counting(monkeypatch, synthesis, "half_sontag", counts)
+    init = ad.Dual.__init__
+
+    def counted(self, val, dot):
+        counts["dual"] += 1
+        init(self, val, dot)
+
+    monkeypatch.setattr(ad.Dual, "__init__", counted)
+    seen = []
+    for steps in (100, 200):
+        scn = build_pendulum()
+        counts.update(half_sontag=0, dual=0)
+        rollout(scn, RolloutConfig(dt=2e-2, t_final=steps * 2e-2))
+        assert len(scn.k1.value_and_jacobian.sources) == 2  # both branches of half-Sontag met
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["half_sontag"] == 4  # a Dual pass and a trace per branch
 
 
 def test_finite_domain_tests_each_state_once(monkeypatch):
@@ -64,7 +87,8 @@ def test_finite_domain_tests_each_state_once(monkeypatch):
     assert counts["h"] == 4 * STEPS + 1
 
 
-@pytest.mark.parametrize("build, per_step", [(build_pendulum, 150), (build_quadrotor, 135)])
+# the lowered pass builds no Dual; the quadrotor's ref_map jacobian still builds 8 per evaluation
+@pytest.mark.parametrize("build, per_step", [(build_pendulum, 150), (build_quadrotor, 33)])
 def test_dual_constructions_per_step(monkeypatch, build, per_step):
     count = [0]
     init = ad.Dual.__init__

@@ -353,6 +353,16 @@ class TestRegularValues:
         with pytest.raises(ValueError):
             check_regular_values(bar, geom, [-2.0], center=np.zeros(2))
 
+    def test_center_is_evaluated_once_per_level(self):
+        # every ray starts at the center, so h is taken there once per kappa, not once per ray
+        scn = build_pendulum()
+        calls = []
+        bar = dataclasses.replace(scn.bar, h=lambda x: calls.append(np.array(x)) or scn.bar.h(x))
+        report = check_regular_values(bar, scn.geometry, [0.0, -0.5], center=np.zeros(2), seed=0)
+        assert report.samples_checked == 400
+        assert sum(np.array_equal(x, np.zeros(2)) for x in calls) == 2
+        assert len(calls) == 3824  # with h per ray start: 4222
+
     def test_pendulum_composite_zero_level(self):
         scn = build_pendulum()
         report = check_regular_values(scn.bar, scn.geometry, [0.0], center=np.zeros(2), seed=4)
