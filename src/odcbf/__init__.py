@@ -11,7 +11,6 @@ from .barrier import (
     BarrierSpec,
     ExtendedClassK,
     LieData,
-    SafeSetGeometry,
     admissible_delta,
     eval_lie,
     gamma_margin,

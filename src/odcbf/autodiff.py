@@ -20,7 +20,8 @@ The same code runs on traced scalars: :mod:`odcbf.lower` seeds a Dual whose
 values are numpy object arrays of :class:`Traced` nodes, and records every
 scalar operation to emit float code. Code meant to be lowered therefore
 makes each decision on its data through :func:`branch`, which a traced
-value records as a guard, and never converts a value to float. The sums of
+value records as a guard, and never converts a value to float. A Dual has
+no order comparisons, so comparing one raises TypeError. The sums of
 :func:`_contract` start from 0.0, as numpy's float reductions do, so a
 traced sum rounds like the float one.
 
@@ -100,19 +101,6 @@ class Dual:
 
     def __pos__(self):
         return self
-
-    # comparisons act on the value part (branching in source code)
-    def __lt__(self, other):
-        return self.val < _value(other)
-
-    def __le__(self, other):
-        return self.val <= _value(other)
-
-    def __gt__(self, other):
-        return self.val > _value(other)
-
-    def __ge__(self, other):
-        return self.val >= _value(other)
 
     def __getitem__(self, idx):
         return Dual(self.val[idx], self.dot[idx])

@@ -25,6 +25,7 @@ hyper-dual numbers (Fike & Alonso, AIAA 2011).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -120,8 +121,8 @@ class CompositeBarrier:
     ref_map: Optional[Callable] = None
 
     def reference(self, x):
-        """r(k(x_top)): the bottom block's reference at x, value only."""
-        v = self.k.k1(x[: self.n_top])
+        """r(k(x_top)): the bottom block's reference at x, with k read from its lowered pass."""
+        v = self.k.with_jacobian(x[: self.n_top])[0]
         return v if self.ref_map is None else self.ref_map(v)
 
     def h(self, x):
@@ -149,7 +150,7 @@ class CompositeBarrier:
     def grad_h(self, x):
         return self.value_and_grad(x).grad
 
-    def to_spec(self) -> BarrierSpec:
+    def to_spec(self, domain_b=math.inf) -> BarrierSpec:
         return BarrierSpec(
             h=self.h,
             grad_h=self.grad_h,
@@ -160,6 +161,7 @@ class CompositeBarrier:
             n=self.n_top + self.n_bot,
             value_and_grad=self.value_and_grad,
             layers=self.h_top.layers + 1,
+            domain_b=domain_b,
         )
 
 

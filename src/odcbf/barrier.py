@@ -1,4 +1,4 @@
-"""Barrier functions, extended class-K functions, safe-set geometry, and
+"""Barrier functions with their domains, extended class-K functions, and
 Lie-derivative evaluation.
 
 The candidate safe set is S = {h >= 0} with boundary {h = 0}; the barrier's
@@ -88,7 +88,8 @@ class BarrierSpec:
     eps > 0 trades robustness against conservatism, theta_d > 0 is the
     minimum decay scale, p_weight > 0 weighs decay deviation in the filter.
     ``layers`` counts the blocks a backstepped barrier was built over (1 for
-    a plain barrier).
+    a plain barrier). ``domain_b`` is b = -inf h, declared finite or left
+    +inf; the barrier's domain is D = {h + b > 0} (``in_domain``).
     """
 
     h: Callable
@@ -100,25 +101,24 @@ class BarrierSpec:
     n: Optional[int] = None
     value_and_grad: Optional[Callable] = None
     layers: int = 1
+    domain_b: float = math.inf
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.theta_d <= 0 or self.p_weight <= 0:
             raise ParameterError("epsilon, theta_d, p_weight must all be strictly positive")
+        if not self.domain_b > 0:  # NaN too: it would turn the domain test off
+            raise ParameterError(f"domain_b must be positive, got {self.domain_b!r}")
         if self.value_and_grad is None:
             h, grad_h = self.h, self.grad_h
             pair = lambda x: BarrierEval(float(h(x)), np.asarray(grad_h(x), dtype=float).reshape(-1))
             object.__setattr__(self, "value_and_grad", pair)
 
-
-@dataclass(frozen=True)
-class SafeSetGeometry:
-    """The barrier's domain D = {h + b > 0}, with b = -inf h declared finite or left +inf."""
-
-    h: Callable
-    b: float = math.inf
-
-    def in_domain(self, x):
-        return not math.isfinite(self.b) or float(self.h(x)) + self.b > 0.0
+    def in_domain(self, x, hv=None):
+        """x in D = {h + b > 0}; ``hv`` is h(x) where the caller has it, and h is
+        evaluated only when b is finite and ``hv`` is not given."""
+        if not math.isfinite(self.domain_b):
+            return True
+        return (float(self.h(x)) if hv is None else hv) + self.domain_b > 0.0
 
 
 @dataclass(frozen=True)
@@ -180,13 +180,13 @@ def gamma_margin(bar: BarrierSpec, delta: float) -> float:
     return -float(bar.alpha.inverse(arg))
 
 
-def admissible_delta(bar: BarrierSpec, geom: SafeSetGeometry) -> float:
+def admissible_delta(bar: BarrierSpec) -> float:
     """Supremal admissible disturbance bound sqrt(-2*theta_d*alpha(-b)/eps).
 
     Callers must compare with strict inequality. Returns +inf when the
     barrier is unbounded below (b infinite).
     """
-    if not math.isfinite(geom.b):
+    if not math.isfinite(bar.domain_b):
         return math.inf
-    val = -2.0 * bar.theta_d * float(bar.alpha(-geom.b)) / bar.epsilon
+    val = -2.0 * bar.theta_d * float(bar.alpha(-bar.domain_b)) / bar.epsilon
     return math.sqrt(max(val, 0.0))

@@ -161,11 +161,11 @@ def _run_check(check, seed, rng):
     kind = check.kind
     if kind in ("od_issf", "prop1"):
         fn = check_od_issf if kind == "od_issf" else check_prop1
-        sampler = exterior_sampler(check.bar, check.geometry, *check.box)
-        rep = fn(check.sys, check.bar, check.geometry, sampler, seed=seed, **check.options)
+        sampler = exterior_sampler(check.bar, *check.box)
+        rep = fn(check.sys, check.bar, sampler, seed=seed, **check.options)
         return rep.to_dict(), rep.verdict == "pass"
     if kind == "regular_values":
-        rep = check_regular_values(check.bar, check.geometry, seed=seed, **check.options)
+        rep = check_regular_values(check.bar, seed=seed, **check.options)
         return rep.to_dict(), rep.verdict in ("pass", "vacuous-pass")
     states = [rng.uniform(*check.box) for _ in range(check.count)]
     if kind == "matched":

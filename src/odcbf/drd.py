@@ -103,9 +103,9 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
     """Close the top input at its aligned value; u_eta remains the input.
 
     Drift: (f_z + g_z psi psi^+ k_v(z); f_eta); input matrix (0; g_eta);
-    disturbance matrix (w_z; w_eta). Alignment errors propagate. ``f_with``
-    reads v = k_v(z) from a barrier pass built on this k_v instead of
-    rerunning k_v.
+    disturbance matrix (w_z; w_eta). Alignment errors propagate. ``f`` reads
+    v = k_v(z) from k_v's lowered pass; ``f_with`` reads it from a barrier
+    pass built on this k_v instead of rerunning k_v.
     """
     n = dsys.n_top + dsys.n_bot
 
@@ -122,7 +122,7 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return drift(x, np.asarray(ad.value(k_v.k1(x[: dsys.n_top])), dtype=float).reshape(-1))
+        return drift(x, k_v.with_jacobian(x[: dsys.n_top])[0])
 
     def g(x):
         _, eta = split(np.asarray(x, dtype=float))
@@ -144,7 +144,7 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
 
 def alignment_residual(dsys: DrdSystem, k_v: SmoothVirtualController, eta_d: Callable, z) -> float:
     """|| psi(eta_d(k_v(z))) psi^+ k_v(z) - k_v(z) ||: the alignment identity."""
-    v = np.asarray(ad.value(k_v.k1(np.asarray(z, dtype=float))), dtype=float).reshape(-1)
+    v = k_v.with_jacobian(np.asarray(z, dtype=float))[0]
     eta = np.asarray(ad.value(eta_d(v)), dtype=float).reshape(-1)
     psi = np.atleast_2d(np.asarray(dsys.psi(eta), dtype=float))
     return float(np.linalg.norm(psi @ pinv_apply(psi, v) - v))

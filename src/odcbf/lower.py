@@ -19,7 +19,8 @@ same order (the Dual sums start from 0.0, as numpy's float reductions do);
 sqrt is correctly rounded on both sides, and sin and cos are emitted as
 ``math``'s, which equal numpy's on the inputs tested; other functions, such
 as arctan (whose ``math`` form differs from numpy's in the last bit on some
-inputs), have no lowering, and a pass that calls them fails to trace. A
+inputs), have no lowering, and a pass that calls them fails to trace with
+:class:`~odcbf.errors.TraceError`, which names the operation. A
 float ``@`` is never rewritten as scalar code, because it does not round
 like one: a plain ``@`` on traced values would need their floats, and any
 float coercion of a traced value fails the trace with
@@ -160,7 +161,8 @@ def trace(fn, x):
     """fn's value-and-jacobian pass at the 1-D point x, lowered: (compiled function, its source).
 
     The function takes the n coordinates as floats and returns (value, jacobian)
-    as nested tuples, or None where a recorded guard fails.
+    as nested tuples, or None where a recorded guard fails. An operation that
+    has no lowering raises TraceError.
     """
     x = np.asarray(x, dtype=float)
     tape = _Tape()
@@ -168,7 +170,10 @@ def trace(fn, x):
     for i, xi in enumerate(x):
         point[i] = _Node(tape, f"x{i}", xi)
     with np.errstate(all="ignore"):
-        out = fn(ad.Dual(point, np.eye(x.size)))
+        try:
+            out = fn(ad.Dual(point, np.eye(x.size)))
+        except TypeError as exc:  # a traced scalar has no method for this operation
+            raise TraceError(f"the pass uses an operation that has no lowering: {exc}") from exc
     val, dot = (out.val, out.dot) if isinstance(out, ad.Dual) else (out, np.zeros(np.shape(out) + (x.size,)))
     val = np.atleast_1d(np.asarray(val, dtype=object))
     source = _source(tape, x.size, val, np.asarray(dot, dtype=object).reshape(val.size, x.size))

@@ -132,21 +132,20 @@ class OdIssfController:
     """The QP filter on a nominal law u_nom = nominal(x, t, be) (see ``dynamics``).
 
     ``evaluate(x, t)`` is the one per-state evaluation that integration and
-    recording read, and ``control`` its input. A state outside ``geometry``,
-    the barrier's domain, raises DomainError.
+    recording read, and ``control`` its input. A state outside the
+    barrier's domain (``bar.in_domain``) raises DomainError.
     """
 
-    def __init__(self, sys, bar, nominal, geometry):
+    def __init__(self, sys, bar, nominal):
         self.sys = sys
         self.bar = bar
         self.nominal = nominal
-        self.geometry = geometry
 
     def evaluate(self, x, t=0.0) -> StateEval:
         x = np.asarray(x, dtype=float)
-        if not self.geometry.in_domain(x):
-            raise DomainError(x)
         bar = self.bar
+        if not bar.in_domain(x):
+            raise DomainError(x)
         lie = eval_lie(self.sys, bar, x)
         u_nom = call_law(self.nominal, x, t, lie.bar_eval)
         res = solve_decay_filter(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank, compose_barrier
-from .barrier import BarrierSpec, SafeSetGeometry, gamma_margin, linear_class_k
+from .barrier import BarrierSpec, gamma_margin, linear_class_k
 from .drd import DrdBarrier, DrdSystem, check_attitude_alignment, partial_closed_loop, quadrotor_attitude_map
 from .dynamics import DisturbanceSignal, DisturbedSystem
 from .errors import ParameterError
@@ -93,11 +93,12 @@ class Check:
     records the (n, m, p) of ``sys`` and the (lo, hi) corners of ``box``.
 
     ``kind`` is "od_issf" (``check_od_issf``) or "prop1" (``check_prop1``)
-    on exterior states of ``bar`` drawn from ``box``; "regular_values"
-    (``check_regular_values``, rays from a center, no box); "matched": the
-    disturbance channel of ``sys`` is matched at ``count`` states drawn from
-    ``box`` iff ``expect_matched``; or "probe": ``probe(states)`` on
-    ``count`` drawn states gives the report entry, with the verdict in "ok".
+    on exterior states of ``bar``, in its domain, drawn from ``box``;
+    "regular_values" (``check_regular_values``, rays from a center, no
+    box); "matched": the disturbance channel of ``sys`` is matched at
+    ``count`` states drawn from ``box`` iff ``expect_matched``; or "probe":
+    ``probe(states)`` on ``count`` drawn states gives the report entry, with
+    the verdict in "ok".
     ``options`` are keyword arguments of the check function.
     """
 
@@ -106,7 +107,6 @@ class Check:
     sys: DisturbedSystem
     box: Optional[tuple]
     bar: Optional[BarrierSpec] = None
-    geometry: Optional[SafeSetGeometry] = None
     options: dict = field(default_factory=dict)
     count: int = 100
     expect_matched: bool = True
@@ -117,27 +117,32 @@ class Check:
 class Scenario:
     """A built experiment: everything that run, sweep, verify and plotdata read.
 
-    ``sys``, ``bar`` and ``geometry`` are ``filter_law``'s own, so a rollout
-    runs what verify samples. ``layer_h(x)`` is the top layer's barrier at
-    x, ``box`` the (lo, hi) corners of the state box that samplers draw
-    from, and ``checks`` the verify checks of this construction. Subclasses
-    add its pieces.
+    ``sys`` and ``bar`` (with its domain) are read from ``filter_law``, so a
+    rollout runs what verify samples. ``layer_h(x)`` is the top layer's
+    barrier at x, ``box`` the (lo, hi) corners of the state box that
+    samplers draw from, and ``checks`` the verify checks of this
+    construction. Subclasses add its pieces.
     """
 
     name: str
     cfg: object
-    sys: DisturbedSystem
     filter_law: OdIssfController
-    bar: BarrierSpec
     x0: np.ndarray
     disturbance: DisturbanceSignal
     layer_h: Callable
-    geometry: SafeSetGeometry
     box: tuple
     checks: tuple
 
+    @property
+    def sys(self) -> DisturbedSystem:
+        return self.filter_law.sys
+
+    @property
+    def bar(self) -> BarrierSpec:
+        return self.filter_law.bar
+
     def exterior_sampler(self) -> BoxRegionSampler:
-        return exterior_sampler(self.bar, self.geometry, *self.box)
+        return exterior_sampler(self.bar, *self.box)
 
     def plot_series(self, rollout_of, options) -> dict:
         """The series behind the scenario's figures.
@@ -185,7 +190,6 @@ class PendulumScenario(Scenario):
     k1: SmoothVirtualController
     composite: CompositeBarrier
     sfs: StrictFeedbackSystem
-    layer_geometry: SafeSetGeometry
 
     def delta_boundary(self, delta, n_grid=201):
         """Closed-form level set {h = -gamma(delta)} in the (q, qdot) plane.
@@ -254,7 +258,7 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     top_sys = sfs.virtual_top()
     k1 = synth_virtual(top_sys, h1, cfg.sigma, layer=1)
     composite = compose_barrier(h1, k1, cfg.mu, 1, 1)
-    bar = composite.to_spec()
+    bar = composite.to_spec(domain_b=cfg.domain_b)
     sys = sfs.assemble()
 
     amp, om = cfg.ref_amplitude, cfg.ref_freq
@@ -267,13 +271,11 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         # feedback linearization of ml^2 qddot = ml^2 ((g/l) sin q - beta qdot) + u
         return np.array([ml2 * (qdd_des - (grav / l) * math.sin(x[0]) + beta * x[1])])
 
-    geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
-    layer_geometry = SafeSetGeometry(h=lambda x1: float(h1.h(np.atleast_1d(x1))), b=math.inf)
     box = (cfg.box_lo, cfg.box_hi)
     checks = (
-        Check("layer1_prop1", "prop1", top_sys, (cfg.box_lo[:1], cfg.box_hi[:1]), h1, layer_geometry),
-        Check("composite_od_issf", "od_issf", sys, box, bar, geometry),
-        Check("regular_values", "regular_values", sys, None, bar, geometry,
+        Check("layer1_prop1", "prop1", top_sys, (cfg.box_lo[:1], cfg.box_hi[:1]), h1),
+        Check("composite_od_issf", "od_issf", sys, box, bar),
+        Check("regular_values", "regular_values", sys, None, bar,
               options={"kappas": [0.0, -0.5], "center": np.zeros(2)}),
         Check("layer1_matched", "matched", top_sys, ((-2.0,), (2.0,))),
         # the angle channel's disturbance does not enter through the torque
@@ -282,13 +284,10 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     return PendulumScenario(
         name="pendulum",
         cfg=cfg,
-        sys=sys,
-        filter_law=OdIssfController(sys, bar, nominal_torque, geometry),
-        bar=bar,
+        filter_law=OdIssfController(sys, bar, nominal_torque),
         x0=np.asarray(cfg.x0, dtype=float),
         disturbance=make_disturbance(cfg.disturbance, p=1, delta=cfg.delta),
         layer_h=lambda x: float(h1.h(np.atleast_1d(x)[:1])),
-        geometry=geometry,
         box=box,
         checks=checks,
         top_sys=top_sys,
@@ -296,7 +295,6 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         k1=k1,
         composite=composite,
         sfs=sfs,
-        layer_geometry=layer_geometry,
     )
 
 
@@ -414,7 +412,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     attitude = quadrotor_attitude_map(v_min=cfg.v_min_frac * m * grav)
     # compose_barrier(..., ref_map=attitude) under the class name that tracers count apart; mu > 0 is checked above
     dbar = DrdBarrier(h_top=h_z, k=k_v, mu=float(cfg.mu), n_top=4, n_bot=1, ref_map=attitude)
-    bar = dbar.to_spec()
+    bar = dbar.to_spec(domain_b=cfg.domain_b)
     sys = partial_closed_loop(dsys, k_v)
 
     k_att = cfg.k_att
@@ -423,7 +421,6 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         # track the barrier's reference eta_d(k_v(z)); a barrier pass carries it already
         return -k_att * (x[4:] - (dbar.reference(x) if be is None else be.ref))
 
-    geometry = SafeSetGeometry(h=bar.h, b=cfg.domain_b)
     x0 = np.concatenate([np.asarray(cfg.z0, dtype=float), np.asarray(cfg.eta0, dtype=float)])
     box = (cfg.box_lo, cfg.box_hi)
 
@@ -437,8 +434,8 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
 
     bottom = DisturbedSystem(n=1, m=1, p=2, f=dsys.f_bot, g=dsys.g_bot, w=dsys.w_bot)
     checks = (
-        Check("drd_od_issf", "od_issf", sys, box, bar, geometry),
-        Check("regular_values", "regular_values", sys, None, bar, geometry,
+        Check("drd_od_issf", "od_issf", sys, box, bar),
+        Check("regular_values", "regular_values", sys, None, bar,
               options={"kappas": [0.0, -0.5], "center": x0}),
         Check("alignment", "probe", top_sys, (cfg.box_lo[:4], cfg.box_hi[:4]), count=200, probe=alignment),
         Check("g_bot_row_rank", "probe", bottom, ((-1.2,), (1.2,)), probe=g_bot_row_rank),
@@ -448,13 +445,10 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     return QuadrotorScenario(
         name="quadrotor",
         cfg=cfg,
-        sys=sys,
-        filter_law=OdIssfController(sys, bar, nominal, geometry),
-        bar=bar,
+        filter_law=OdIssfController(sys, bar, nominal),
         x0=x0,
         disturbance=make_disturbance(cfg.disturbance, p=2, delta=cfg.delta),
         layer_h=lambda x: float(h_z.h(np.asarray(x, dtype=float)[:4])),
-        geometry=geometry,
         box=box,
         checks=checks,
         dsys=dsys,

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .barrier import BarrierSpec, LieData, SafeSetGeometry, eval_lie
+from .barrier import BarrierSpec, LieData, eval_lie
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
 from .io import write_json_atomic
@@ -66,14 +66,14 @@ class BoxRegionSampler:
         return np.array(out)
 
 
-def exterior_sampler(bar: BarrierSpec, geom: SafeSetGeometry, lo, hi) -> BoxRegionSampler:
+def exterior_sampler(bar: BarrierSpec, lo, hi) -> BoxRegionSampler:
     """Sampler for D \\ Int(S) = {h <= 0 < h + b} inside a declared box."""
 
     def pred(x):
         hv = float(bar.h(x))
         if hv > 0.0:
             return False
-        return not math.isfinite(geom.b) or hv + geom.b > 0.0
+        return bar.in_domain(x, hv)
 
     return BoxRegionSampler(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), pred)
 
@@ -249,7 +249,6 @@ def lemma_margin(bar: BarrierSpec, lie: LieData) -> float:
 def check_od_issf(
     sys: DisturbedSystem,
     bar: BarrierSpec,
-    geom: SafeSetGeometry,
     sampler: BoxRegionSampler,
     n_seeds=300,
     seed=0,
@@ -274,16 +273,16 @@ def check_od_issf(
     def lie_at(x):
         return eval_lie(sys, bar, x)
 
-    def on_zero_set(lie, slack=1e-10):
+    def on_zero_set(x, lie, slack=1e-10):
         if float(np.linalg.norm(lie.lg_h)) > rank_tol or lie.h_val > slack:
             return False
-        return not math.isfinite(geom.b) or lie.h_val + geom.b > 0.0
+        return bar.in_domain(x, lie.h_val)
 
     for x in seeds:
         lie = lie_at(x)
-        if not on_zero_set(lie):
+        if not on_zero_set(x, lie):
             x, lie = _gauss_newton_zero(lie_at, x, lie)
-            if not on_zero_set(lie):
+            if not on_zero_set(x, lie):
                 continue
         m = lemma_margin(bar, lie)
         report.zero_set_hits += 1
@@ -297,7 +296,6 @@ def check_od_issf(
 def check_prop1(
     sys: DisturbedSystem,
     bar: BarrierSpec,
-    geom: SafeSetGeometry,
     sampler: BoxRegionSampler,
     n_samples=2000,
     seed=0,
@@ -372,7 +370,6 @@ def bracket_root(f, a, b, fa, fb):
 
 def check_regular_values(
     bar: BarrierSpec,
-    geom: SafeSetGeometry,
     kappas,
     center,
     ray_length=10.0,
@@ -389,7 +386,7 @@ def check_regular_values(
     center = np.asarray(center, dtype=float)
     report = SampleReport(samples_checked=0)
     for kappa in kappas:
-        if math.isfinite(geom.b) and not (-geom.b < kappa <= 0.0):
+        if math.isfinite(bar.domain_b) and not (-bar.domain_b < kappa <= 0.0):
             raise ValueError(f"kappa={kappa} outside (-b, 0]")
         at_center = float(bar.h(center)) - kappa  # every ray starts here
         for _ in range(n_rays):

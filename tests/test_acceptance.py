@@ -101,7 +101,7 @@ def test_criterion_2_gradient_suite():
 def test_criterion_3_composite_barrier_evidence():
     t0 = time.time()
     scn = build_pendulum()
-    rep = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=400, seed=3)
+    rep = check_od_issf(scn.sys, scn.bar, scn.exterior_sampler(), n_seeds=400, seed=3)
     elapsed = time.time() - t0
     ok = (
         rep.verdict == "pass"
@@ -116,7 +116,7 @@ def test_criterion_3_composite_barrier_evidence():
 def test_criterion_4_drd_barrier_evidence():
     t0 = time.time()
     scn = build_quadrotor()
-    rep = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=300, seed=4)
+    rep = check_od_issf(scn.sys, scn.bar, scn.exterior_sampler(), n_seeds=300, seed=4)
     rng = np.random.default_rng(4)
     zs = rng.uniform([-1.0, -1.0, -2.0, -2.0], [3.0, 1.0, 3.0, 2.0], size=(1000, 4))
     align = check_attitude_alignment(scn.dsys, scn.k_v, scn.attitude, zs, tol=1e-9)

@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,18 @@ def test_numpy_interop_defers_to_dual():
     assert isinstance(out, ad.Dual)
     assert np.allclose(out.val, [3.0, 5.0])
     assert np.allclose(out.dot, 2.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+def test_comparing_a_dual_raises(op):
+    # decisions on data go through ad.branch, which a lowered pass records as a guard
+    x = ad.seed(np.array([1.0]))[0]
+    for other in (0.5, np.float64(0.5), np.array(0.5), x * 0.5):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert ad.branch(op, x, 0.5) is op(1.0, 0.5)
 
 
 def test_fd_jacobian_matches_ad():

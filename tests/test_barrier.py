@@ -6,7 +6,6 @@ import pytest
 from odcbf.barrier import (
     BarrierSpec,
     ExtendedClassK,
-    SafeSetGeometry,
     admissible_delta,
     eval_lie,
     gamma_margin,
@@ -26,7 +25,7 @@ def pendulum_top(nu=0.5):
     )
 
 
-def h1_spec(eps=1.0, theta_d=1.0, p=1.0, alpha=None):
+def h1_spec(eps=1.0, theta_d=1.0, p=1.0, alpha=None, domain_b=math.inf):
     return BarrierSpec(
         h=lambda x: 1.0 - x[0] ** 2,
         grad_h=lambda x: np.array([-2.0 * x[0]]),
@@ -35,6 +34,7 @@ def h1_spec(eps=1.0, theta_d=1.0, p=1.0, alpha=None):
         theta_d=theta_d,
         p_weight=p,
         n=1,
+        domain_b=domain_b,
     )
 
 
@@ -149,35 +149,39 @@ class TestGammaMargin:
 
 class TestAdmissibleDelta:
     def test_linear_cases(self):
-        geom = SafeSetGeometry(h=lambda x: 1.0 - x[0] ** 2, b=1.0)
-        assert admissible_delta(h1_spec(eps=2.0, theta_d=1.0), geom) == pytest.approx(1.0)
-        assert admissible_delta(h1_spec(eps=1.0, theta_d=2.0), geom) == pytest.approx(2.0)
+        assert admissible_delta(h1_spec(eps=2.0, theta_d=1.0, domain_b=1.0)) == pytest.approx(1.0)
+        assert admissible_delta(h1_spec(eps=1.0, theta_d=2.0, domain_b=1.0)) == pytest.approx(2.0)
 
     def test_infinite_b_sentinel(self):
-        geom = SafeSetGeometry(h=lambda x: 1.0 - x[0] ** 2, b=math.inf)
-        assert admissible_delta(h1_spec(), geom) == math.inf
+        assert admissible_delta(h1_spec()) == math.inf
 
 
-class TestSafeSetGeometry:
+class TestBarrierDomain:
     def test_membership_consistency(self):
-        geom = SafeSetGeometry(h=lambda x: 1.0 - x[0] ** 2, b=1.0)
-        assert geom.in_domain(np.array([0.5]))  # inside S
-        assert geom.in_domain(np.array([1.2]))  # h = -0.44 > -b
-        assert not geom.in_domain(np.array([2.0]))  # h = -3 <= -1
-        assert SafeSetGeometry(h=geom.h).in_domain(np.array([2.0]))  # b = inf: D is everything
+        bar = h1_spec(domain_b=1.0)
+        assert bar.in_domain(np.array([0.5]))  # inside S
+        assert bar.in_domain(np.array([1.2]))  # h = -0.44 > -b
+        assert not bar.in_domain(np.array([2.0]))  # h = -3 <= -1
+        assert not bar.in_domain(None, -3.0) and bar.in_domain(None, -0.44)  # a given h is not re-evaluated
+        assert h1_spec().in_domain(np.array([2.0]))  # b = inf: D is everything
 
     def test_set_nesting_below_admissible(self):
-        bar = h1_spec(eps=1.0, theta_d=1.0)
-        geom = SafeSetGeometry(h=bar.h, b=1.0)
-        delta_max = admissible_delta(bar, geom)
+        bar = h1_spec(eps=1.0, theta_d=1.0, domain_b=1.0)
+        delta_max = admissible_delta(bar)
         rng = np.random.default_rng(5)
         for delta in rng.uniform(0.0, delta_max * 0.999, size=20):
             gamma = gamma_margin(bar, delta)
-            assert gamma < geom.b
+            assert gamma < bar.domain_b
             for x in rng.uniform(-1.0, 1.0, size=(50, 1)):
                 if bar.h(x) >= 0.0:  # x in S, so x in S_delta = {h + gamma >= 0} and in D
                     assert bar.h(x) + gamma >= 0.0
-                    assert geom.in_domain(x)
+                    assert bar.in_domain(x)
+
+    @pytest.mark.parametrize("b", [math.nan, 0.0, -0.5])
+    def test_bad_bound_rejected(self, b):
+        # NaN would turn the domain test off; b <= 0 leaves D without the safe set's boundary
+        with pytest.raises(ParameterError, match="domain_b"):
+            h1_spec(domain_b=b)
 
 
 def test_finite_difference_consistency_random_states():

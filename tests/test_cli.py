@@ -175,6 +175,19 @@ def test_config_file_unknown_key_is_build_failure(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("bound", ["nan", "-0.5"])
+def test_bad_domain_bound_is_build_failure(tmp_path, capsys, scenario, command, bound):
+    # NaN would switch the domain test off; b <= 0 would leave verify's sampler nothing to draw
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[{scenario}]\ndomain_b = {bound}\n")
+    code = main([command, "--scenario", scenario, "--config", str(cfg), "--t-final", "0.1", "--out", str(tmp_path)])
+    assert code == BUILD_FAILURE
+    assert "domain_b must be positive" in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{scenario}_*"))
+
+
 @pytest.mark.parametrize(
     "config, flags",
     [

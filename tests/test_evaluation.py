@@ -105,6 +105,17 @@ def test_dual_constructions_per_step(monkeypatch, build, per_step):
 
 
 @pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
+def test_value_only_h_and_reference_equal_the_barrier_pass(build):
+    # both read k from the virtual controller's lowered pass, as value_and_grad does
+    scn = build()
+    barrier = scn.composite if build is build_pendulum else scn.dbar
+    for x in np.random.default_rng(5).uniform(*scn.box, size=(1000, scn.x0.size)):
+        be = barrier.value_and_grad(x)
+        assert barrier.h(x) == be.h
+        assert np.array_equal(barrier.reference(x), be.ref)
+
+
+@pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
 def test_recorded_inputs_replay_bit_for_bit(build):
     scn = build()
     traj, _ = rollout(scn, CFG)

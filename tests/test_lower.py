@@ -113,6 +113,23 @@ def test_traced_value_used_as_a_number_fails_the_trace(nominal):
         k.with_jacobian(x)
 
 
+@pytest.mark.parametrize(
+    "fn, operation",
+    [
+        (lambda x: ad.stack([x[0] ** 2]), r"\*\*"),
+        (lambda x: ad.stack([ad.atan(x[0])]), "arctan"),
+    ],
+    ids=["pow", "atan"],
+)
+def test_operation_without_a_lowering_fails_the_trace(fn, operation):
+    lowered = lower.LoweredJacobian(fn, 1)
+    x = np.array([0.5])
+    ad.jacobian(fn, x)  # the Dual pass runs
+    with pytest.raises(TraceError, match=operation):
+        lowered(x)
+    assert not lowered.sources
+
+
 def test_sqrt_sin_and_cos_lower_exactly():
     fn = lambda x: ad.stack([ad.sin(x[0]) * ad.cos(x[1]), ad.sqrt(x[0] * x[0] + x[1] * x[1]), x[1]])
     lowered = lower.LoweredJacobian(fn, 2)

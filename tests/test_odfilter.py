@@ -1,9 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from odcbf.barrier import SafeSetGeometry
 from odcbf.errors import DomainError, InfeasiblePointError, NonFiniteError
 from odcbf.odfilter import OdIssfController, solve_decay_filter
 from odcbf.scenarios import build_pendulum
@@ -145,21 +145,21 @@ class TestSpecExamples:
 class TestFilterOnSystems:
     def test_domain_precondition(self):
         scn = build_pendulum()
-        geom = SafeSetGeometry(h=scn.bar.h, b=0.5)
+        bar = dataclasses.replace(scn.bar, domain_b=0.5)
         with pytest.raises(DomainError):
-            OdIssfController(scn.sys, scn.bar, scn.filter_law.nominal, geom).evaluate(np.array([3.0, 8.0]))
+            OdIssfController(scn.sys, bar, scn.filter_law.nominal).evaluate(np.array([3.0, 8.0]))
 
     def test_virtual_filter_interior_nominal_safe(self):
         scn = build_pendulum()
         safe_nominal = lambda x1, t, be: np.zeros(1)
-        res = OdIssfController(scn.top_sys, scn.h1, safe_nominal, scn.layer_geometry).evaluate(np.array([0.0])).result
+        res = OdIssfController(scn.top_sys, scn.h1, safe_nominal).evaluate(np.array([0.0])).result
         assert not res.constraint_active
         assert np.allclose(res.u, [0.0])
 
     def test_virtual_filter_active_near_boundary(self):
         scn = build_pendulum()
         aggressive = lambda x1, t, be: np.array([5.0])  # drive outward
-        res = OdIssfController(scn.top_sys, scn.h1, aggressive, scn.layer_geometry).evaluate(np.array([0.99])).result
+        res = OdIssfController(scn.top_sys, scn.h1, aggressive).evaluate(np.array([0.99])).result
         assert res.lambda_val > 0
         # constraint exactly active at the optimum
         lie_lg = -2 * 0.99

@@ -33,8 +33,8 @@ class TestPendulumAssembly:
 
     def test_default_config_passes_prop1_on_layer1(self):
         scn = build_pendulum()
-        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
-        report = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_samples=500, seed=0)
+        sampler = exterior_sampler(scn.h1, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        report = check_prop1(scn.top_sys, scn.h1, sampler, n_samples=500, seed=0)
         assert report.verdict == "pass"
 
     def test_layer1_matched_full_unmatched(self):
@@ -187,12 +187,12 @@ class TestDisturbanceCatalog:
 
 @pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
 def test_rollout_runs_what_verify_samples(build):
-    # rollout reads the system, barrier and domain from the filter law; verify's zero-set check from the scenario
+    # rollout reads the system and the barrier, with its domain, from the filter law; so does verify's zero-set check
     scn = build()
     law = scn.filter_law
-    assert scn.sys is law.sys and scn.bar is law.bar and scn.geometry is law.geometry
+    assert scn.sys is law.sys and scn.bar is law.bar
     (zero_set,) = [check for check in scn.checks if check.kind == "od_issf"]
-    assert zero_set.sys is law.sys and zero_set.bar is law.bar and zero_set.geometry is law.geometry
+    assert zero_set.sys is law.sys and zero_set.bar is law.bar
 
 
 def test_closure_constants_are_built_once_and_read_only():

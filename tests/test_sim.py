@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from odcbf.barrier import BarrierSpec, SafeSetGeometry, linear_class_k
+from odcbf.barrier import BarrierSpec, linear_class_k
 from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, call_law
 from odcbf.errors import IntegrationError, NonFiniteError, ParameterError, SimulationAbort
 from odcbf.odfilter import OdIssfController
@@ -60,9 +60,8 @@ def small_scenario(bar, disturbance, nominal=lambda x, t, be: np.zeros(1), lw=0.
     """xdot = u + lw d on the line, from x = 0, filtered on ``bar``."""
     lw_mat = np.array([[lw]])
     sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: lw_mat)
-    geometry = SafeSetGeometry(h=bar.h)
-    law = OdIssfController(sys, bar, nominal, geometry)
-    return Scenario("line", None, sys, law, bar, np.zeros(1), disturbance, bar.h, geometry, ((-1.0,), (1.0,)), ())
+    law = OdIssfController(sys, bar, nominal)
+    return Scenario("line", None, law, np.zeros(1), disturbance, bar.h, ((-1.0,), (1.0,)), ())
 
 
 class TestRollout:
@@ -139,7 +138,7 @@ class TestRollout:
         assert traj.truncated
         assert "left barrier domain" in traj.exit_reason
         assert traj.times[-1] < 10.0 and np.all(np.diff(traj.times) > 0)
-        assert not scn.geometry.in_domain(traj.states[-1])
+        assert not scn.bar.in_domain(traj.states[-1])
         assert np.isnan(traj.inputs[-1]).all() and math.isnan(traj.omegas[-1])
         assert traj.h_values[-1] == scn.bar.h(traj.states[-1]) <= -0.5
         assert metrics.min_h == traj.h_values[-1]
@@ -223,14 +222,13 @@ class TestMetrics:
         from odcbf.barrier import admissible_delta, gamma_margin
         from odcbf.errors import MarginUndefinedError
 
-        scn = build_pendulum()
-        geom = SafeSetGeometry(h=scn.bar.h, b=1.0)
-        delta_star = admissible_delta(scn.bar, geom)
+        scn = build_pendulum(PendulumConfig(domain_b=1.0))
+        delta_star = admissible_delta(scn.bar)
         assert delta_star == pytest.approx(np.sqrt(2.0))
 
         below = 1.3
         gamma = gamma_margin(scn.bar, below)
-        assert gamma < geom.b
+        assert gamma < scn.bar.domain_b
         cell = dataclasses.replace(scn, disturbance=make_disturbance("sin", p=1, delta=below))
         _, metrics = rollout(cell, RolloutConfig(dt=2e-3, t_final=3.0))
         assert metrics.min_h + gamma >= -1e-6
@@ -238,7 +236,7 @@ class TestMetrics:
         above = 1.5
         capped = BarrierSpec(
             h=scn.bar.h, grad_h=scn.bar.grad_h,
-            alpha=linear_class_k(1.0, b=geom.b, c=np.inf),
+            alpha=linear_class_k(1.0, b=scn.bar.domain_b, c=np.inf),
             epsilon=scn.bar.epsilon, theta_d=scn.bar.theta_d, p_weight=scn.bar.p_weight, n=2,
         )
         with pytest.raises(MarginUndefinedError):
@@ -265,7 +263,7 @@ class TestSweep:
         scn = build_pendulum()
 
         class BrokenLaw:
-            sys, bar, geometry = scn.filter_law.sys, scn.filter_law.bar, scn.filter_law.geometry
+            sys, bar = scn.filter_law.sys, scn.filter_law.bar
 
             def evaluate(self, x, t):
                 raise TypeError("planted")

@@ -7,7 +7,7 @@ import pytest
 
 from odcbf import verify
 from odcbf.autodiff import fd_jacobian
-from odcbf.barrier import BarrierSpec, SafeSetGeometry, eval_lie, linear_class_k
+from odcbf.barrier import BarrierSpec, eval_lie, linear_class_k
 from odcbf.dynamics import DisturbedSystem
 from odcbf.errors import ParameterError, SamplerError
 from odcbf.scenarios import build_pendulum, build_quadrotor
@@ -159,14 +159,14 @@ class TestCheckOdIssf:
         # set, so the implication holds vacuously. Layer 1 is a plain barrier, so
         # check_od_issf refuses to refine it; Proposition 1 (check_prop1) covers it
         scn = build_pendulum()
-        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        sampler = exterior_sampler(scn.h1, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
         seeds = sampler.draw(np.random.default_rng(1), 100)
         lg_norms = [np.linalg.norm(eval_lie(scn.top_sys, scn.h1, x).lg_h) for x in seeds]
         assert min(lg_norms) > verify.RANK_TOL
         report = SampleReport(samples_checked=len(seeds)).finalize()
         assert report.verdict == "vacuous-pass" and report.zero_set_hits == 0
         with pytest.raises(ParameterError, match="ref_jac"):
-            check_od_issf(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_seeds=100, seed=1)
+            check_od_issf(scn.top_sys, scn.h1, sampler, n_seeds=100, seed=1)
 
     def test_no_zero_set_hit_is_a_vacuous_pass(self):
         report = SampleReport(samples_checked=100).finalize()
@@ -175,7 +175,7 @@ class TestCheckOdIssf:
 
     def test_backstepped_pendulum_passes_with_hits(self):
         scn = build_pendulum()
-        report = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=300, seed=2)
+        report = check_od_issf(scn.sys, scn.bar, scn.exterior_sampler(), n_seeds=300, seed=2)
         assert report.verdict == "pass"
         assert report.zero_set_hits >= 100
         assert report.min_margin > 0
@@ -183,15 +183,15 @@ class TestCheckOdIssf:
     def test_broken_barrier_fails_with_negative_margins(self):
         scn = build_pendulum()
         broken = dataclasses.replace(scn.bar, epsilon=1e-6)
-        report = check_od_issf(scn.sys, broken, scn.geometry, scn.exterior_sampler(), n_seeds=150, seed=3)
+        report = check_od_issf(scn.sys, broken, scn.exterior_sampler(), n_seeds=150, seed=3)
         assert report.verdict == "fail"
         assert report.min_margin < 0
         assert report.violations[0][1] == report.min_margin  # worst-first
 
     def test_reports_deterministic_given_seed(self):
         scn = build_pendulum()
-        r1 = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=5)
-        r2 = check_od_issf(scn.sys, scn.bar, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=5)
+        r1 = check_od_issf(scn.sys, scn.bar, scn.exterior_sampler(), n_seeds=60, seed=5)
+        r2 = check_od_issf(scn.sys, scn.bar, scn.exterior_sampler(), n_seeds=60, seed=5)
         assert r1.zero_set_hits == r2.zero_set_hits
         assert r1.min_margin == r2.min_margin
 
@@ -218,7 +218,7 @@ class TestZeroSetSearch:
             return original(*args)
 
         monkeypatch.setattr(verify, "eval_lie", counted)
-        report = check_od_issf(sys, scn.bar, scn.geometry, scn.exterior_sampler(), seed=0)
+        report = check_od_issf(sys, scn.bar, scn.exterior_sampler(), seed=0)
         assert report.zero_set_hits >= 100
         assert len(calls) <= per_seed * report.samples_checked
 
@@ -231,7 +231,7 @@ class TestZeroSetSearch:
         )
         assert lg_jacobian(eval_lie(scn.sys, plain, np.array([0.5, 1.0]))) is None
         with pytest.raises(ParameterError, match="ref_jac"):
-            check_od_issf(scn.sys, plain, scn.geometry, scn.exterior_sampler(), n_seeds=60, seed=4)
+            check_od_issf(scn.sys, plain, scn.exterior_sampler(), n_seeds=60, seed=4)
 
 
 def _bisect(f, a, b, width=1e-14):
@@ -293,17 +293,16 @@ class TestBracketRoot:
 class TestCheckProp1:
     def test_pendulum_layer1_passes(self):
         scn = build_pendulum()
-        sampler = exterior_sampler(scn.h1, scn.layer_geometry, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
-        report = check_prop1(scn.top_sys, scn.h1, scn.layer_geometry, sampler, n_samples=500, seed=1)
+        sampler = exterior_sampler(scn.h1, scn.cfg.box_lo[:1], scn.cfg.box_hi[:1])
+        report = check_prop1(scn.top_sys, scn.h1, sampler, n_samples=500, seed=1)
         assert report.verdict == "pass"
         assert report.min_margin > 0
 
     def test_constant_barrier_fails(self):
         sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)))
         flat = BarrierSpec(h=lambda x: 0.0, grad_h=lambda x: np.zeros(1), alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1)
-        geom = SafeSetGeometry(h=flat.h)
         sampler = BoxRegionSampler(np.array([-1.0]), np.array([1.0]), lambda x: True)
-        report = check_prop1(sys, flat, geom, sampler, n_samples=50, seed=0)
+        report = check_prop1(sys, flat, sampler, n_samples=50, seed=0)
         assert report.verdict == "fail"
 
     def test_quadrotor_off_manifold_passes(self):
@@ -314,7 +313,7 @@ class TestCheckProp1:
             return scn.bar.h(x) <= 0 and abs(x[4] - scn.eta_d_of_state(x)) > 0.05
 
         sampler = BoxRegionSampler(np.asarray(scn.cfg.box_lo), np.asarray(scn.cfg.box_hi), pred)
-        report = check_prop1(scn.sys, scn.bar, scn.geometry, sampler, n_samples=300, seed=2)
+        report = check_prop1(scn.sys, scn.bar, sampler, n_samples=300, seed=2)
         assert report.verdict == "pass"
 
 
@@ -329,8 +328,7 @@ class TestRegularValues:
 
     def test_unit_disc_level_sets(self):
         bar = self.make_bar()
-        geom = SafeSetGeometry(h=bar.h, b=np.inf)
-        report = check_regular_values(bar, geom, [0.0, -0.5], center=np.zeros(2), seed=1)
+        report = check_regular_values(bar, [0.0, -0.5], center=np.zeros(2), seed=1)
         assert report.verdict == "pass"
         assert report.zero_set_hits > 100
         # smallest gradient norm: 2 at the kappa=0 circle (|x|=1)
@@ -343,29 +341,27 @@ class TestRegularValues:
             grad_h=lambda x: np.array([-3.0 * x[0] ** 2]),
             alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1,
         )
-        geom = SafeSetGeometry(h=bar.h, b=np.inf)
-        report = check_regular_values(bar, geom, [0.0], center=np.array([-2.0]), seed=0)
+        report = check_regular_values(bar, [0.0], center=np.array([-2.0]), seed=0)
         assert report.verdict == "fail"
 
     def test_kappa_outside_interval_rejected(self):
-        bar = self.make_bar()
-        geom = SafeSetGeometry(h=bar.h, b=1.0)
+        bar = dataclasses.replace(self.make_bar(), domain_b=1.0)
         with pytest.raises(ValueError):
-            check_regular_values(bar, geom, [-2.0], center=np.zeros(2))
+            check_regular_values(bar, [-2.0], center=np.zeros(2))
 
     def test_center_is_evaluated_once_per_level(self):
         # every ray starts at the center, so h is taken there once per kappa, not once per ray
         scn = build_pendulum()
         calls = []
         bar = dataclasses.replace(scn.bar, h=lambda x: calls.append(np.array(x)) or scn.bar.h(x))
-        report = check_regular_values(bar, scn.geometry, [0.0, -0.5], center=np.zeros(2), seed=0)
+        report = check_regular_values(bar, [0.0, -0.5], center=np.zeros(2), seed=0)
         assert report.samples_checked == 400
         assert sum(np.array_equal(x, np.zeros(2)) for x in calls) == 2
         assert len(calls) == 3824  # with h per ray start: 4222
 
     def test_pendulum_composite_zero_level(self):
         scn = build_pendulum()
-        report = check_regular_values(scn.bar, scn.geometry, [0.0], center=np.zeros(2), seed=4)
+        report = check_regular_values(scn.bar, [0.0], center=np.zeros(2), seed=4)
         assert report.verdict == "pass"
         assert report.zero_set_hits > 50
 
