@@ -35,6 +35,7 @@ from . import autodiff as ad
 from .barrier import BarrierEval, BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
+from .lower import LoweredJacobian
 from .synthesis import SmoothVirtualController
 
 
@@ -119,6 +120,11 @@ class CompositeBarrier:
     n_top: int
     n_bot: int
     ref_map: Optional[Callable] = None
+    # (r, dr/dv) of the reference map, lowered as k's pass is; traced on first use
+    ref_pass: Optional[LoweredJacobian] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ref_pass", None if self.ref_map is None else LoweredJacobian(self.ref_map))
 
     def reference(self, x):
         """r(k(x_top)): the bottom block's reference at x, with k read from its lowered pass."""
@@ -130,14 +136,14 @@ class CompositeBarrier:
         return self.h_top.h(x[: self.n_top]) - ad.dot(e, e) / (2.0 * self.mu)
 
     def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h, k, r and dr/dx_top from one value-and-jacobian pass of k (and of r)."""
+        """h, grad h, k, r and dr/dx_top from the lowered value-and-jacobian passes of k (and of r)."""
         x = np.asarray(x, dtype=float)
         x_top, x_bot = x[: self.n_top], x[self.n_top :]
         k_val, k_jac = self.k.with_jacobian(x_top)
         if self.ref_map is None:
             ref, ref_jac = k_val, k_jac
         else:
-            ref, r_jac = ad.jacobian(self.ref_map, k_val)
+            ref, r_jac = self.ref_pass(k_val)
             ref_jac = r_jac @ k_jac
         e = x_bot - ref
         # (e J_r) J_k, not e (J_r J_k): this product order fixes the gradient's rounding

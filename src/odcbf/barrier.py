@@ -108,6 +108,8 @@ class BarrierSpec:
             raise ParameterError("epsilon, theta_d, p_weight must all be strictly positive")
         if not self.domain_b > 0:  # NaN too: it would turn the domain test off
             raise ParameterError(f"domain_b must be positive, got {self.domain_b!r}")
+        if self.alpha.b < self.domain_b:  # alpha must be defined on all of D, where h > -b
+            raise ParameterError(f"alpha is undefined on part of D: alpha.b={self.alpha.b!r} < domain_b={self.domain_b!r}")
         if self.value_and_grad is None:
             h, grad_h = self.h, self.grad_h
             pair = lambda x: BarrierEval(float(h(x)), np.asarray(grad_h(x), dtype=float).reshape(-1))

@@ -19,6 +19,8 @@ map, in place of the strict-feedback identity.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .backstepping import CompositeBarrier
 from .dynamics import DisturbedSystem
-from .errors import AlignmentError, ThrustDomainError
+from .errors import AlignmentError, NonFiniteError, ThrustDomainError
 from .synthesis import SmoothVirtualController
 
 _SV_FLOOR = 1e-8
@@ -57,26 +59,39 @@ def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
 
     r and m are tiny here, so the normal equations are cheap; conditioning is
     monitored through the singular values and rank deficiency raises
-    AlignmentError with the offending values.
+    AlignmentError with the offending values. A one-column mat has a 1x1
+    Gram matrix, which is its own eigenvalue, and its solve is one division.
+    Non-finite data (mat, v, or the result) raises NonFiniteError.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     v = np.asarray(v, dtype=float).reshape(-1)
     gram = mat.T @ mat
-    svals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
-    if svals.min() <= sv_floor:
-        raise AlignmentError(svals, sv_floor)
-    return np.linalg.solve(gram, mat.T @ v)
+    if not np.isfinite(gram).all():
+        raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
+    if mat.shape[1] == 1:
+        # dividing rounds as LAPACK's 1x1 solve does; multiplying by the reciprocal would not
+        if math.sqrt(gram[0, 0]) <= sv_floor:
+            raise AlignmentError(np.sqrt(gram[0]), sv_floor)
+        out = (mat.T @ v) / gram[0, 0]
+    else:
+        svals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
+        if svals.min() <= sv_floor:
+            raise AlignmentError(svals, sv_floor)
+        out = np.linalg.solve(gram, mat.T @ v)
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
+    return out
 
 
 def quadrotor_eta_d(v, v_min=0.0):
     """Pitch angle atan(-v1 / v2) aligning planar thrust with the command v.
 
     Requires positive net thrust v2 > v_min (the map has a singularity at
-    v2 = 0 which the synthesis must stay away from). Dual-aware.
+    v2 = 0 which the synthesis must stay away from). Dual-aware, and its
+    thrust test goes through ad.branch, so the map can be lowered.
     """
-    v2val = float(ad.value(v[1]))
-    if v2val <= v_min:
-        raise ThrustDomainError(f"thrust component v2={v2val:.6g} <= v_min={v_min:.6g}")
+    if ad.branch(operator.le, v[1], v_min):
+        raise ThrustDomainError(f"thrust component v2={float(ad.value(v[1])):.6g} <= v_min={v_min:.6g}")
     return ad.stack([ad.atan(-v[0] / v[1])])
 
 
@@ -102,8 +117,9 @@ class DrdBarrier(CompositeBarrier):
 def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> DisturbedSystem:
     """Close the top input at its aligned value; u_eta remains the input.
 
-    Drift: (f_z + g_z psi psi^+ k_v(z); f_eta); input matrix (0; g_eta);
-    disturbance matrix (w_z; w_eta). Alignment errors propagate. ``f`` reads
+    Drift: (f_z + g_z psi psi^+ k_v(z); f_eta); input matrix (0; g_eta),
+    its zero block built once; disturbance matrix (w_z; w_eta). Alignment
+    and non-finite errors of psi^+ propagate. ``f`` reads
     v = k_v(z) from k_v's lowered pass; ``f_with`` reads it from a barrier
     pass built on this k_v instead of rerunning k_v.
     """
@@ -124,11 +140,11 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
         x = np.asarray(x, dtype=float)
         return drift(x, k_v.with_jacobian(x[: dsys.n_top])[0])
 
+    g_top_rows = np.zeros((dsys.n_top, dsys.m_bot))
+
     def g(x):
         _, eta = split(np.asarray(x, dtype=float))
-        mat = np.zeros((n, dsys.m_bot))
-        mat[dsys.n_top :, :] = np.atleast_2d(np.asarray(dsys.g_bot(eta), dtype=float))
-        return mat
+        return np.concatenate([g_top_rows, np.atleast_2d(np.asarray(dsys.g_bot(eta), dtype=float))])
 
     def w(x):
         z, eta = split(np.asarray(x, dtype=float))

@@ -1,8 +1,8 @@
 """Lowering of a forward-AD pass to straight-line float code.
 
-The virtual controller's value-and-jacobian pass runs the same closures at
-every state; only its data-dependent branches can change which operations it
-performs. :func:`trace` runs such a pass once on traced scalars: numpy object
+The value-and-jacobian passes of the virtual controller and of a barrier's
+reference map run the same closures at every state; only their data-dependent
+branches can change which operations they perform. :func:`trace` runs such a pass once on traced scalars: numpy object
 arrays of nodes that carry their concrete values, inside ordinary
 :class:`~odcbf.autodiff.Dual` numbers, so the Dual code runs unchanged and
 each of its scalar operations lands on a tape. Decisions taken through
@@ -17,9 +17,10 @@ SysML 2018).
 Rounding: each emitted line is one IEEE operation of the Dual pass, in the
 same order (the Dual sums start from 0.0, as numpy's float reductions do);
 sqrt is correctly rounded on both sides, and sin and cos are emitted as
-``math``'s, which equal numpy's on the inputs tested; other functions, such
-as arctan (whose ``math`` form differs from numpy's in the last bit on some
-inputs), have no lowering, and a pass that calls them fails to trace with
+``math``'s, which equal numpy's on the inputs tested. arctan is emitted as
+numpy's own scalar call, which rounds like the array call, because
+``math.atan`` differs from it in the last bit on some inputs. Other
+functions have no lowering, and a pass that calls them fails to trace with
 :class:`~odcbf.errors.TraceError`, which names the operation. A
 float ``@`` is never rewritten as scalar code, because it does not round
 like one: a plain ``@`` on traced values would need their floats, and any
@@ -92,6 +93,9 @@ class _Node(ad.Traced):
     def cos(self):
         return self.tape.node(f"_cos({self.name})", np.cos(self.v), (self,))
 
+    def arctan(self):
+        return self.tape.node(f"_arctan({self.name})", np.arctan(self.v), (self,))
+
     def branch(self, test, vals):
         return self.tape.guard(test, vals)
 
@@ -100,7 +104,8 @@ class _Tape:
     def __init__(self):
         self.lines = []  # (name, expression, names read); a guard has name None and its failure condition
         self.shared = {}  # expression -> node, so that a repeated operation is emitted once
-        self.env = {"_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos, "inf": math.inf, "nan": math.nan}
+        self.env = {"_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos, "_arctan": np.arctan}
+        self.env.update(inf=math.inf, nan=math.nan)
         self.tests = {}  # guard test -> its name in env
 
     def ref(self, a):
@@ -185,16 +190,19 @@ def trace(fn, x):
 class LoweredJacobian:
     """x -> (fn(x), dfn/dx) for 1-D points of size n, from compiled variants of ``ad.jacobian(fn, x)``.
 
-    ``variants`` holds the compiled variants, the last one to match first;
-    ``sources`` their emitted sources, in the order traced.
+    ``n`` None takes the size of the first 1-D point. ``variants`` holds the
+    compiled variants, the last one to match first; ``sources`` their
+    emitted sources, in the order traced.
     """
 
-    def __init__(self, fn, n):
+    def __init__(self, fn, n=None):
         self.fn, self.n = fn, n
         self.variants, self.sources = [], []
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
+        if self.n is None and xs.ndim == 1:
+            self.n = xs.size
         if xs.shape != (self.n,):
             return ad.jacobian(self.fn, x)
         args = xs.tolist()

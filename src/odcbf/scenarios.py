@@ -392,7 +392,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         f_bot=lambda eta: zero,
         g_bot=lambda eta: one,
         w_bot=lambda eta: no_wind,
-        psi=lambda eta: ad.vstack([ad.stack([-ad.sin(eta[0])]), ad.stack([ad.cos(eta[0])])]),
+        psi=lambda eta: np.array([[-np.sin(eta[0])], [np.cos(eta[0])]]),  # called on floats only
     )
 
     grad_h_z = _constant([-a1, 0.0, -1.0, 0.0])

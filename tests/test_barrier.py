@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,31 @@ class TestBarrierDomain:
         # NaN would turn the domain test off; b <= 0 leaves D without the safe set's boundary
         with pytest.raises(ParameterError, match="domain_b"):
             h1_spec(domain_b=b)
+
+    @pytest.mark.parametrize("domain_b", [1.0, math.inf])
+    def test_alpha_defined_short_of_the_domain_rejected(self, domain_b):
+        # alpha on (-0.5, inf) is undefined where -b < h <= -0.5, which D contains
+        with pytest.raises(ParameterError, match="alpha is undefined"):
+            h1_spec(alpha=linear_class_k(1.0, b=0.5), domain_b=domain_b)
+
+    def test_alpha_covering_the_domain_accepted(self):
+        assert h1_spec(alpha=linear_class_k(1.0, b=1.0), domain_b=1.0).alpha.b == 1.0
+        assert h1_spec(alpha=linear_class_k(1.0, b=2.0), domain_b=1.0).domain_b == 1.0
+
+    def test_pendulum_spec_with_short_alpha_rejected(self):
+        # the pendulum's own spec with alpha cut at b = 0.5 inside D = {h > -1}: alpha(-0.5625) was used
+        from odcbf.scenarios import PendulumConfig, build_pendulum
+
+        bar = build_pendulum(PendulumConfig(domain_b=1.0)).bar
+        with pytest.raises(ParameterError, match="alpha is undefined"):
+            dataclasses.replace(bar, alpha=linear_class_k(1.0, b=0.5))
+
+    @pytest.mark.parametrize("domain_b", [1.0, math.inf])
+    def test_shipped_scenarios_build(self, domain_b):
+        from odcbf.scenarios import PendulumConfig, QuadrotorConfig, build_pendulum, build_quadrotor
+
+        assert build_pendulum(PendulumConfig(domain_b=domain_b)).bar.domain_b == domain_b
+        assert build_quadrotor(QuadrotorConfig(domain_b=domain_b)).bar.domain_b == domain_b
 
 
 def test_finite_difference_consistency_random_states():

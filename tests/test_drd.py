@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,9 @@ from odcbf.drd import (
     quadrotor_attitude_map,
     quadrotor_eta_d,
 )
-from odcbf.errors import AlignmentError, ParameterError, ThrustDomainError
-from odcbf.scenarios import build_quadrotor
+from odcbf.errors import AlignmentError, NonFiniteError, ParameterError, SimulationAbort, ThrustDomainError
+from odcbf.scenarios import QuadrotorConfig, build_quadrotor
+from odcbf.sim import RolloutConfig, rollout
 
 
 class TestAlignment:
@@ -49,6 +53,37 @@ class TestAlignment:
             pinv_apply(psi, np.array([1.0, 0.0]))
         assert exc.value.singular_values.min() <= 1e-8
 
+    def test_one_column_division_equals_the_lapack_solve(self):
+        # the quadrotor's psi(theta) is one column: its solve is one division, and rounds like np.linalg.solve
+        scn = build_quadrotor()
+        rng = np.random.default_rng(29)
+        for theta, v in zip(rng.uniform(-3.2, 3.2, size=10_000), rng.normal(scale=10.0, size=(10_000, 2))):
+            psi = scn.dsys.psi(np.array([theta]))
+            u = pinv_apply(psi, v)
+            assert u.shape == (1,) and np.array_equal(u, np.linalg.solve(psi.T @ psi, psi.T @ v))
+
+    @pytest.mark.parametrize(
+        "psi, v",
+        [
+            (np.array([[math.nan], [1.0]]), np.array([0.0, 9.81])),
+            (np.array([[math.inf], [1.0]]), np.array([0.0, 9.81])),
+            (np.array([[0.0], [1.0]]), np.array([math.nan, 9.81])),
+            (np.array([[1.0, math.nan], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0, 2.0])),
+            (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, math.inf, 2.0])),
+        ],
+        ids=["nan-psi", "inf-psi", "nan-v", "nan-psi-two-columns", "inf-v-two-columns"],
+    )
+    def test_non_finite_data_raises(self, psi, v):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite alignment data"):
+            pinv_apply(psi, v)
+
+    def test_non_finite_attitude_aborts_the_rollout(self):
+        scn = build_quadrotor()
+        bad = dataclasses.replace(scn, x0=np.array([0.0, 0.0, 0.0, 0.0, math.nan]))
+        with pytest.raises(SimulationAbort, match="NonFiniteError: non-finite alignment data") as exc:
+            rollout(bad, RolloutConfig(dt=1e-2, t_final=0.1))
+        assert exc.value.step == 0 and exc.value.t == 0.0
+
 
 class TestQuadrotorEtaD:
     def test_vertical_command_zero_angle(self):
@@ -76,6 +111,39 @@ class TestQuadrotorEtaD:
         _, jac = ad.jacobian(amap, v)
         fd = ad.fd_jacobian(lambda u: np.asarray(quadrotor_eta_d(u)), v)
         assert np.allclose(jac, fd, rtol=1e-7, atol=1e-9)
+
+
+class TestLoweredAttitudeMap:
+    def test_lowered_pass_equals_the_dual_pass(self):
+        scn = build_quadrotor()
+        v_min = scn.cfg.v_min_frac * scn.cfg.mass * scn.cfg.gravity
+        lowered = scn.dbar.ref_pass
+        rng = np.random.default_rng(31)
+        for v in np.column_stack([rng.uniform(-30.0, 30.0, 10_000), rng.uniform(1.001 * v_min, 40.0, 10_000)]):
+            val, jac = lowered(v)
+            ref_val, ref_jac = ad.jacobian(scn.attitude, v)
+            assert np.array_equal(val, ref_val) and np.array_equal(jac, ref_jac)
+            assert val.shape == (1,) and jac.shape == (1, 2)
+        assert len(lowered.sources) == 1 and "_arctan(" in lowered.sources[0]
+
+    def test_thrust_below_the_floor_raises_the_reference_error(self):
+        # k_v's v2 is the gravity feedforward m g; a floor above it puts every state outside the map's domain
+        cfg = QuadrotorConfig(v_min_frac=1.5)
+        scn = build_quadrotor(cfg)
+        m_g, v_min = cfg.mass * cfg.gravity, 1.5 * cfg.mass * cfg.gravity
+        scn.dbar.ref_pass(np.array([0.5, 2.0 * v_min]))  # warm: the lowered variant exists
+        assert len(scn.dbar.ref_pass.sources) == 1
+        for x in (scn.x0, np.array([1.0, 0.2, 0.5, -0.3, 0.1])):
+            with pytest.raises(ThrustDomainError) as got:
+                scn.dbar.value_and_grad(x)
+            # the message the Dual pass has always given
+            assert str(got.value) == f"thrust component v2={m_g:.6g} <= v_min={v_min:.6g}"
+        assert len(scn.dbar.ref_pass.sources) == 1  # a failing state is never traced
+
+    def test_strict_feedback_barrier_has_no_reference_pass(self):
+        scn = build_quadrotor()
+        plain = compose_barrier(scn.h_z, scn.k_v, scn.cfg.mu, 4, 1)
+        assert plain.ref_pass is None and scn.dbar.ref_pass is not None
 
 
 class TestDrdBarrier:

@@ -238,6 +238,7 @@ class TestMetrics:
             h=scn.bar.h, grad_h=scn.bar.grad_h,
             alpha=linear_class_k(1.0, b=scn.bar.domain_b, c=np.inf),
             epsilon=scn.bar.epsilon, theta_d=scn.bar.theta_d, p_weight=scn.bar.p_weight, n=2,
+            domain_b=scn.bar.domain_b,  # alpha's domain covers D, as BarrierSpec requires
         )
         with pytest.raises(MarginUndefinedError):
             gamma_margin(capped, above)
