@@ -12,18 +12,21 @@ the hot path. The entry points validate instead: :func:`seed` converts the
 point to a 1-D float array, and :func:`gradient` / :func:`jacobian` check
 that the output's parts are aligned with the seed. Plain operands of
 ``+ - * /`` enter the formulas directly and are never lifted to a zero-seed
-Dual; :func:`dot`, :func:`matvec` and :func:`vecmat` form their value and
-derivative parts as whole-array products reduced over one axis, summed in
-the same order as the elementwise definitions, so they round identically.
+Dual. One contraction rule serves floats, Duals and traced scalars alike:
+:func:`contract` multiplies elementwise and then sums from 0.0 in order
+(:func:`fdot` on Python floats), and :func:`dot`, :func:`matvec` and
+:func:`vecmat` form their value and derivative parts with it. A float ``@``
+would round like the host's BLAS kernel, often with a fused multiply-add
+(reproducible summation: Demmel & Nguyen, ARITH 2013); this order is the one
+straight-line float code has, so a lowered pass rounds like the array code.
 
 The same code runs on traced scalars: :mod:`odcbf.lower` seeds a Dual whose
 values are numpy object arrays of :class:`Traced` nodes, and records every
-scalar operation to emit float code. Code meant to be lowered therefore
-makes each decision on its data through :func:`branch`, which a traced
-value records as a guard, and never converts a value to float. A Dual has
-no order comparisons, so comparing one raises TypeError. The sums of
-:func:`_contract` start from 0.0, as numpy's float reductions do, so a
-traced sum rounds like the float one.
+scalar operation to emit float code; plain operands may be traced too
+(:func:`floats` keeps them). Code meant to be lowered therefore makes each
+decision on its data through :func:`branch`, which a traced value records as
+a guard, and never converts a value to float. A Dual has no order
+comparisons, so comparing one raises TypeError.
 
 Forward AD is the program's one derivative path; the lowered code is a
 compiled form of it, and this module's Dual pass stays its reference.
@@ -139,8 +142,19 @@ def _shifted(val, dot):
     return Dual(val, dot)
 
 
+def floats(x):
+    """A plain operand as a float array; traced scalars stay as they are (an object array)."""
+    x = np.asarray(x)
+    return x if x.dtype == object else x.astype(float, copy=False)
+
+
+def scalar(v):
+    """A plain scalar as a float; a traced one stays as it is."""
+    return v if isinstance(v, Traced) else float(v)
+
+
 def _value(x):
-    return x.val if isinstance(x, Dual) else np.asarray(x, dtype=float)
+    return x.val if isinstance(x, Dual) else floats(x)
 
 
 def value(x):
@@ -150,7 +164,7 @@ def value(x):
 
 def seed(x):
     """Wrap a 1-D point with identity seeds (one direction per component)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(floats(x))
     if x.ndim != 1:
         raise ValueError(f"seed point must be 1-D, got shape {x.shape}")
     return Dual(x, np.eye(x.size))
@@ -162,7 +176,7 @@ def seed(x):
 def _unary(x, f, df):
     if isinstance(x, Dual):
         return Dual(f(x.val), df(x.val)[..., None] * x.dot)
-    return f(np.asarray(x, dtype=float))
+    return f(x if isinstance(x, Traced) else floats(x))
 
 
 def sin(x):
@@ -187,20 +201,42 @@ def sqrt(x):
 def stack(items):
     """Stack scalars (plain or 0-d Dual) into a 1-D vector."""
     first = next((it for it in items if isinstance(it, Dual)), None)
-    if first is None:
-        return np.array([float(it) for it in items])
-    zero = np.zeros(first.dot.shape[-1])
     vals = [it.val if isinstance(it, Dual) else it for it in items]
-    val = np.array(vals, dtype=object if any(isinstance(v, Traced) for v in vals) else float)
+    traced = any(isinstance(v, Traced) for v in vals)
+    if first is None:
+        return np.array(vals, dtype=object) if traced else np.array([float(it) for it in items])
+    zero = np.zeros(first.dot.shape[-1])
+    val = np.array(vals, dtype=object if traced else float)
     dot = np.array([it.dot if isinstance(it, Dual) else zero for it in items])
     return Dual(val, dot)
+
+
+def contract(a, b, axis=-1):
+    """Sum over ``axis`` of the broadcast product ``a * b`` of plain arrays (floats or traced):
+    multiply elementwise, then sum from 0.0 in order. numpy sums fewer than 8 terms in
+    order and more pairwise, so a longer axis is summed here one term at a time."""
+    terms = a * b
+    if terms.shape[axis] < 8:
+        return terms.sum(axis=axis, initial=0.0)
+    total = 0.0
+    for term in np.moveaxis(terms, axis, 0):
+        total = total + term
+    return total
+
+
+def fdot(a, b):
+    """sum_i a_i b_i of two sequences of Python floats, by :func:`contract`'s rule."""
+    total = 0.0
+    for ai, bi in zip(a, b):
+        total += ai * bi
+    return total
 
 
 def _contract(a, b, axis, a_index=Ellipsis):
     """Sum over ``axis`` of the broadcast product ``a[a_index] * b``; a Dual on either side.
 
-    The products are the terms of ``Dual.__mul__``, so the result rounds like
-    multiplying elementwise and then summing.
+    The products are the terms of ``Dual.__mul__``, and both parts are summed by
+    :func:`contract`, so the result rounds like multiplying elementwise and then summing.
     """
     av, bv = _value(a)[a_index], _value(b)
     if isinstance(a, Dual):
@@ -209,42 +245,28 @@ def _contract(a, b, axis, a_index=Ellipsis):
             dot = dot + b.dot * av[..., None]
     else:
         dot = b.dot * av[..., None]
-    # numpy's float sums start from 0.0; saying so makes a traced (object) sum round the same way
-    return Dual((av * bv).sum(axis=axis, initial=0.0), dot.sum(axis=axis, initial=0.0))
+    return Dual(contract(av, bv, axis), contract(dot, 1.0, axis))
 
 
 def dot(u, v):
     """Inner product of two 1-D vectors (either may be Dual)."""
     if not isinstance(u, Dual) and not isinstance(v, Dual):
-        return float(np.dot(u, v))
+        return contract(floats(u), floats(v))
     return _contract(u, v, 0)
 
 
 def matvec(mat, v):
     """Matrix times vector where either factor may be Dual."""
     if not isinstance(mat, Dual) and not isinstance(v, Dual):
-        return np.asarray(mat, dtype=float) @ np.asarray(v, dtype=float)
+        return contract(floats(mat), floats(v))
     return _contract(mat, v, 1)
 
 
 def vecmat(v, mat):
     """Row vector times matrix: (v^T M) as a 1-D vector."""
     if not isinstance(mat, Dual) and not isinstance(v, Dual):
-        return np.asarray(v, dtype=float) @ np.asarray(mat, dtype=float)
+        return contract(floats(v)[:, None], floats(mat), 0)
     return _contract(v, mat, 0, a_index=(slice(None), None))
-
-
-def vstack(blocks):
-    """Stack 2-D blocks row-wise, Dual-aware. Plain blocks are promoted; they get zero seeds."""
-    if not any(isinstance(b, Dual) for b in blocks):
-        return np.concatenate([np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks])
-    k = next(b.dot.shape[-1] for b in blocks if isinstance(b, Dual))
-    vals = [np.atleast_2d(_value(b)) for b in blocks]
-    dots = [
-        b.dot.reshape(v.shape + (k,)) if isinstance(b, Dual) else np.zeros(v.shape + (k,))
-        for b, v in zip(blocks, vals)
-    ]
-    return Dual(np.concatenate(vals), np.concatenate(dots))
 
 
 # -- derivative drivers --------------------------------------------------
@@ -252,8 +274,8 @@ def vstack(blocks):
 
 def _checked(out, n):
     """The output's value and derivative parts, checked against ``n`` seeds."""
-    val = np.asarray(out.val, dtype=float)
-    dot = np.asarray(out.dot, dtype=float)
+    val = floats(out.val)
+    dot = floats(out.dot)
     if dot.shape != val.shape + (n,):
         raise ValueError(f"dual parts misaligned: val {val.shape}, dot {dot.shape}, {n} seeds")
     return val, dot
@@ -276,7 +298,7 @@ def jacobian(f, x):
     n = xs.val.size
     out = f(xs)
     if not isinstance(out, Dual):
-        out = np.atleast_1d(np.asarray(out, dtype=float))
+        out = np.atleast_1d(floats(out))
         return out, np.zeros((out.size, n))
     val, dot = _checked(out, n)
     val = np.atleast_1d(val)

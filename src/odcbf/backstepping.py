@@ -41,11 +41,12 @@ from .synthesis import SmoothVirtualController
 
 @dataclass(frozen=True)
 class Layer:
-    """One block of a strict-feedback cascade.
+    """One block of a two-layer strict-feedback cascade.
 
-    f, g, w take the stacked prefix state (x1, ..., xi) and return arrays of
-    shape (dim,), (dim, next) and (dim, p); g multiplies the next block (or
-    the input at the bottom layer) and w may depend only on the prefix.
+    f, g, w take the top block's state (top layer) or the whole state
+    (bottom layer) and return arrays of shape (dim,), (dim, next) and
+    (dim, p); g multiplies the bottom block (top layer) or the input
+    (bottom layer).
     """
 
     f: Callable
@@ -56,57 +57,42 @@ class Layer:
 
 @dataclass(frozen=True)
 class StrictFeedbackSystem:
-    layers: tuple
+    """The two-layer cascade x_top' = f_0 + g_0 x_bot + w_0 d, x_bot' = f_1 + g_1 u + w_1 d."""
+
+    layers: tuple  # (top, bottom)
     m: int  # input dimension at the bottom layer
     p: int  # disturbance dimension
-    ends: tuple = field(init=False, repr=False, compare=False)  # block i is x[ends[i-1]:ends[i]]
 
     def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(int(e) for e in np.cumsum([layer.dim for layer in self.layers])))
+        if len(self.layers) != 2:
+            raise ParameterError(f"a strict-feedback cascade has two layers, got {len(self.layers)}")
 
     @property
     def n(self):
-        return self.ends[-1]
-
-    def prefix(self, x, i):
-        """Stacked state of layers 0..i inclusive."""
-        return x[: self.ends[i]]
-
-    def block(self, x, i):
-        """State of layer i alone."""
-        return x[self.ends[i] - self.layers[i].dim : self.ends[i]]
+        return self.layers[0].dim + self.layers[1].dim
 
     def assemble(self) -> DisturbedSystem:
-        """Full block-form system: drift chains g_i x_{i+1}, input at the bottom."""
-        n, m, p = self.n, self.m, self.p
-        last = len(self.layers) - 1
+        """Full block-form system: the top drift chains g_0 x_bot, the input enters at the bottom."""
+        top, bot = self.layers
+        g_top_rows = np.zeros((top.dim, self.m))
 
         def f(x):
-            parts = []
-            for i, layer in enumerate(self.layers):
-                fi = np.asarray(layer.f(self.prefix(x, i)), dtype=float)
-                if i < last:
-                    gi = np.asarray(layer.g(self.prefix(x, i)), dtype=float)
-                    fi = fi + gi @ np.asarray(self.block(x, i + 1), dtype=float)
-                parts.append(fi)
-            return np.concatenate(parts)
+            x_top = x[: top.dim]
+            chained = ad.floats(top.f(x_top)) + ad.matvec(top.g(x_top), x[top.dim :])
+            return np.concatenate([chained, ad.floats(bot.f(x))])
 
         def g(x):
-            mat = np.zeros((n, m))
-            mat[n - self.layers[-1].dim :, :] = np.asarray(self.layers[-1].g(x), dtype=float)
-            return mat
+            return np.concatenate([g_top_rows, ad.floats(bot.g(x))])
 
         def w(x):
-            return np.vstack(
-                [np.asarray(layer.w(self.prefix(x, i)), dtype=float) for i, layer in enumerate(self.layers)]
-            )
+            return np.concatenate([ad.floats(top.w(x[: top.dim])), ad.floats(bot.w(x))])
 
-        return DisturbedSystem(n=n, m=m, p=p, f=f, g=g, w=w)
+        return DisturbedSystem(n=self.n, m=self.m, p=self.p, f=f, g=g, w=w)
 
     def virtual_top(self) -> DisturbedSystem:
         """Layer 0 as a system whose input is block 1 (the virtual channel)."""
-        top = self.layers[0]
-        return DisturbedSystem(n=top.dim, m=self.layers[1].dim, p=self.p, f=top.f, g=top.g, w=top.w)
+        top, bot = self.layers
+        return DisturbedSystem(n=top.dim, m=bot.dim, p=self.p, f=top.f, g=top.g, w=top.w)
 
 
 @dataclass(frozen=True)
@@ -136,20 +122,21 @@ class CompositeBarrier:
         return self.h_top.h(x[: self.n_top]) - ad.dot(e, e) / (2.0 * self.mu)
 
     def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h, k, r and dr/dx_top from the lowered value-and-jacobian passes of k (and of r)."""
-        x = np.asarray(x, dtype=float)
+        """h, grad h, k, r and dr/dx_top from the lowered value-and-jacobian passes of k (and of r),
+        on floats or on traced scalars."""
+        x = ad.floats(x)
         x_top, x_bot = x[: self.n_top], x[self.n_top :]
         k_val, k_jac = self.k.with_jacobian(x_top)
         if self.ref_map is None:
             ref, ref_jac = k_val, k_jac
         else:
             ref, r_jac = self.ref_pass(k_val)
-            ref_jac = r_jac @ k_jac
+            ref_jac = ad.contract(r_jac[:, :, None], k_jac[None, :, :], 1)  # J_r J_k
         e = x_bot - ref
         # (e J_r) J_k, not e (J_r J_k): this product order fixes the gradient's rounding
-        chain = e @ k_jac if self.ref_map is None else (e @ r_jac) @ k_jac
+        chain = ad.vecmat(e, k_jac) if self.ref_map is None else ad.vecmat(ad.vecmat(e, r_jac), k_jac)
         top = self.h_top.value_and_grad(x_top)
-        hv = top.h - float(e @ e) / (2.0 * self.mu)
+        hv = top.h - ad.dot(e, e) / (2.0 * self.mu)
         grad = np.concatenate([top.grad + chain / self.mu, -e / self.mu])
         return BarrierEval(hv, grad, k=k_val, ref=ref, ref_jac=ref_jac, mu=self.mu)
 

@@ -11,13 +11,17 @@ for disturbances bounded by delta, provided delta^2 < -2*theta_d*alpha(-b)/eps.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .dynamics import DisturbedSystem
 from .errors import MarginUndefinedError, ParameterError, ShapeError
+from .lower import Lowered
 
 _RANGE_PROBE = 1e12  # stand-in for an infinite domain endpoint when probing range
 
@@ -90,6 +94,8 @@ class BarrierSpec:
     ``layers`` counts the blocks a backstepped barrier was built over (1 for
     a plain barrier). ``domain_b`` is b = -inf h, declared finite or left
     +inf; the barrier's domain is D = {h + b > 0} (``in_domain``).
+    ``kernels`` holds the lowered state pass of each system this barrier was
+    evaluated with (see ``eval_lie``).
     """
 
     h: Callable
@@ -102,6 +108,7 @@ class BarrierSpec:
     value_and_grad: Optional[Callable] = None
     layers: int = 1
     domain_b: float = math.inf
+    kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.theta_d <= 0 or self.p_weight <= 0:
@@ -112,7 +119,7 @@ class BarrierSpec:
             raise ParameterError(f"alpha is undefined on part of D: alpha.b={self.alpha.b!r} < domain_b={self.domain_b!r}")
         if self.value_and_grad is None:
             h, grad_h = self.h, self.grad_h
-            pair = lambda x: BarrierEval(float(h(x)), np.asarray(grad_h(x), dtype=float).reshape(-1))
+            pair = lambda x: BarrierEval(ad.scalar(h(x)), ad.floats(grad_h(x)).reshape(-1))
             object.__setattr__(self, "value_and_grad", pair)
 
     def in_domain(self, x, hv=None):
@@ -123,8 +130,7 @@ class BarrierSpec:
         return (float(self.h(x)) if hv is None else hv) + self.domain_b > 0.0
 
 
-@dataclass(frozen=True)
-class LieData:
+class LieData(NamedTuple):
     """h and its Lie derivatives along f, g, w at one state, with the barrier
     pass and the f, g, w they come from."""
 
@@ -138,29 +144,44 @@ class LieData:
     w: np.ndarray
 
 
-def eval_lie(sys: DisturbedSystem, bar: BarrierSpec, x) -> LieData:
-    """Evaluate h, L_f h = grad_h . f, L_g h = grad_h g, L_w h = grad_h w.
-
-    A system with ``f_with`` takes its drift from the barrier pass when the
-    pass carries a virtual input.
-    """
-    x = np.asarray(x, dtype=float)
+def lie_pass(sys: DisturbedSystem, bar: BarrierSpec, x) -> tuple:
+    """The state part of an evaluation at the 1-D state x, on floats or traced scalars:
+    (h, grad h, f, g, w, L_f h, L_g h, L_w h), then k, ref, ref_jac and mu when the
+    barrier pass carries a virtual input, from which a system with ``f_with`` takes its drift."""
+    x = ad.floats(x)
     if x.shape != (sys.n,):
         raise ShapeError("x", (sys.n,), x.shape)
     be = bar.value_and_grad(x)
     grad = be.grad
-    if grad.shape != (sys.n,):
-        raise ShapeError("grad_h(x)", (sys.n,), grad.shape)
-    f = np.asarray(sys.f(x) if sys.f_with is None or be.k is None else sys.f_with(x, be), dtype=float)
-    g = np.asarray(sys.g(x), dtype=float)
-    w = np.asarray(sys.w(x), dtype=float)
-    if f.shape != (sys.n,):
-        raise ShapeError("f(x)", (sys.n,), f.shape)
-    if g.shape != (sys.n, sys.m):
-        raise ShapeError("g(x)", (sys.n, sys.m), g.shape)
-    if w.shape != (sys.n, sys.p):
-        raise ShapeError("w(x)", (sys.n, sys.p), w.shape)
-    return LieData(be.h, float(grad @ f), grad @ g, grad @ w, be, f, g, w)
+    f = ad.floats(sys.f(x) if sys.f_with is None or be.k is None else sys.f_with(x, be))
+    g, w = ad.floats(sys.g(x)), ad.floats(sys.w(x))
+    for name, arr, shape in (("grad_h(x)", grad, (sys.n,)), ("f(x)", f, (sys.n,)),
+                             ("g(x)", g, (sys.n, sys.m)), ("w(x)", w, (sys.n, sys.p))):
+        if arr.shape != shape:
+            raise ShapeError(name, shape, arr.shape)
+    lie = (be.h, grad, f, g, w, ad.dot(grad, f), ad.vecmat(grad, g), ad.vecmat(grad, w))
+    return lie if be.k is None else lie + (be.k, be.ref, be.ref_jac, be.mu)
+
+
+def eval_lie(sys: DisturbedSystem, bar: BarrierSpec, x) -> LieData:
+    """Evaluate h, L_f h = grad_h . f, L_g h = grad_h g, L_w h = grad_h w.
+
+    Runs the pair's lowered ``lie_pass`` (``lower.Lowered``, with ``lie_pass`` on
+    floats as its reference, whose errors propagate). A pair whose pass cannot be
+    lowered exactly runs the reference at every state; its kernel's ``refusal`` says why.
+    """
+    h, grad, f, g, w, lf, lg, lw, *barrier_pass = lie_kernel(sys, bar)(x)
+    return LieData(h, lf, lg, lw, BarrierEval(h, grad, *barrier_pass), f, g, w)
+
+
+def lie_kernel(sys: DisturbedSystem, bar: BarrierSpec) -> Lowered:
+    """The pair's lowered ``lie_pass``, made on first use and kept in ``bar.kernels``."""
+    entry = bar.kernels.get(id(sys))
+    if entry is None or entry[0] is not sys:
+        # the kernel holds the barrier weakly, so that the barrier and its kernels form no cycle
+        kernel = Lowered(partial(lie_pass, sys, weakref.proxy(bar)), sys.n, strict=False)
+        entry = bar.kernels[id(sys)] = (sys, kernel)
+    return entry[1]
 
 
 def gamma_margin(bar: BarrierSpec, delta: float) -> float:

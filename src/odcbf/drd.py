@@ -55,32 +55,38 @@ class DrdSystem:
 
 
 def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
-    """Left pseudoinverse applied to v via normal equations.
+    """Left pseudoinverse applied to v via normal equations, on floats or traced scalars.
 
     r and m are tiny here, so the normal equations are cheap; conditioning is
     monitored through the singular values and rank deficiency raises
     AlignmentError with the offending values. A one-column mat has a 1x1
-    Gram matrix, which is its own eigenvalue, and its solve is one division.
+    Gram matrix, which is its own eigenvalue, and its solve is one division;
+    its floor test goes through ad.branch, so that the solve can be lowered.
     Non-finite data (mat, v, or the result) raises NonFiniteError.
     """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    v = np.asarray(v, dtype=float).reshape(-1)
-    gram = mat.T @ mat
-    if not np.isfinite(gram).all():
+    mat = np.atleast_2d(ad.floats(mat))
+    v = ad.floats(v).reshape(-1)
+    gram = ad.contract(mat[:, :, None], mat[:, None, :], 0)  # mat^T mat
+    if not _finite(gram):
         raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
     if mat.shape[1] == 1:
         # dividing rounds as LAPACK's 1x1 solve does; multiplying by the reciprocal would not
-        if math.sqrt(gram[0, 0]) <= sv_floor:
+        if ad.branch(operator.le, ad.sqrt(gram[0, 0]), sv_floor):
             raise AlignmentError(np.sqrt(gram[0]), sv_floor)
-        out = (mat.T @ v) / gram[0, 0]
+        out = ad.vecmat(v, mat) / gram[0, 0]
     else:
         svals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
         if svals.min() <= sv_floor:
             raise AlignmentError(svals, sv_floor)
-        out = np.linalg.solve(gram, mat.T @ v)
-    if not np.isfinite(out).all():
+        out = np.linalg.solve(gram, ad.vecmat(v, mat))
+    if not _finite(out):
         raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
     return out
+
+
+def _finite(arr):
+    """Every entry of arr is finite; each test goes through ad.branch."""
+    return all([ad.branch(math.isfinite, a) for a in arr.flat])
 
 
 def quadrotor_eta_d(v, v_min=0.0):
@@ -101,14 +107,8 @@ def quadrotor_attitude_map(v_min=0.0) -> Callable:
 
 
 class DrdBarrier(CompositeBarrier):
-    """The dual-relative-degree barrier under its own class name: a
-    :class:`CompositeBarrier` whose ``ref_map`` is an attitude map eta_d.
-
-    It holds no code of its own. Binding the methods into this class's dict
-    lets span tracers that wrap methods per class count the DRD pass apart
-    from the strict-feedback one; the next change to the benchmark's tracer
-    retargets it to :class:`CompositeBarrier` and deletes this subclass.
-    """
+    """A :class:`CompositeBarrier` whose ``ref_map`` is an attitude map eta_d, under its own
+    name so that span tracers wrapping methods per class count it apart; no code of its own."""
 
     value_and_grad = CompositeBarrier.value_and_grad
     h = CompositeBarrier.h
@@ -130,30 +130,24 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
 
     def drift(x, v):
         z, eta = split(x)
-        psi = np.atleast_2d(np.asarray(dsys.psi(eta), dtype=float))
+        psi = np.atleast_2d(ad.floats(dsys.psi(eta)))
         u_z = pinv_apply(psi, v)
-        top = np.asarray(dsys.f_top(z), dtype=float) + np.asarray(dsys.g_top(z), dtype=float) @ (psi @ u_z)
-        bot = np.asarray(dsys.f_bot(eta), dtype=float)
-        return np.concatenate([top, bot])
+        top = ad.floats(dsys.f_top(z)) + ad.matvec(dsys.g_top(z), ad.matvec(psi, u_z))
+        return np.concatenate([top, ad.floats(dsys.f_bot(eta))])
 
     def f(x):
-        x = np.asarray(x, dtype=float)
+        x = ad.floats(x)
         return drift(x, k_v.with_jacobian(x[: dsys.n_top])[0])
 
     g_top_rows = np.zeros((dsys.n_top, dsys.m_bot))
 
     def g(x):
-        _, eta = split(np.asarray(x, dtype=float))
-        return np.concatenate([g_top_rows, np.atleast_2d(np.asarray(dsys.g_bot(eta), dtype=float))])
+        _, eta = split(ad.floats(x))
+        return np.concatenate([g_top_rows, np.atleast_2d(ad.floats(dsys.g_bot(eta)))])
 
     def w(x):
-        z, eta = split(np.asarray(x, dtype=float))
-        return np.vstack(
-            [
-                np.atleast_2d(np.asarray(dsys.w_top(z), dtype=float)),
-                np.atleast_2d(np.asarray(dsys.w_bot(eta), dtype=float)),
-            ]
-        )
+        z, eta = split(ad.floats(x))
+        return np.concatenate([np.atleast_2d(ad.floats(dsys.w_top(z))), np.atleast_2d(ad.floats(dsys.w_bot(eta)))])
 
     return DisturbedSystem(n=n, m=dsys.m_bot, p=dsys.p, f=f, g=g, w=w, f_with=lambda x, be: drift(x, be.k))
 
@@ -162,8 +156,9 @@ def alignment_residual(dsys: DrdSystem, k_v: SmoothVirtualController, eta_d: Cal
     """|| psi(eta_d(k_v(z))) psi^+ k_v(z) - k_v(z) ||: the alignment identity."""
     v = k_v.with_jacobian(np.asarray(z, dtype=float))[0]
     eta = np.asarray(ad.value(eta_d(v)), dtype=float).reshape(-1)
-    psi = np.atleast_2d(np.asarray(dsys.psi(eta), dtype=float))
-    return float(np.linalg.norm(psi @ pinv_apply(psi, v) - v))
+    psi = np.atleast_2d(ad.floats(dsys.psi(eta)))
+    resid = ad.matvec(psi, pinv_apply(psi, v)) - v
+    return math.sqrt(ad.dot(resid, resid))
 
 
 def check_attitude_alignment(dsys, k_v, eta_d, z_samples, tol=1e-9):

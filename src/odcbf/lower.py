@@ -1,45 +1,46 @@
-"""Lowering of a forward-AD pass to straight-line float code.
+"""Lowering of a pass over a state to straight-line float code.
 
-The value-and-jacobian passes of the virtual controller and of a barrier's
-reference map run the same closures at every state; only their data-dependent
-branches can change which operations they perform. :func:`trace` runs such a pass once on traced scalars: numpy object
-arrays of nodes that carry their concrete values, inside ordinary
-:class:`~odcbf.autodiff.Dual` numbers, so the Dual code runs unchanged and
-each of its scalar operations lands on a tape. Decisions taken through
+Two kinds of pass run the same closures at every state, and only their
+data-dependent branches change which operations they perform: the
+value-and-jacobian pass of a virtual controller or reference map
+(:class:`LoweredJacobian`), and the state pass of an evaluation
+(``barrier.lie_pass``: the barrier pass, f, g, w and the Lie derivatives).
+:func:`lower` runs such a pass once on traced scalars: numpy object arrays of
+nodes that carry their concrete values, inside ordinary arrays and
+:class:`~odcbf.autodiff.Dual` numbers, so the pass runs unchanged and each of
+its scalar operations lands on a tape. Decisions taken through
 :func:`odcbf.autodiff.branch` are recorded as guards. The tape, pruned to
 what the outputs and the guards read and with repeated expressions shared,
 is emitted as one Python function over floats with the forward-derivative
 lines inline (Griewank & Walther, *Evaluating Derivatives*, ch. 2-3 and 6),
-and compiled once. The function returns None where a guard fails: the
+and compiled once. It returns None where a guard fails: the
 explicit-conditional rule of tracing compilers (Frostig, Johnson & Leary,
 SysML 2018).
 
-Rounding: each emitted line is one IEEE operation of the Dual pass, in the
-same order (the Dual sums start from 0.0, as numpy's float reductions do);
+Rounding: each emitted line is one IEEE operation of the reference pass, in
+the same order. Every sum of products follows the one contraction rule,
+multiply and then sum from 0.0 in order (``autodiff.contract``), which is
+what scalar lines do; a float ``@`` would round like the host's BLAS kernel.
 sqrt is correctly rounded on both sides, and sin and cos are emitted as
-``math``'s, which equal numpy's on the inputs tested. arctan is emitted as
-numpy's own scalar call, which rounds like the array call, because
-``math.atan`` differs from it in the last bit on some inputs. Other
-functions have no lowering, and a pass that calls them fails to trace with
-:class:`~odcbf.errors.TraceError`, which names the operation. A
-float ``@`` is never rewritten as scalar code, because it does not round
-like one: a plain ``@`` on traced values would need their floats, and any
-float coercion of a traced value fails the trace with
-:class:`~odcbf.errors.TraceError`. Constant operands are folded at trace
-time by numpy itself. The only rewrites are the exact identities x*1, 1*x,
-x/1 and x-0, and the emitted source never holds a traced value.
+``math``'s, which equal numpy's on the inputs tested; arctan is emitted as
+numpy's scalar call, because ``math.atan`` differs from it in the last bit
+on some inputs. Any other function, and any float coercion of a traced
+value, fails the trace with :class:`~odcbf.errors.TraceError`. Constant
+operands are folded at trace time by numpy itself. The only rewrites are the
+exact identities x*1, 1*x, x/1 and x-0, and the emitted source never holds a
+traced value.
 
-:class:`LoweredJacobian` keeps one compiled variant per branch combination
-met so far. At a state where every variant's guards fail, the reference
-pass ``ad.jacobian`` runs there: its errors propagate unchanged, and
-otherwise the new combination is traced, checked against the reference
-result at that state, and kept.
+:class:`Lowered` keeps one compiled variant per branch combination met so
+far. At a state where every variant's guards fail, the reference pass runs
+there: its errors propagate unchanged, and otherwise the new combination is
+traced, checked against the reference result at that state, and kept.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class _Tape:
         self.lines = []  # (name, expression, names read); a guard has name None and its failure condition
         self.shared = {}  # expression -> node, so that a repeated operation is emitted once
         self.env = {"_sqrt": math.sqrt, "_sin": math.sin, "_cos": math.cos, "_arctan": np.arctan}
-        self.env.update(inf=math.inf, nan=math.nan)
+        self.env.update(inf=math.inf, nan=math.nan, _array=np.array)
         self.tests = {}  # guard test -> its name in env
 
     def ref(self, a):
@@ -143,10 +144,26 @@ class _Tape:
         return outcome
 
 
-def _source(tape, n, val, dot):
-    outs = [tape.ref(v) for v in val]
-    rows = [[tape.ref(d) for d in row] for row in dot]
-    live = set(outs).union(*rows)
+def _entries(outs):
+    """The scalars of a pass's outputs (scalars and arrays), in order; C order within an array."""
+    return [e for o in outs for e in (o.ravel().tolist() if isinstance(o, np.ndarray) else [o])]
+
+
+def _source(tape, n, outs):
+    """The live lines and guards, then the outputs: a scalar as its float, a constant array as one
+    read-only array (every call returns it), any other array as a view of one array of their entries."""
+    rets, packed = [], []
+    for o in outs:
+        if not isinstance(o, np.ndarray):
+            rets.append(tape.ref(o))
+        elif not any(isinstance(e, _Node) for e in o.flat):
+            rets.append(f"_c{len(tape.env)}")
+            tape.env[rets[-1]] = o.astype(float)
+            tape.env[rets[-1]].flags.writeable = False
+        else:
+            packed += [tape.ref(e) for e in o.ravel().tolist()]
+            rets.append(f"_b[{len(packed) - o.size}:{len(packed)}]" + (f".reshape({o.shape})" if o.ndim != 1 else ""))
+    live = {e.name for e in _entries(outs) if isinstance(e, _Node)}
     body = []
     for name, expr, reads in reversed(tape.lines):
         if name is None:
@@ -157,54 +174,68 @@ def _source(tape, n, val, dot):
             continue
         live.update(reads)
     body.reverse()
+    if packed:
+        body.append(f"    _b = _array(({''.join(f'{r}, ' for r in packed)}))")
     args = ", ".join(f"x{i}" for i in range(n))
-    ret = "(" + "".join(f"{o}, " for o in outs) + "), (" + "".join(f"({', '.join(r)},), " for r in rows) + ")"
-    return "\n".join([f"def lowered({args}):", *body, f"    return {ret}", ""])
+    return "\n".join([f"def lowered({args}):", *body, f"    return ({''.join(f'{r}, ' for r in rets)})", ""])
 
 
-def trace(fn, x):
-    """fn's value-and-jacobian pass at the 1-D point x, lowered: (compiled function, its source).
+def lower(fn, x):
+    """fn lowered at the 1-D float point x: (compiled function, its source).
 
-    The function takes the n coordinates as floats and returns (value, jacobian)
-    as nested tuples, or None where a recorded guard fails. An operation that
-    has no lowering raises TraceError.
+    fn maps a 1-D array to a tuple of scalars and arrays; it runs here once on
+    traced scalars. The compiled function takes the coordinates as floats and
+    returns the outputs as floats and float arrays, or None where a recorded
+    guard fails. An operation that has no lowering raises TraceError.
     """
     x = np.asarray(x, dtype=float)
     tape = _Tape()
     point = np.empty(x.size, dtype=object)
     for i, xi in enumerate(x):
         point[i] = _Node(tape, f"x{i}", xi)
-    with np.errstate(all="ignore"):
-        try:
-            out = fn(ad.Dual(point, np.eye(x.size)))
-        except TypeError as exc:  # a traced scalar has no method for this operation
-            raise TraceError(f"the pass uses an operation that has no lowering: {exc}") from exc
-    val, dot = (out.val, out.dot) if isinstance(out, ad.Dual) else (out, np.zeros(np.shape(out) + (x.size,)))
-    val = np.atleast_1d(np.asarray(val, dtype=object))
-    source = _source(tape, x.size, val, np.asarray(dot, dtype=object).reshape(val.size, x.size))
+    try:
+        with np.errstate(all="ignore"):
+            outs = fn(point)
+        source = _source(tape, x.size, outs)
+    except TypeError as exc:  # a traced scalar has no method for this operation
+        raise TraceError(f"the pass uses an operation that has no lowering: {exc}") from exc
+    finally:
+        tape.shared.clear()  # the nodes refer to the tape: free them now, not at the next garbage collection
     env = dict(tape.env)
     exec(compile(source, "<lowered pass>", "exec"), env)
-    return env["lowered"], source
+    return env.pop("lowered"), source  # popped: the function's globals need not refer back to it
 
 
-class LoweredJacobian:
-    """x -> (fn(x), dfn/dx) for 1-D points of size n, from compiled variants of ``ad.jacobian(fn, x)``.
+def trace(fn, x):
+    """fn's value-and-jacobian pass ``ad.jacobian(fn, .)`` lowered at x: (compiled function, its source)."""
+    return lower(partial(ad.jacobian, fn), x)
 
-    ``n`` None takes the size of the first 1-D point. ``variants`` holds the
-    compiled variants, the last one to match first; ``sources`` their
-    emitted sources, in the order traced.
+
+class Lowered:
+    """x -> fn(x) for 1-D float points of size n, from compiled variants of fn.
+
+    ``fn`` maps a 1-D array to a tuple of scalars and arrays: on floats it is
+    the reference, and on traced scalars (a Lowered called inside a pass being
+    traced) it records onto their tape. ``n`` None takes the size of the first
+    1-D point. ``variants`` holds the compiled variants, the last one to match
+    first; ``sources`` their emitted sources, in the order traced. With
+    ``strict`` False, an fn that cannot be lowered exactly keeps the reason in
+    ``refusal`` and runs at every state, instead of raising TraceError.
     """
 
-    def __init__(self, fn, n=None):
-        self.fn, self.n = fn, n
+    def __init__(self, fn, n=None, strict=True):
+        self.fn, self.n, self.strict = fn, n, strict
         self.variants, self.sources = [], []
+        self.refusal = None
 
     def __call__(self, x):
+        if isinstance(x, np.ndarray) and x.dtype == object:
+            return self.fn(x)  # a point of traced scalars: fn runs on it, recording onto their tape
         xs = np.asarray(x, dtype=float)
         if self.n is None and xs.ndim == 1:
             self.n = xs.size
-        if xs.shape != (self.n,):
-            return ad.jacobian(self.fn, x)
+        if xs.shape != (self.n,) or self.refusal is not None:
+            return self.fn(xs)
         args = xs.tolist()
         try:
             for i, variant in enumerate(self.variants):
@@ -212,23 +243,33 @@ class LoweredJacobian:
                 if out is not None:
                     if i:  # the next state most likely takes the same branches
                         self.variants.insert(0, self.variants.pop(i))
-                    return np.array(out[0]), np.array(out[1])
+                    return out
         except (ArithmeticError, ValueError):
-            # Python floats raise where numpy returns inf or nan: the reference pass serves this state
-            return ad.jacobian(self.fn, x)
-        val, jac = ad.jacobian(self.fn, x)  # no variant's guards hold here; its errors are the answer
-        self._add(xs, args, val, jac)
-        return val, jac
+            # Python floats raise where numpy returns inf or nan: the reference serves this state
+            return self.fn(xs)
+        outs = self.fn(xs)  # no variant's guards hold here; its errors are the answer
+        try:
+            self._add(xs, args, outs)
+        except TraceError as exc:
+            if self.strict:
+                raise
+            self.refusal = exc
+        return outs
 
-    def _add(self, xs, args, val, jac):
-        variant, source = trace(self.fn, xs)
+    def _add(self, xs, args, outs):
+        variant, source = lower(self.fn, xs)
         try:
             out = variant(*args)
         except (ArithmeticError, ValueError):
             return  # float arithmetic faults at the trace point itself: leave such states to the reference
-        if out is None or not (
-            np.array_equal(out[0], val, equal_nan=True) and np.array_equal(out[1], jac, equal_nan=True)
-        ):
+        if out is None or not np.array_equal(_entries(out), _entries(outs), equal_nan=True):
             raise TraceError(f"the lowered pass disagrees with the reference pass at x={xs}:\n{source}")
         self.variants.append(variant)
         self.sources.append(source)
+
+
+class LoweredJacobian(Lowered):
+    """x -> (fn(x), dfn/dx) for 1-D points of size n, from compiled variants of ``ad.jacobian(fn, x)``."""
+
+    def __init__(self, fn, n=None):
+        super().__init__(partial(ad.jacobian, fn), n)

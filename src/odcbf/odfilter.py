@@ -22,19 +22,18 @@ underflow), where a negative upsilon certifies infeasibility. The solution is lo
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .barrier import LieData, eval_lie
 from .dynamics import call_law
-from .errors import DomainError, InfeasiblePointError, NonFiniteError
+from .errors import DomainError, InfeasiblePointError, NonFiniteError, ShapeError
 
 _DENOM_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: below it xi^2 has underflowed
 
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(NamedTuple):
     """Filtered input with the realized decay scale and KKT diagnostics."""
 
     u: np.ndarray
@@ -44,6 +43,11 @@ class FilterResult:
     zeta: float
     lambda_val: float
     constraint_active: bool
+
+
+def _floats(v):
+    """A vector argument as a list of Python floats."""
+    return (v if isinstance(v, np.ndarray) and v.dtype.kind == "f" else np.asarray(v, dtype=float)).ravel().tolist()
 
 
 def solve_decay_filter(
@@ -57,7 +61,7 @@ def solve_decay_filter(
     p: float,
     x=None,
 ) -> FilterResult:
-    """Closed-form filter on raw Lie-derivative terms.
+    """Closed-form filter on raw Lie-derivative terms, in Python float arithmetic.
 
     Raises NonFiniteError when upsilon, xi or zeta is NaN or infinite, when
     the denominator xi^2 + p ReLU(zeta)^2 overflows with upsilon < 0, or
@@ -67,15 +71,25 @@ def solve_decay_filter(
     float) counts as degenerate. Just above it the multiplier lambda may
     overflow while the step lambda L_g h does not; the step and psi are then
     formed as (|upsilon| / sqrt(denom)) (L_g h / sqrt(denom)), and
-    ``lambda_val`` holds the overflowed multiplier, +inf.
+    ``lambda_val`` holds the overflowed multiplier, +inf. The sums of
+    products in upsilon and xi follow the one contraction rule.
     """
-    lg_h = np.asarray(lg_h, dtype=float).reshape(-1)
-    lw_h = np.asarray(lw_h, dtype=float).reshape(-1)
-    u_nom = np.asarray(u_nom, dtype=float).reshape(-1)
-
-    upsilon = float(lf_h + lg_h @ u_nom + theta_d * alpha_h - (lw_h @ lw_h) / epsilon)
-    xi = float(np.linalg.norm(lg_h))
-    zeta = float(alpha_h / p)
+    lg, lw, u0 = _floats(lg_h), _floats(lw_h), _floats(u_nom)
+    if len(u0) != len(lg):
+        raise ShapeError("u_nom", (len(lg),), (len(u0),))
+    alpha_h, epsilon, theta_d, p = float(alpha_h), float(epsilon), float(theta_d), float(p)
+    gu = gg = ww = 0.0  # L_g h u_nom, ||L_g h||^2, ||L_w h||^2: products summed from 0.0 (autodiff.fdot's rule)
+    for gi, ui in zip(lg, u0):
+        gu += gi * ui
+        gg += gi * gi
+    for wi in lw:
+        ww += wi * wi
+    try:
+        upsilon = float(lf_h) + gu + theta_d * alpha_h - ww / epsilon
+        zeta = alpha_h / p
+    except ZeroDivisionError:  # a zero epsilon or p: numpy's division would give inf or nan
+        upsilon = zeta = math.nan
+    xi = math.sqrt(gg)
     if not (math.isfinite(upsilon) and math.isfinite(xi) and math.isfinite(zeta)):
         raise NonFiniteError(f"non-finite filter data at x={x}: upsilon={upsilon!r}, xi={xi!r}, zeta={zeta!r}")
 
@@ -97,28 +111,20 @@ def solve_decay_filter(
         psi = relu_neg_ups * relu_zeta / denom
     step = lam * xi  # ||u - u_nom||
     if math.isfinite(step):
-        u = u_nom + lam * lg_h
+        u = [ui + lam * gi for ui, gi in zip(u0, lg)]
     else:
         # lam overflows just above the degenerate floor while the step may not
         root = math.sqrt(denom)
         scale = relu_neg_ups / root
-        u, psi, step = u_nom + scale * (lg_h / root), scale * (relu_zeta / root), scale * (xi / root)
+        u = [ui + scale * (gi / root) for ui, gi in zip(u0, lg)]
+        psi, step = scale * (relu_zeta / root), scale * (xi / root)
     theta_x = theta_d + psi
     if not (math.isfinite(step) and math.isfinite(theta_x)):
         raise NonFiniteError(f"filter input overflows at x={x}: upsilon={upsilon!r}, xi={xi!r}, zeta={zeta!r}")
-    return FilterResult(
-        u=u,
-        theta_x=theta_x,
-        upsilon=upsilon,
-        xi=xi,
-        zeta=zeta,
-        lambda_val=lam,
-        constraint_active=lam > 0.0,
-    )
+    return FilterResult(np.array(u), theta_x, upsilon, xi, zeta, lam, lam > 0.0)
 
 
-@dataclass(frozen=True)
-class StateEval:
+class StateEval(NamedTuple):
     """Everything the filter computes at one state: ``lie`` holds the barrier
     pass (h, grad h, the virtual input with its jacobian) and f, g, w, from
     which the closed-loop field forms xdot = f + g u + w d."""

@@ -264,12 +264,13 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     amp, om = cfg.ref_amplitude, cfg.ref_freq
 
     def nominal_torque(x, t, be):
+        q, qd = x.tolist()
         q_ref = amp * math.sin(om * t)
         qd_ref = amp * om * math.cos(om * t)
         qdd_ref = -amp * om * om * math.sin(om * t)
-        qdd_des = qdd_ref + cfg.kd * (qd_ref - x[1]) + cfg.kp * (q_ref - x[0])
+        qdd_des = qdd_ref + cfg.kd * (qd_ref - qd) + cfg.kp * (q_ref - q)
         # feedback linearization of ml^2 qddot = ml^2 ((g/l) sin q - beta qdot) + u
-        return np.array([ml2 * (qdd_des - (grav / l) * math.sin(x[0]) + beta * x[1])])
+        return np.array([ml2 * (qdd_des - (grav / l) * math.sin(q) + beta * qd)])
 
     box = (cfg.box_lo, cfg.box_hi)
     checks = (
@@ -392,7 +393,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         f_bot=lambda eta: zero,
         g_bot=lambda eta: one,
         w_bot=lambda eta: no_wind,
-        psi=lambda eta: np.array([[-np.sin(eta[0])], [np.cos(eta[0])]]),  # called on floats only
+        psi=lambda eta: ad.stack([-ad.sin(eta[0]), ad.cos(eta[0])])[:, None],
     )
 
     grad_h_z = _constant([-a1, 0.0, -1.0, 0.0])

@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .barrier import BarrierSpec, gamma_margin
 from .dynamics import _check_vec
 from .errors import (
@@ -110,18 +111,14 @@ class Trajectory:
             + ["h", "h_layer", "theta"]
         )
 
+        table = np.column_stack(
+            [self.times, self.states, self.inputs, self.disturbances, self.h_values, self.layer_h_values, self.omegas]
+        )
+
         def write(fh):
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(len(self.times)):
-                row = (
-                    [self.times[i]]
-                    + list(self.states[i])
-                    + list(self.inputs[i])
-                    + list(self.disturbances[i])
-                    + [self.h_values[i], self.layer_h_values[i], self.omegas[i]]
-                )
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerows(map(lambda row: map(repr, row), table.tolist()))
 
         write_atomic(path, write, newline="")
 
@@ -155,6 +152,12 @@ class SafetyMetrics:
         return asdict(self)
 
 
+def _xdot(lie, u, d):
+    """xdot = f + g u + w d at one state, from the lists of floats u and d, by the contraction rule."""
+    rows = zip(lie.f.tolist(), lie.g.tolist(), lie.w.tolist())
+    return np.array([fi + ad.fdot(gi, u) + ad.fdot(wi, d) for fi, gi, wi in rows])
+
+
 def rollout(scn, cfg: RolloutConfig):
     """Integrate the closed loop of ``scn.filter_law`` (its system, barrier and
     domain) from ``scn.x0`` under ``scn.disturbance``, recording h,
@@ -180,8 +183,9 @@ def rollout(scn, cfg: RolloutConfig):
     step = 0
 
     def evaluate(t, x):
-        d = disturbance.at(t)
-        norm = float(np.linalg.norm(d))
+        d = _check_vec("d", disturbance.at(t), sys.p)
+        d_floats = d.tolist()
+        norm = math.sqrt(ad.fdot(d_floats, d_floats))
         if norm > disturbance.sup_norm + 1e-9:
             raise SimulationAbort(
                 step, t, f"disturbance exceeds declared bound ||d||={norm:.6g} > {disturbance.sup_norm:.6g}"
@@ -195,7 +199,7 @@ def rollout(scn, cfg: RolloutConfig):
         except DomainError as exc:
             raise _LeftDomain(t, x) from exc
         u, lie = ev.result.u, ev.lie
-        return Row(t, x, u, d, lie.f + lie.g @ u + lie.w @ _check_vec("d", d, sys.p), lie.h_val, ev.result.theta_x)
+        return Row(t, x, u, d, _xdot(lie, u.tolist(), d_floats), lie.h_val, ev.result.theta_x)
 
     def field(t, x):
         return evaluate(t, x).xdot

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .barrier import BarrierSpec, LieData, eval_lie
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
@@ -136,8 +137,10 @@ def qp_oracle(lf_h, lg_h, lw_h, alpha_h, epsilon, theta_d, p, k_d) -> OracleSolu
 
     Enumerates the active sets of {barrier constraint, omega bound}, keeps
     the stationary points that satisfy primal and dual feasibility, and
-    returns the one of least objective. Independent of the closed form: no
-    lambda/psi expressions are reused beyond the constraint left-hand side.
+    returns the one of least objective, compared with every step scaled by
+    the largest, so that steps whose objective overflows still rank.
+    Independent of the closed form: no lambda/psi expressions are reused
+    beyond the constraint left-hand side.
     """
     b = np.asarray(lg_h, dtype=float).reshape(-1)
     lw = np.asarray(lw_h, dtype=float).reshape(-1)
@@ -179,7 +182,11 @@ def qp_oracle(lf_h, lg_h, lw_h, alpha_h, epsilon, theta_d, p, k_d) -> OracleSolu
     if not candidates:
         return OracleSolution(u=None, omega=None, objective=None, feasible=False, case="infeasible")
 
-    du, domega, case = min(candidates, key=lambda c: objective(c[0], c[1]))
+    # The objective is homogeneous of degree 2, so candidates rank alike after dividing their
+    # steps by the largest one; unscaled, it overflows to inf for steps beyond ~1.3e154.
+    scale = max(max(float(np.max(np.abs(du), initial=0.0)), abs(domega)) for du, domega, _ in candidates)
+    scale = scale if 0.0 < scale < math.inf else 1.0
+    du, domega, case = min(candidates, key=lambda c: objective(c[0] / scale, c[1] / scale))
     return OracleSolution(
         u=k_d + du,
         omega=theta_d + domega,
@@ -243,7 +250,7 @@ def _gauss_newton_zero(lie_at, x, lie, iters=20, tol=1e-12):
 
 def lemma_margin(bar: BarrierSpec, lie: LieData) -> float:
     """L_f h + theta_d alpha(h) - ||L_w h||^2 / eps, the strict-verification margin."""
-    return lie.lf_h + bar.theta_d * float(bar.alpha(lie.h_val)) - float(lie.lw_h @ lie.lw_h) / bar.epsilon
+    return lie.lf_h + bar.theta_d * float(bar.alpha(lie.h_val)) - ad.dot(lie.lw_h, lie.lw_h) / bar.epsilon
 
 
 def check_od_issf(

@@ -71,17 +71,6 @@ def test_matvec_and_vecmat():
     assert np.allclose(jac2, mat)
 
 
-def test_vstack_dual_blocks():
-    def f(x):
-        top = ad.stack([x[0], 0.0])
-        return ad.vstack([top, np.array([[1.0, 2.0]])])
-
-    out = f(ad.seed(np.array([0.5])))
-    assert out.val.shape == (2, 2)
-    assert out.dot[0, 0, 0] == 1.0
-    assert np.all(out.dot[1] == 0)
-
-
 def test_numpy_interop_defers_to_dual():
     d = ad.seed(np.array([1.0, 2.0]))
     out = np.ones(2) + d * 2.0
@@ -236,20 +225,6 @@ def test_stack_matches_fd_and_its_entries(data, count):
     got = f(xs)
     for i, make in enumerate(items):
         assert_close(got[i], make(xs))
-
-
-@PROPS
-@given(st.data(), st.lists(dims, min_size=1, max_size=3), dims)
-def test_vstack_matches_fd_and_its_blocks(data, rows, c):
-    blocks = [operand(data, (r, c)) for r in rows]
-    f = lambda x: ad.vstack([make(x) for make in blocks])
-    x = seed_point(data)
-    assert_matches_fd(f, x)
-    xs = ad.seed(x)
-    got, start = f(xs), 0
-    for make, r in zip(blocks, rows):
-        assert_close(got[start : start + r], make(xs))
-        start += r
 
 
 # (operation, derivative of a <op> c in a), with the plain operand c on the right or on the left

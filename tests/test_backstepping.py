@@ -82,22 +82,21 @@ class TestAssembledSystem:
 
 
 def nonlinear_cascade():
-    """Blocks of dims 1, 2, 1 whose f, g and w all depend on the prefix state."""
+    """Blocks of dims 1 and 2 whose f, g and w all depend on the state."""
     return StrictFeedbackSystem(
         layers=(
             Layer(
                 f=lambda x: ad.stack([ad.sin(x[0])]),
-                g=lambda x: ad.vstack([ad.stack([1.0 + x[0] * x[0], ad.cos(x[0])])]),
+                g=lambda x: ad.stack([1.0 + x[0] * x[0], ad.cos(x[0])])[None, :],
                 w=lambda x: np.array([[0.3]]),
                 dim=1,
             ),
             Layer(
                 f=lambda x: ad.stack([x[1] * x[0], -x[2]]),
-                g=lambda x: ad.vstack([ad.stack([1.0]), ad.stack([x[1]])]),
-                w=lambda x: ad.vstack([ad.stack([x[0]]), ad.stack([0.0])]),
+                g=lambda x: ad.stack([1.0, x[1]])[:, None],
+                w=lambda x: ad.stack([x[0], 0.0])[:, None],
                 dim=2,
             ),
-            Layer(f=lambda x: ad.stack([x[3] * x[1]]), g=lambda x: np.eye(1), w=lambda x: np.zeros((1, 1)), dim=1),
         ),
         m=1,
         p=1,
@@ -111,12 +110,21 @@ def flat(out):
 
 
 class TestBlockLayout:
-    def test_prefix_and_block_offsets(self):
+    def test_assembled_system_chains_the_bottom_block(self):
         sfs = nonlinear_cascade()
-        x = np.arange(4.0)
-        assert sfs.ends == (1, 3, 4) and sfs.n == 4
-        assert [list(sfs.prefix(x, i)) for i in range(3)] == [[0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]]
-        assert [list(sfs.block(x, i)) for i in range(3)] == [[0.0], [1.0, 2.0], [3.0]]
+        sys = sfs.assemble()
+        x = np.array([0.4, -0.6, 1.3])
+        assert sfs.n == sys.n == 3
+        top, bot = sfs.layers
+        chained = top.f(x[:1]) + top.g(x[:1]) @ x[1:]
+        assert np.allclose(sys.f(x), np.concatenate([chained, bot.f(x)]), rtol=1e-15, atol=0.0)
+        assert np.array_equal(sys.g(x), [[0.0], [1.0], [-0.6]])
+        assert np.array_equal(sys.w(x), [[0.3], [0.4], [0.0]])
+
+    def test_cascades_have_two_layers(self):
+        layers = nonlinear_cascade().layers
+        with pytest.raises(ParameterError):
+            StrictFeedbackSystem(layers=layers + layers[1:], m=1, p=1)
 
     def test_virtual_top_is_layer_zero(self):
         sfs = nonlinear_cascade()
@@ -130,7 +138,7 @@ class TestBlockLayout:
         x = np.array([0.4])
         fn = lambda y: flat(getattr(top, part)(y))
         val, jac = ad.jacobian(fn, x)
-        assert np.allclose(val, fn(x), rtol=1e-14, atol=1e-14)  # plain products go through BLAS
+        assert np.allclose(val, fn(x), rtol=1e-14, atol=1e-14)
         assert np.allclose(jac, ad.fd_jacobian(fn, x), rtol=1e-7, atol=1e-9)
 
 

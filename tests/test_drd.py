@@ -55,12 +55,16 @@ class TestAlignment:
 
     def test_one_column_division_equals_the_lapack_solve(self):
         # the quadrotor's psi(theta) is one column: its solve is one division, and rounds like np.linalg.solve
+        # on the normal equations formed by the contraction rule (multiply, then sum from 0.0)
         scn = build_quadrotor()
         rng = np.random.default_rng(29)
         for theta, v in zip(rng.uniform(-3.2, 3.2, size=10_000), rng.normal(scale=10.0, size=(10_000, 2))):
             psi = scn.dsys.psi(np.array([theta]))
+            (a,), (b,) = psi.tolist()
+            gram = np.array([[0.0 + a * a + b * b]])
+            rhs = np.array([0.0 + a * v[0] + b * v[1]])
             u = pinv_apply(psi, v)
-            assert u.shape == (1,) and np.array_equal(u, np.linalg.solve(psi.T @ psi, psi.T @ v))
+            assert u.shape == (1,) and np.array_equal(u, np.linalg.solve(gram, rhs))
 
     @pytest.mark.parametrize(
         "psi, v",

@@ -2,12 +2,14 @@
 share it, and sharing changes no number."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
-from odcbf import drd, synthesis
+from odcbf import drd, lower, synthesis
+from odcbf.barrier import lie_kernel
 from odcbf.backstepping import CompositeBarrier
 from odcbf.drd import DrdBarrier
 from odcbf.dynamics import DisturbanceSignal, call_law
@@ -33,18 +35,38 @@ def counting(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, wrapper)
 
 
+def counting_kernels(monkeypatch):
+    """Calls of every lowered pass (``lower.Lowered``), per instance."""
+    calls = Counter()
+    original = lower.Lowered.__call__
+
+    def counted(self, x):
+        calls[self] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(lower.Lowered, "__call__", counted)
+    return calls
+
+
 def test_pendulum_evaluates_k_and_grad_h_four_times_per_step(monkeypatch):
+    # k and grad h run inside the state kernel; their own passes run only for its reference passes and traces
+    calls = counting_kernels(monkeypatch)
     counts = {"with_jacobian": 0, "value_and_grad": 0}
     counting(monkeypatch, SmoothVirtualController, "with_jacobian", counts)
     counting(monkeypatch, CompositeBarrier, "value_and_grad", counts)  # bound into the spec at build time
     scn = build_pendulum()
     counts.update(with_jacobian=0, value_and_grad=0)
     rollout(scn, CFG)
+    kernel = lie_kernel(scn.sys, scn.bar)
     # the row at t = 0 is step 1's first stage; each step adds three stages and its end row
-    assert counts == {"with_jacobian": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+    assert calls[kernel] == 4 * STEPS + 1
+    # a reference pass and a trace per branch combination met
+    traced = len(kernel.sources)
+    assert traced >= 1 and counts == {"with_jacobian": 2 * traced, "value_and_grad": 2 * traced}
 
 
 def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatch):
+    calls = counting_kernels(monkeypatch)
     counts = {"with_jacobian": 0, "pinv_apply": 0, "value_and_grad": 0}
     counting(monkeypatch, SmoothVirtualController, "with_jacobian", counts)
     counting(monkeypatch, drd, "pinv_apply", counts)
@@ -52,11 +74,15 @@ def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatc
     scn = build_quadrotor()
     counts.update(with_jacobian=0, pinv_apply=0, value_and_grad=0)
     rollout(scn, CFG)
-    assert counts == {"with_jacobian": 4 * STEPS + 1, "pinv_apply": 4 * STEPS + 1, "value_and_grad": 4 * STEPS + 1}
+    kernel = lie_kernel(scn.sys, scn.bar)
+    assert calls[kernel] == 4 * STEPS + 1
+    traced = len(kernel.sources)
+    assert traced >= 1 and counts == {"with_jacobian": 2 * traced, "pinv_apply": 2 * traced, "value_and_grad": 2 * traced}
 
 
 def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
-    # each branch combination costs one Dual pass and one trace; every other step runs the lowered code
+    # each branch combination costs k's Dual pass and its trace, and the state kernel's trace, which runs
+    # k's Dual pass on traced values; every other step runs the lowered code
     counts = {"half_sontag": 0, "dual": 0}
     counting(monkeypatch, synthesis, "half_sontag", counts)
     init = ad.Dual.__init__
@@ -72,9 +98,10 @@ def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
         counts.update(half_sontag=0, dual=0)
         rollout(scn, RolloutConfig(dt=2e-2, t_final=steps * 2e-2))
         assert len(scn.k1.value_and_jacobian.sources) == 2  # both branches of half-Sontag met
+        assert len(lie_kernel(scn.sys, scn.bar).sources) == 2
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["half_sontag"] == 4  # a Dual pass and a trace per branch
+    assert seen[0]["half_sontag"] == 6  # three per branch
 
 
 def test_finite_domain_tests_each_state_once(monkeypatch):

@@ -1,18 +1,31 @@
-"""The lowered value-and-jacobian pass of the virtual controllers: equal to the
-Dual pass bit for bit, traced once per branch combination, and deferring to
-the Dual pass wherever a guard fails."""
+"""The lowered passes: the value-and-jacobian pass of the virtual controllers
+and the state kernel of an evaluation are equal to their reference passes bit
+for bit, traced once per branch combination, and defer to the reference
+wherever a guard fails, raising its errors."""
 
+import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
 from odcbf import lower
-from odcbf.barrier import BarrierSpec, linear_class_k
-from odcbf.dynamics import DisturbedSystem
-from odcbf.errors import NonFiniteError, SynthesisInfeasibleError, TraceError
-from odcbf.scenarios import build_pendulum, build_quadrotor
+from odcbf.backstepping import compose_barrier
+from odcbf.barrier import BarrierEval, BarrierSpec, eval_lie, lie_kernel, lie_pass, linear_class_k
+from odcbf.drd import partial_closed_loop
+from odcbf.dynamics import DisturbedSystem, call_law
+from odcbf.errors import (
+    AlignmentError,
+    InfeasiblePointError,
+    NonFiniteError,
+    SynthesisInfeasibleError,
+    ThrustDomainError,
+    TraceError,
+)
+from odcbf.odfilter import OdIssfController, solve_decay_filter
+from odcbf.scenarios import PendulumConfig, QuadrotorConfig, build_pendulum, build_quadrotor
 from odcbf.synthesis import synth_virtual
 
 
@@ -147,3 +160,144 @@ def test_float_arithmetic_fault_defers_to_the_reference():
     with np.errstate(divide="ignore"):
         val, jac = lowered(np.array([0.0]))
     assert val[0] == math.inf and len(lowered.sources) == 1
+
+
+# -- the state kernel: the barrier pass, f, g, w and the Lie derivatives as one lowered pass
+
+
+def build(name, **changes):
+    return build_pendulum(PendulumConfig(**changes)) if name == "pendulum" else build_quadrotor(QuadrotorConfig(**changes))
+
+
+def reference_evaluation(scn, x, t):
+    """h, grad h, k, ref, ref_jac, f, g, w, L_f h, L_g h, L_w h, u and theta from the reference path:
+    lie_pass on floats, the nominal on its barrier pass, then the filter."""
+    h, grad, f, g, w, lf, lg, lw, k, ref, ref_jac, mu = lie_pass(scn.sys, scn.bar, x)
+    u_nom = call_law(scn.filter_law.nominal, x, t, BarrierEval(h, grad, k, ref, ref_jac, mu))
+    bar = scn.bar
+    res = solve_decay_filter(lf, lg, lw, float(bar.alpha(h)), u_nom, bar.epsilon, bar.theta_d, bar.p_weight, x=x)
+    return h, grad, k, ref, ref_jac, f, g, w, lf, lg, lw, res.u, res.theta_x
+
+
+@pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
+def test_state_kernel_equals_the_reference_path(name):
+    scn = build(name)
+    rng = np.random.default_rng(11)
+    for x in rng.uniform(*scn.box, size=(1000, scn.x0.size)):
+        t = float(rng.uniform(0.0, 10.0))
+        ev = scn.filter_law.evaluate(x, t)
+        lie, be = ev.lie, ev.lie.bar_eval
+        got = (lie.h_val, be.grad, be.k, be.ref, be.ref_jac, lie.f, lie.g, lie.w, lie.lf_h, lie.lg_h, lie.lw_h,
+               ev.result.u, ev.result.theta_x)
+        for mine, ref in zip(got, reference_evaluation(scn, x, t)):
+            assert np.shape(mine) == np.shape(ref) and np.array_equal(mine, ref)
+    kernel = lie_kernel(scn.sys, scn.bar)
+    assert kernel.refusal is None and len(kernel.sources) == 2  # both branches of the virtual controller
+
+
+@pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
+def test_state_kernel_traces_each_branch_combination_once(name):
+    scn = build(name)
+    k = scn.k1 if name == "pendulum" else scn.k_v
+    kernel = lie_kernel(scn.sys, scn.bar)
+    states = np.random.default_rng(12).uniform(*scn.box, size=(300, scn.x0.size))
+    seen = set()
+    for x in states:
+        seen.add(lower.trace(k.k1, x[: k.value_and_jacobian.n])[1])  # the virtual controller's branches at x
+        eval_lie(scn.sys, scn.bar, x)
+        # a guard miss at a state of new branches retraces once; known branches reuse their variant
+        assert len(kernel.sources) == len(seen)
+    assert len(seen) == 2
+
+
+def expect_reference_error(scn, x, error):
+    """The evaluation at x raises what the reference path raises there, with its message."""
+    with pytest.raises(error) as ref:
+        reference_evaluation(scn, x, 0.0)
+    with pytest.raises(error) as got:
+        scn.filter_law.evaluate(x, 0.0)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
+def test_state_kernel_raises_the_reference_non_finite_error(name):
+    scn = build(name)
+    x = scn.x0.copy()
+    scn.filter_law.evaluate(x)  # warm: traced
+    x[0] = math.nan
+    expect_reference_error(scn, x, NonFiniteError)
+    assert len(lie_kernel(scn.sys, scn.bar).sources) == 1  # a failing state is never traced
+
+
+def test_state_kernel_raises_the_reference_thrust_error():
+    # with the guard above the thrust that k_v commands, every state fails the attitude map
+    scn = build("quadrotor", v_min_frac=1.5)
+    expect_reference_error(scn, scn.x0, ThrustDomainError)
+    assert not lie_kernel(scn.sys, scn.bar).sources
+
+
+def test_state_kernel_guard_miss_raises_the_reference_error():
+    # a reference map defined for positive virtual inputs only: a guard of the kernel
+    def positive(v):
+        if ad.branch(operator.le, v[0], 0.0):
+            raise ThrustDomainError(f"virtual input {float(ad.value(v[0]))!r} <= 0")
+        return ad.stack([v[0]])
+
+    scn = build("pendulum")
+    bar = compose_barrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=positive).to_spec()
+    x_ok, x_bad = np.array([-0.5, 0.0]), np.array([0.5, 0.0])  # k1 > 0 and k1 < 0
+    assert eval_lie(scn.sys, bar, x_ok).bar_eval.ref[0] > 0.0
+    with pytest.raises(ThrustDomainError) as ref:
+        lie_pass(scn.sys, bar, x_bad)
+    with pytest.raises(ThrustDomainError) as got:
+        eval_lie(scn.sys, bar, x_bad)
+    assert str(got.value) == str(ref.value)
+    assert len(lie_kernel(scn.sys, bar).sources) == 1
+
+
+def test_state_kernel_raises_the_reference_alignment_error():
+    # a thrust direction that vanishes at pitch 0: the one-column alignment's floor is a kernel guard
+    scn = build("quadrotor")
+    dsys = dataclasses.replace(scn.dsys, psi=lambda eta: eta[0] * ad.stack([-ad.sin(eta[0]), ad.cos(eta[0])])[:, None])
+    sys = partial_closed_loop(dsys, scn.k_v)
+    eval_lie(sys, scn.bar, np.array([0.0, 0.0, 0.0, 0.0, 0.5]))
+    x = np.zeros(5)
+    with pytest.raises(AlignmentError) as ref:
+        lie_pass(sys, scn.bar, x)
+    with pytest.raises(AlignmentError) as got:
+        eval_lie(sys, scn.bar, x)
+    assert str(got.value) == str(ref.value)
+    assert len(lie_kernel(sys, scn.bar).sources) == 1
+
+
+def test_infeasible_state_raises_the_reference_filter_error():
+    # no input authority (g = 0) and a drift out of the safe set: the filter's degenerate branch at x = 2
+    zero = np.zeros((1, 1))
+    sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: ad.stack([x[0]]), g=lambda x: zero, w=lambda x: zero)
+    bar = BarrierSpec(
+        h=lambda x: 1.0 - x[0] * x[0], grad_h=lambda x: ad.stack([-2.0 * x[0]]), alpha=linear_class_k(),
+        epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1,
+    )
+    law = OdIssfController(sys, bar, lambda x, t, be: np.zeros(1))
+    law.evaluate(np.array([0.5]))
+    x = np.array([2.0])
+    lf, lg, lw = (lie_pass(sys, bar, x)[i] for i in (5, 6, 7))
+    with pytest.raises(InfeasiblePointError) as ref:
+        solve_decay_filter(lf, lg, lw, float(bar.alpha(-3.0)), np.zeros(1), 1.0, 1.0, 1.0, x=x)
+    with pytest.raises(InfeasiblePointError) as got:
+        law.evaluate(x)
+    assert str(got.value) == str(ref.value)
+    assert len(lie_kernel(sys, bar).sources) == 1  # no branch here: one variant serves both states
+
+
+def test_untraceable_pair_runs_the_reference():
+    # float conversions cannot be traced: the pair keeps its reference path and says why
+    sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.array([float(x[0])]), g=lambda x: np.eye(1),
+                          w=lambda x: np.eye(1))
+    bar = BarrierSpec(h=lambda x: 1.0 - x[0] * x[0], grad_h=lambda x: ad.stack([-2.0 * x[0]]),
+                      alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1)
+    for x in (np.array([0.5]), np.array([-0.25])):
+        lie = eval_lie(sys, bar, x)
+        assert lie.lf_h == -2.0 * x[0] * x[0]
+    kernel = lie_kernel(sys, bar)
+    assert isinstance(kernel.refusal, TraceError) and not kernel.sources

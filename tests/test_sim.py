@@ -172,6 +172,11 @@ class TestExports:
         assert len(rows) - 1 == len(traj.times)
         # bit-exact roundtrip via repr
         assert float(rows[1][1]) == traj.states[0, 0]
+        # every field is the repr of its float, in column order
+        for i, row in enumerate(rows[1:]):
+            values = [traj.times[i], *traj.states[i], *traj.inputs[i], *traj.disturbances[i],
+                      traj.h_values[i], traj.layer_h_values[i], traj.omegas[i]]
+            assert row == [repr(float(v)) for v in values]
 
     def test_json_export(self, tmp_path):
         scn = build_pendulum()

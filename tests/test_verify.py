@@ -114,6 +114,18 @@ class TestQpOracle:
             if sol.feasible:
                 assert sol.omega == pytest.approx(terms["theta_d"], abs=1e-12)
 
+    def test_ranks_two_feasible_candidates_beyond_the_overflow(self):
+        # alpha(h) = 0: the barrier-active and the both-active candidates are both feasible, and the
+        # second ranks lower. Scaling the instance by 2^600 scales every step exactly, and puts both
+        # objectives beyond the overflow (|du| > 1.3e154), where min used to keep the first inf.
+        lg, lf = np.array([-0.8028369359828766, 0.2428499070790021]), -2.156345427042233
+        small = qp_oracle(lf, lg, np.zeros(1), 0.0, 1.0, 1.0, 1.0, np.zeros(2))
+        with np.errstate(over="ignore"):
+            big = qp_oracle(lf * 2.0**600, lg, np.zeros(1), 0.0, 1.0, 1.0, 1.0, np.zeros(2))
+        assert small.case == big.case == "both"
+        assert np.max(np.abs(big.u)) > 1.3e154 and big.objective == math.inf
+        assert np.array_equal(big.u, small.u * 2.0**600)
+
     def test_infeasible_verdict(self):
         sol = qp_oracle(-3.0, np.zeros(1), np.zeros(1), -0.5, 1.0, 1.0, 1.0, np.zeros(1))
         assert not sol.feasible
