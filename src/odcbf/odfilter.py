@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import autodiff as ad
 from .barrier import LieData, eval_lie
 from .dynamics import call_law
 from .errors import DomainError, InfeasiblePointError, NonFiniteError, ShapeError
@@ -72,24 +73,18 @@ def solve_decay_filter(
     overflow while the step lambda L_g h does not; the step and psi are then
     formed as (|upsilon| / sqrt(denom)) (L_g h / sqrt(denom)), and
     ``lambda_val`` holds the overflowed multiplier, +inf. The sums of
-    products in upsilon and xi follow the one contraction rule.
+    products in upsilon and xi follow the one contraction rule (``autodiff.fdot``).
     """
     lg, lw, u0 = _floats(lg_h), _floats(lw_h), _floats(u_nom)
     if len(u0) != len(lg):
         raise ShapeError("u_nom", (len(lg),), (len(u0),))
     alpha_h, epsilon, theta_d, p = float(alpha_h), float(epsilon), float(theta_d), float(p)
-    gu = gg = ww = 0.0  # L_g h u_nom, ||L_g h||^2, ||L_w h||^2: products summed from 0.0 (autodiff.fdot's rule)
-    for gi, ui in zip(lg, u0):
-        gu += gi * ui
-        gg += gi * gi
-    for wi in lw:
-        ww += wi * wi
     try:
-        upsilon = float(lf_h) + gu + theta_d * alpha_h - ww / epsilon
+        upsilon = float(lf_h) + ad.fdot(lg, u0) + theta_d * alpha_h - ad.fdot(lw, lw) / epsilon
         zeta = alpha_h / p
     except ZeroDivisionError:  # a zero epsilon or p: numpy's division would give inf or nan
         upsilon = zeta = math.nan
-    xi = math.sqrt(gg)
+    xi = math.sqrt(ad.fdot(lg, lg))
     if not (math.isfinite(upsilon) and math.isfinite(xi) and math.isfinite(zeta)):
         raise NonFiniteError(f"non-finite filter data at x={x}: upsilon={upsilon!r}, xi={xi!r}, zeta={zeta!r}")
 
