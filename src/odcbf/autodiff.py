@@ -200,13 +200,14 @@ def sqrt(x):
 
 def stack(items):
     """Stack scalars (plain or 0-d Dual) into a 1-D vector."""
-    first = next((it for it in items if isinstance(it, Dual)), None)
+    if not any(isinstance(it, (Dual, Traced)) for it in items):
+        return np.array([float(it) for it in items])
     vals = [it.val if isinstance(it, Dual) else it for it in items]
-    traced = any(isinstance(v, Traced) for v in vals)
+    val = np.array(vals, dtype=object if any(isinstance(v, Traced) for v in vals) else float)
+    first = next((it for it in items if isinstance(it, Dual)), None)
     if first is None:
-        return np.array(vals, dtype=object) if traced else np.array([float(it) for it in items])
+        return val
     zero = np.zeros(first.dot.shape[-1])
-    val = np.array(vals, dtype=object if traced else float)
     dot = np.array([it.dot if isinstance(it, Dual) else zero for it in items])
     return Dual(val, dot)
 
@@ -225,7 +226,7 @@ def contract(a, b, axis=-1):
 
 
 def fdot(a, b):
-    """sum_i a_i b_i of two sequences of Python floats, by :func:`contract`'s rule."""
+    """sum_i a_i b_i of two sequences of Python floats (or traced scalars), by :func:`contract`'s rule."""
     total = 0.0
     for ai, bi in zip(a, b):
         total += ai * bi
@@ -251,7 +252,7 @@ def _contract(a, b, axis, a_index=Ellipsis):
 def dot(u, v):
     """Inner product of two 1-D vectors (either may be Dual)."""
     if not isinstance(u, Dual) and not isinstance(v, Dual):
-        return contract(floats(u), floats(v))
+        return fdot(floats(u).tolist(), floats(v).tolist())
     return _contract(u, v, 0)
 
 
