@@ -9,8 +9,8 @@ can be differentiated exactly by seeding the identity, see :func:`jacobian`.
 Construction contract: ``Dual(val, dot)`` only stores its two parts. It
 converts nothing and checks no shape, because it runs once per operation in
 the hot path. The entry points validate instead: :func:`seed` converts the
-point to a 1-D float array, and :func:`gradient` / :func:`jacobian` check
-that the output's parts are aligned with the seed. Plain operands of
+point to a 1-D float array, and :func:`jacobian` checks that the output's
+parts are aligned with the seed. Plain operands of
 ``+ - * /`` enter the formulas directly and are never lifted to a zero-seed
 Dual. One contraction rule serves floats, Duals and traced scalars alike:
 :func:`contract` multiplies elementwise and then sums from 0.0 in order
@@ -153,13 +153,9 @@ def scalar(v):
     return v if isinstance(v, Traced) else float(v)
 
 
-def _value(x):
-    return x.val if isinstance(x, Dual) else floats(x)
-
-
 def value(x):
-    """Value part of a Dual, or the input unchanged."""
-    return _value(x)
+    """Value part of a Dual, or a plain operand as :func:`floats` gives it."""
+    return x.val if isinstance(x, Dual) else floats(x)
 
 
 def seed(x):
@@ -239,7 +235,7 @@ def _contract(a, b, axis, a_index=Ellipsis):
     The products are the terms of ``Dual.__mul__``, and both parts are summed by
     :func:`contract`, so the result rounds like multiplying elementwise and then summing.
     """
-    av, bv = _value(a)[a_index], _value(b)
+    av, bv = value(a)[a_index], value(b)
     if isinstance(a, Dual):
         dot = a.dot[a_index] * bv[..., None]
         if isinstance(b, Dual):
@@ -273,26 +269,6 @@ def vecmat(v, mat):
 # -- derivative drivers --------------------------------------------------
 
 
-def _checked(out, n):
-    """The output's value and derivative parts, checked against ``n`` seeds."""
-    val = floats(out.val)
-    dot = floats(out.dot)
-    if dot.shape != val.shape + (n,):
-        raise ValueError(f"dual parts misaligned: val {val.shape}, dot {dot.shape}, {n} seeds")
-    return val, dot
-
-
-def gradient(f, x):
-    """(f(x), grad f(x)) for scalar-valued f of a 1-D point, by forward AD."""
-    xs = seed(x)
-    n = xs.val.size
-    out = f(xs)
-    if not isinstance(out, Dual):
-        return float(out), np.zeros(n)
-    val, dot = _checked(out, n)
-    return float(val), dot.reshape(n)
-
-
 def jacobian(f, x):
     """(f(x), J) for vector-valued f of a 1-D point, by forward AD."""
     xs = seed(x)
@@ -301,9 +277,10 @@ def jacobian(f, x):
     if not isinstance(out, Dual):
         out = np.atleast_1d(floats(out))
         return out, np.zeros((out.size, n))
-    val, dot = _checked(out, n)
-    val = np.atleast_1d(val)
-    return val, dot.reshape(val.size, n)
+    val, dot = floats(out.val), floats(out.dot)
+    if dot.shape != val.shape + (n,):
+        raise ValueError(f"dual parts misaligned: val {val.shape}, dot {dot.shape}, {n} seeds")
+    return np.atleast_1d(val), dot.reshape(val.size, n)
 
 
 # -- central finite differences (the tests' checker) ----------------------

@@ -26,7 +26,9 @@ hyper-dual numbers (Fike & Alonso, AIAA 2011).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +37,7 @@ from . import autodiff as ad
 from .barrier import BarrierEval, BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
-from .lower import LoweredJacobian
+from .lower import Lowered
 from .synthesis import SmoothVirtualController
 
 
@@ -98,7 +100,13 @@ class StrictFeedbackSystem:
 @dataclass(frozen=True)
 class CompositeBarrier:
     """Backstepped barrier h = h_top(x_top) - 1/(2 mu) ||x_bot - r(k(x_top))||^2, with ``k`` the
-    virtual controller and ``ref_map`` the dual-aware reference r (None: the identity r(v) = v)."""
+    virtual controller and ``ref_map`` the dual-aware reference r (None: the identity r(v) = v).
+
+    Its pass (``barrier_pass``: h, grad h, k, r and dr/dx_top) is lowered once per barrier, as
+    ``kernel``, with the forward-AD passes of k and r on floats as its reference. ``h``,
+    ``grad_h``, ``reference`` and ``value_and_grad`` all read that kernel; on traced scalars
+    the kernel runs the pass on them, so that it inlines into the state kernel.
+    """
 
     h_top: BarrierSpec
     k: SmoothVirtualController
@@ -106,42 +114,26 @@ class CompositeBarrier:
     n_top: int
     n_bot: int
     ref_map: Optional[Callable] = None
-    # (r, dr/dv) of the reference map, lowered as k's pass is; traced on first use
-    ref_pass: Optional[LoweredJacobian] = field(init=False, repr=False, compare=False)
+    kernel: Lowered = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ref_pass", None if self.ref_map is None else LoweredJacobian(self.ref_map))
+        # the kernel holds the barrier weakly, so that the two form no reference cycle
+        kernel = Lowered(partial(barrier_pass, weakref.proxy(self)), self.n_top + self.n_bot)
+        object.__setattr__(self, "kernel", kernel)
 
     def reference(self, x):
-        """r(k(x_top)): the bottom block's reference at x, with k read from its lowered pass."""
-        v = self.k.with_jacobian(x[: self.n_top])[0]
-        return v if self.ref_map is None else self.ref_map(v)
+        """r(k(x_top)): the bottom block's reference at x."""
+        return self.kernel(x)[3]
 
     def h(self, x):
-        e = x[self.n_top :] - self.reference(x)
-        return self.h_top.h(x[: self.n_top]) - ad.dot(e, e) / (2.0 * self.mu)
+        return self.kernel(x)[0]
 
     def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h, k, r and dr/dx_top from the lowered value-and-jacobian passes of k (and of r),
-        on floats or on traced scalars."""
-        x = ad.floats(x)
-        x_top, x_bot = x[: self.n_top], x[self.n_top :]
-        k_val, k_jac = self.k.with_jacobian(x_top)
-        if self.ref_map is None:
-            ref, ref_jac = k_val, k_jac
-        else:
-            ref, r_jac = self.ref_pass(k_val)
-            ref_jac = ad.contract(r_jac[:, :, None], k_jac[None, :, :], 1)  # J_r J_k
-        e = x_bot - ref
-        # (e J_r) J_k, not e (J_r J_k): this product order fixes the gradient's rounding
-        chain = ad.vecmat(e, k_jac) if self.ref_map is None else ad.vecmat(ad.vecmat(e, r_jac), k_jac)
-        top = self.h_top.value_and_grad(x_top)
-        hv = top.h - ad.dot(e, e) / (2.0 * self.mu)
-        grad = np.concatenate([top.grad + chain / self.mu, -e / self.mu])
-        return BarrierEval(hv, grad, k=k_val, ref=ref, ref_jac=ref_jac, mu=self.mu)
+        """h, grad h, k, r and dr/dx_top at x, on floats or on traced scalars."""
+        return BarrierEval(*self.kernel(x), mu=self.mu)
 
     def grad_h(self, x):
-        return self.value_and_grad(x).grad
+        return self.kernel(x)[1]
 
     def to_spec(self, domain_b=math.inf) -> BarrierSpec:
         return BarrierSpec(
@@ -156,6 +148,26 @@ class CompositeBarrier:
             layers=self.h_top.layers + 1,
             domain_b=domain_b,
         )
+
+
+def barrier_pass(bar: CompositeBarrier, x) -> tuple:
+    """(h, grad h, k, r, dr/dx_top) at the 1-D state x, on floats or traced scalars, from the
+    forward-AD passes of k and of r and the chain rule."""
+    x = ad.floats(x)
+    x_top, x_bot = x[: bar.n_top], x[bar.n_top :]
+    k_val, k_jac = bar.k.with_jacobian(x_top)
+    if bar.ref_map is None:
+        ref, ref_jac = k_val, k_jac
+    else:
+        ref, r_jac = ad.jacobian(bar.ref_map, k_val)
+        ref_jac = ad.contract(r_jac[:, :, None], k_jac[None, :, :], 1)  # J_r J_k
+    e = x_bot - ref
+    # (e J_r) J_k, not e (J_r J_k): this product order fixes the gradient's rounding
+    chain = ad.vecmat(e, k_jac) if bar.ref_map is None else ad.vecmat(ad.vecmat(e, r_jac), k_jac)
+    top = bar.h_top.value_and_grad(x_top)
+    hv = top.h - ad.dot(e, e) / (2.0 * bar.mu)
+    grad = np.concatenate([top.grad + chain / bar.mu, -e / bar.mu])
+    return hv, grad, k_val, ref, ref_jac
 
 
 def compose_barrier(h_top: BarrierSpec, k: SmoothVirtualController, mu, n_top, n_bot, ref_map=None) -> CompositeBarrier:

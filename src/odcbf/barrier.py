@@ -179,7 +179,7 @@ def lie_kernel(sys: DisturbedSystem, bar: BarrierSpec) -> Lowered:
     entry = bar.kernels.get(id(sys))
     if entry is None or entry[0] is not sys:
         # the kernel holds the barrier weakly, so that the barrier and its kernels form no cycle
-        kernel = Lowered(partial(lie_pass, sys, weakref.proxy(bar)), sys.n, strict=False)
+        kernel = Lowered(partial(lie_pass, sys, weakref.proxy(bar)), sys.n)
         entry = bar.kernels[id(sys)] = (sys, kernel)
     return entry[1]
 

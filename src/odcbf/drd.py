@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .backstepping import CompositeBarrier
 from .dynamics import DisturbedSystem
-from .errors import AlignmentError, NonFiniteError, ThrustDomainError
+from .errors import AlignmentError, NonFiniteError, ParameterError, ShapeError, ThrustDomainError
 from .synthesis import SmoothVirtualController
 
 _SV_FLOOR = 1e-8
@@ -37,7 +37,7 @@ _SV_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class DrdSystem:
-    """Dual-relative-degree system; psi(eta) has shape (r, m_top)."""
+    """Dual-relative-degree system; psi(eta) has shape (r, m_top), with one column (m_top = 1)."""
 
     n_top: int
     m_top: int
@@ -53,32 +53,31 @@ class DrdSystem:
     w_bot: Callable
     psi: Callable
 
+    def __post_init__(self):
+        if self.m_top != 1:  # one thrust direction: the alignment solve is one division
+            raise ParameterError(f"the top layer has one input (a thrust magnitude), got m_top={self.m_top}")
+
 
 def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
-    """Left pseudoinverse applied to v via normal equations, on floats or traced scalars.
+    """Left pseudoinverse of the one-column mat applied to v, on floats or traced scalars.
 
-    r and m are tiny here, so the normal equations are cheap; conditioning is
-    monitored through the singular values and rank deficiency raises
-    AlignmentError with the offending values. A one-column mat has a 1x1
-    Gram matrix, which is its own eigenvalue, and its solve is one division;
-    its floor test goes through ad.branch, so that the solve can be lowered.
-    Non-finite data (mat, v, or the result) raises NonFiniteError.
+    The Gram matrix mat^T mat is 1x1, its own eigenvalue, so the solve is one
+    division; rank deficiency (sqrt of the Gram below ``sv_floor``) raises
+    AlignmentError with the offending value, and the floor test goes through
+    ad.branch, so that the solve can be lowered. Non-finite data (mat, v, or
+    the result) raises NonFiniteError; a mat of several columns, ShapeError.
     """
     mat = np.atleast_2d(ad.floats(mat))
     v = ad.floats(v).reshape(-1)
+    if mat.shape[1] != 1:
+        raise ShapeError("psi", (mat.shape[0], 1), mat.shape)
     gram = ad.contract(mat[:, :, None], mat[:, None, :], 0)  # mat^T mat
     if not _finite(gram):
         raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
-    if mat.shape[1] == 1:
-        # dividing rounds as LAPACK's 1x1 solve does; multiplying by the reciprocal would not
-        if ad.branch(operator.le, ad.sqrt(gram[0, 0]), sv_floor):
-            raise AlignmentError(np.sqrt(gram[0]), sv_floor)
-        out = ad.vecmat(v, mat) / gram[0, 0]
-    else:
-        svals = np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
-        if svals.min() <= sv_floor:
-            raise AlignmentError(svals, sv_floor)
-        out = np.linalg.solve(gram, ad.vecmat(v, mat))
+    # dividing rounds as LAPACK's 1x1 solve does; multiplying by the reciprocal would not
+    if ad.branch(operator.le, ad.sqrt(gram[0, 0]), sv_floor):
+        raise AlignmentError(np.sqrt(gram[0]), sv_floor)
+    out = ad.vecmat(v, mat) / gram[0, 0]
     if not _finite(out):
         raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
     return out
@@ -119,9 +118,9 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
 
     Drift: (f_z + g_z psi psi^+ k_v(z); f_eta); input matrix (0; g_eta),
     its zero block built once; disturbance matrix (w_z; w_eta). Alignment
-    and non-finite errors of psi^+ propagate. ``f`` reads
-    v = k_v(z) from k_v's lowered pass; ``f_with`` reads it from a barrier
-    pass built on this k_v instead of rerunning k_v.
+    and non-finite errors of psi^+ propagate. ``f`` runs v = k_v(z) on
+    floats; ``f_with`` reads v from a barrier pass built on this k_v
+    instead of rerunning k_v.
     """
     n = dsys.n_top + dsys.n_bot
 
@@ -137,7 +136,7 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
 
     def f(x):
         x = ad.floats(x)
-        return drift(x, k_v.with_jacobian(x[: dsys.n_top])[0])
+        return drift(x, k_v.k1(x[: dsys.n_top]))
 
     g_top_rows = np.zeros((dsys.n_top, dsys.m_bot))
 
@@ -152,20 +151,16 @@ def partial_closed_loop(dsys: DrdSystem, k_v: SmoothVirtualController) -> Distur
     return DisturbedSystem(n=n, m=dsys.m_bot, p=dsys.p, f=f, g=g, w=w, f_with=lambda x, be: drift(x, be.k))
 
 
-def alignment_residual(dsys: DrdSystem, k_v: SmoothVirtualController, eta_d: Callable, z) -> float:
-    """|| psi(eta_d(k_v(z))) psi^+ k_v(z) - k_v(z) ||: the alignment identity."""
-    v = k_v.with_jacobian(np.asarray(z, dtype=float))[0]
-    eta = np.asarray(ad.value(eta_d(v)), dtype=float).reshape(-1)
-    psi = np.atleast_2d(ad.floats(dsys.psi(eta)))
+def alignment_residual(dsys: DrdSystem, bar: CompositeBarrier, z) -> float:
+    """|| psi(eta_d(k_v(z))) psi^+ k_v(z) - k_v(z) ||: the alignment identity, with k_v and
+    eta_d read from the pass of the barrier built on them (at eta = 0, which they do not read)."""
+    be = bar.value_and_grad(np.concatenate([np.asarray(z, dtype=float), np.zeros(dsys.n_bot)]))
+    v, psi = be.k, np.atleast_2d(ad.floats(dsys.psi(be.ref)))
     resid = ad.matvec(psi, pinv_apply(psi, v)) - v
     return math.sqrt(ad.dot(resid, resid))
 
 
-def check_attitude_alignment(dsys, k_v, eta_d, z_samples, tol=1e-9):
-    """Worst alignment residual over samples; asserts the map's invariant."""
-    worst, worst_z = 0.0, None
-    for z in z_samples:
-        res = alignment_residual(dsys, k_v, eta_d, z)
-        if res > worst:
-            worst, worst_z = res, np.asarray(z, dtype=float)
-    return {"max_residual": worst, "argmax": worst_z, "ok": worst <= tol, "tol": tol}
+def check_attitude_alignment(dsys, bar, z_samples, tol=1e-9):
+    """Worst alignment residual over samples, and whether it is within ``tol``."""
+    worst = max((alignment_residual(dsys, bar, z) for z in z_samples), default=0.0)
+    return {"max_residual": worst, "ok": worst <= tol}

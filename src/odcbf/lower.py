@@ -1,9 +1,9 @@
 """Lowering of a pass over a state to straight-line float code.
 
 Two kinds of pass run the same closures at every state, and only their
-data-dependent branches change which operations they perform: the
-value-and-jacobian pass of a virtual controller or reference map
-(:class:`LoweredJacobian`), and the state pass of an evaluation
+data-dependent branches change which operations they perform: the pass of a
+backstepped barrier (``CompositeBarrier``: k and its jacobian, the reference
+map and its jacobian, h and grad h), and the state pass of an evaluation
 (``barrier.lie_pass``: the barrier pass, f, g, w and the Lie derivatives).
 :func:`lower` runs such a pass once on traced scalars: numpy object arrays of
 nodes that carry their concrete values, inside ordinary arrays and
@@ -33,14 +33,15 @@ traced value.
 :class:`Lowered` keeps one compiled variant per branch combination met so
 far. At a state where every variant's guards fail, the reference pass runs
 there: its errors propagate unchanged, and otherwise the new combination is
-traced, checked against the reference result at that state, and kept.
+traced, checked against the reference result at that state, and kept. A
+pass that cannot be lowered exactly keeps running its reference, which is
+always correct, and the reason stays in ``refusal``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import partial
 
 import numpy as np
 
@@ -206,25 +207,19 @@ def lower(fn, x):
     return env.pop("lowered"), source  # popped: the function's globals need not refer back to it
 
 
-def trace(fn, x):
-    """fn's value-and-jacobian pass ``ad.jacobian(fn, .)`` lowered at x: (compiled function, its source)."""
-    return lower(partial(ad.jacobian, fn), x)
-
-
 class Lowered:
     """x -> fn(x) for 1-D float points of size n, from compiled variants of fn.
 
     ``fn`` maps a 1-D array to a tuple of scalars and arrays: on floats it is
     the reference, and on traced scalars (a Lowered called inside a pass being
-    traced) it records onto their tape. ``n`` None takes the size of the first
-    1-D point. ``variants`` holds the compiled variants, the last one to match
-    first; ``sources`` their emitted sources, in the order traced. With
-    ``strict`` False, an fn that cannot be lowered exactly keeps the reason in
-    ``refusal`` and runs at every state, instead of raising TraceError.
+    traced) it records onto their tape. ``variants`` holds the compiled
+    variants, the last one to match first; ``sources`` their emitted sources,
+    in the order traced. An fn that cannot be lowered exactly keeps the
+    reason, a TraceError, in ``refusal`` and runs at every state.
     """
 
-    def __init__(self, fn, n=None, strict=True):
-        self.fn, self.n, self.strict = fn, n, strict
+    def __init__(self, fn, n):
+        self.fn, self.n = fn, n
         self.variants, self.sources = [], []
         self.refusal = None
 
@@ -232,8 +227,6 @@ class Lowered:
         if isinstance(x, np.ndarray) and x.dtype == object:
             return self.fn(x)  # a point of traced scalars: fn runs on it, recording onto their tape
         xs = np.asarray(x, dtype=float)
-        if self.n is None and xs.ndim == 1:
-            self.n = xs.size
         if xs.shape != (self.n,) or self.refusal is not None:
             return self.fn(xs)
         args = xs.tolist()
@@ -251,8 +244,6 @@ class Lowered:
         try:
             self._add(xs, args, outs)
         except TraceError as exc:
-            if self.strict:
-                raise
             self.refusal = exc
         return outs
 
@@ -266,10 +257,3 @@ class Lowered:
             raise TraceError(f"the lowered pass disagrees with the reference pass at x={xs}:\n{source}")
         self.variants.append(variant)
         self.sources.append(source)
-
-
-class LoweredJacobian(Lowered):
-    """x -> (fn(x), dfn/dx) for 1-D points of size n, from compiled variants of ``ad.jacobian(fn, x)``."""
-
-    def __init__(self, fn, n=None):
-        super().__init__(partial(ad.jacobian, fn), n)

@@ -201,7 +201,8 @@ class PendulumScenario(Scenario):
         gamma = gamma_margin(self.bar, delta)
         q_max = math.sqrt(1.0 + gamma)  # h1 = 1 - q^2
         q = np.linspace(-q_max, q_max, n_grid)
-        k1_vals = np.array([float(self.composite.reference(np.array([qi]))[0]) for qi in q])
+        # the reference k1(q) of the full state (q, 0): the barrier's kernel serves that shape
+        k1_vals = np.array([self.composite.reference(np.array([qi, 0.0]))[0] for qi in q])
         pad = np.sqrt(np.maximum(2.0 * self.cfg.mu * (1.0 - q**2 + gamma), 0.0))
         return q, k1_vals + pad, k1_vals - pad
 
@@ -425,10 +426,6 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     x0 = np.concatenate([np.asarray(cfg.z0, dtype=float), np.asarray(cfg.eta0, dtype=float)])
     box = (cfg.box_lo, cfg.box_hi)
 
-    def alignment(zs):
-        report = check_attitude_alignment(dsys, k_v, attitude, zs)
-        return {"max_residual": report["max_residual"], "ok": report["ok"]}
-
     def g_bot_row_rank(etas):
         report = check_full_row_rank(dsys.g_bot, etas)
         return {"min_singular_value": report.min_singular_value, "ok": report.ok}
@@ -438,7 +435,8 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         Check("drd_od_issf", "od_issf", sys, box, bar),
         Check("regular_values", "regular_values", sys, None, bar,
               options={"kappas": [0.0, -0.5], "center": x0}),
-        Check("alignment", "probe", top_sys, (cfg.box_lo[:4], cfg.box_hi[:4]), count=200, probe=alignment),
+        Check("alignment", "probe", top_sys, (cfg.box_lo[:4], cfg.box_hi[:4]), count=200,
+              probe=lambda zs: check_attitude_alignment(dsys, dbar, zs)),
         Check("g_bot_row_rank", "probe", bottom, ((-1.2,), (1.2,)), probe=g_bot_row_rank),
         # wind gusts are unmatched with respect to the rate input
         Check("partial_loop_matched", "matched", sys, box, expect_matched=False),

@@ -15,12 +15,13 @@ real-analytic on {a > 0 or b != 0}. Near b = 0 the rationalized form
 sigma q / (2 (a + sqrt(a^2 + sigma q^2))), q = ||b||^2, avoids cancellation.
 
 ``synth_virtual`` returns the controller's closure ``k1``, which runs on
-plain arrays or autodiff duals, and its value-and-jacobian pass: the forward
-AD pass of that closure lowered to compiled float code
-(:class:`~odcbf.lower.LoweredJacobian`), with ``ad.jacobian(k1, x)`` as its
-reference. Half-Sontag's decisions (a and ||b||^2 finite, a > 0, ||b||^2
-below the floor) go through ``ad.branch``, so they become the lowered code's
-guards; where a guard fails, the Dual pass runs and raises or is traced.
+plain arrays, autodiff duals and traced scalars. Its value and jacobian come
+from one forward-AD pass, ``ad.jacobian(k1, x)``, which the backstepped
+barrier's pass runs and which is lowered to compiled float code as part of
+that pass (see :mod:`odcbf.lower`). Half-Sontag's decisions (a and ||b||^2
+finite, a > 0, ||b||^2 below the floor) go through ``ad.branch``, so they
+become the lowered code's guards; where a guard fails, the Dual pass runs and
+raises or is traced.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from . import autodiff as ad
 from .barrier import BarrierSpec
 from .dynamics import DisturbedSystem
 from .errors import NonFiniteError, ParameterError, SynthesisInfeasibleError
-from .lower import LoweredJacobian
 
 _Q_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: ||b||^2 below it has underflowed
 
@@ -45,18 +45,17 @@ _Q_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: ||b||^2 below i
 class SmoothVirtualController:
     """Smooth virtual input k1(x1) satisfying the strict margin.
 
-    ``k1`` gives the value alone (and accepts autodiff duals);
-    ``value_and_jacobian`` gives (k1(x1), dk1/dx1) from one pass, the
-    lowered forward-AD pass of ``k1`` for the synthesized controllers.
+    ``k1`` gives the value alone (and accepts autodiff duals and traced
+    scalars); ``with_jacobian`` gives (k1(x1), dk1/dx1) from one forward-AD
+    pass of ``k1``.
     """
 
     k1: Callable
-    value_and_jacobian: Callable
     sigma: float
 
     def with_jacobian(self, x1):
         """The value-and-jacobian pass, as a method so that tracers can wrap it."""
-        return self.value_and_jacobian(x1)
+        return ad.jacobian(self.k1, x1)
 
 
 def half_sontag(a, bvec, sigma):
@@ -123,4 +122,4 @@ def synth_virtual(
             raise NonFiniteError(f"{exc}{where} at x={ad.value(x1)}") from None
         return v0 + correction
 
-    return SmoothVirtualController(k1=control, value_and_jacobian=LoweredJacobian(control, top.n), sigma=sigma)
+    return SmoothVirtualController(k1=control, sigma=sigma)

@@ -119,7 +119,7 @@ def test_criterion_4_drd_barrier_evidence():
     rep = check_od_issf(scn.sys, scn.bar, scn.exterior_sampler(), n_seeds=300, seed=4)
     rng = np.random.default_rng(4)
     zs = rng.uniform([-1.0, -1.0, -2.0, -2.0], [3.0, 1.0, 3.0, 2.0], size=(1000, 4))
-    align = check_attitude_alignment(scn.dsys, scn.k_v, scn.attitude, zs, tol=1e-9)
+    align = check_attitude_alignment(scn.dsys, scn.dbar, zs, tol=1e-9)
     elapsed = time.time() - t0
     ok = (
         rep.verdict == "pass"

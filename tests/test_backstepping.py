@@ -28,9 +28,7 @@ class TestComposeBarrier:
 
     def test_scalar_deviation_example(self):
         # mu=1, h1=1, x2-k1=1 -> h = 1 - 1/2 = 0.5
-        ident = SmoothVirtualController(
-            k1=lambda x1: np.zeros(1), value_and_jacobian=lambda x1: (np.zeros(1), np.zeros((1, 1))), sigma=1.0
-        )
+        ident = SmoothVirtualController(k1=lambda x1: np.zeros(1), sigma=1.0)
         flat_h1 = BarrierSpec(
             h=lambda x: 1.0, grad_h=lambda x: np.zeros(1),
             alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
-from odcbf.backstepping import CompositeBarrier, compose_barrier
-from odcbf.barrier import eval_lie
+from odcbf.backstepping import CompositeBarrier, barrier_pass, compose_barrier
+from odcbf.barrier import BarrierSpec, eval_lie, linear_class_k
 from odcbf.drd import (
     DrdBarrier,
     alignment_residual,
@@ -16,9 +16,10 @@ from odcbf.drd import (
     quadrotor_attitude_map,
     quadrotor_eta_d,
 )
-from odcbf.errors import AlignmentError, NonFiniteError, ParameterError, SimulationAbort, ThrustDomainError
+from odcbf.errors import AlignmentError, NonFiniteError, ParameterError, ShapeError, SimulationAbort, ThrustDomainError
 from odcbf.scenarios import QuadrotorConfig, build_quadrotor
 from odcbf.sim import RolloutConfig, rollout
+from odcbf.synthesis import SmoothVirtualController
 
 
 class TestAlignment:
@@ -35,11 +36,8 @@ class TestAlignment:
     def test_least_squares_projection_property(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            r, m1 = int(rng.integers(2, 5)), int(rng.integers(1, 3))
-            if m1 >= r:
-                m1 = r - 1
-            psi = rng.normal(size=(r, m1))
-            v = rng.normal(size=r)
+            psi = rng.normal(size=(int(rng.integers(2, 5)), 1))
+            v = rng.normal(size=psi.shape[0])
             u = pinv_apply(psi, v)
             # normal-equations oracle
             u_ref = np.linalg.solve(psi.T @ psi, psi.T @ v)
@@ -48,10 +46,17 @@ class TestAlignment:
             assert np.max(np.abs(psi.T @ residual)) <= 1e-10  # orthogonal to range
 
     def test_rank_deficiency_reported(self):
-        psi = np.array([[1.0, 1.0], [1.0, 1.0]])
+        psi = np.array([[1e-9], [0.0]])
         with pytest.raises(AlignmentError) as exc:
             pinv_apply(psi, np.array([1.0, 0.0]))
         assert exc.value.singular_values.min() <= 1e-8
+
+    def test_several_columns_are_refused(self):
+        with pytest.raises(ShapeError, match="psi"):
+            pinv_apply(np.eye(2), np.array([1.0, 0.0]))
+        scn = build_quadrotor()
+        with pytest.raises(ParameterError, match="m_top=2"):
+            dataclasses.replace(scn.dsys, m_top=2)
 
     def test_one_column_division_equals_the_lapack_solve(self):
         # the quadrotor's psi(theta) is one column: its solve is one division, and rounds like np.linalg.solve
@@ -72,10 +77,10 @@ class TestAlignment:
             (np.array([[math.nan], [1.0]]), np.array([0.0, 9.81])),
             (np.array([[math.inf], [1.0]]), np.array([0.0, 9.81])),
             (np.array([[0.0], [1.0]]), np.array([math.nan, 9.81])),
-            (np.array([[1.0, math.nan], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 1.0, 2.0])),
-            (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, math.inf, 2.0])),
+            (np.array([[1.0], [math.nan], [1.0]]), np.array([0.0, 1.0, 2.0])),
+            (np.array([[1.0], [0.0], [1.0]]), np.array([0.0, math.inf, 2.0])),
         ],
-        ids=["nan-psi", "inf-psi", "nan-v", "nan-psi-two-columns", "inf-v-two-columns"],
+        ids=["nan-psi", "inf-psi", "nan-v", "nan-psi-three-rows", "inf-v-three-rows"],
     )
     def test_non_finite_data_raises(self, psi, v):
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="non-finite alignment data"):
@@ -119,35 +124,42 @@ class TestQuadrotorEtaD:
 
 class TestLoweredAttitudeMap:
     def test_lowered_pass_equals_the_dual_pass(self):
+        # the attitude map lowers as part of a barrier's kernel; here k is the identity on v, so that
+        # r and dr/dx_top are checked against the Dual pass over a wide range of virtual inputs
         scn = build_quadrotor()
         v_min = scn.cfg.v_min_frac * scn.cfg.mass * scn.cfg.gravity
-        lowered = scn.dbar.ref_pass
+        flat = BarrierSpec(h=lambda v: 0.0, grad_h=lambda v: np.zeros(2), alpha=linear_class_k(), epsilon=1.0,
+                           theta_d=1.0, p_weight=1.0, n=2)
+        barrier = compose_barrier(flat, SmoothVirtualController(k1=lambda v: v, sigma=1.0), 1.0, 2, 1, scn.attitude)
         rng = np.random.default_rng(31)
-        for v in np.column_stack([rng.uniform(-30.0, 30.0, 10_000), rng.uniform(1.001 * v_min, 40.0, 10_000)]):
-            val, jac = lowered(v)
-            ref_val, ref_jac = ad.jacobian(scn.attitude, v)
-            assert np.array_equal(val, ref_val) and np.array_equal(jac, ref_jac)
-            assert val.shape == (1,) and jac.shape == (1, 2)
-        assert len(lowered.sources) == 1 and "_arctan(" in lowered.sources[0]
+        states = np.column_stack([rng.uniform(-30.0, 30.0, 10_000), rng.uniform(1.001 * v_min, 40.0, 10_000),
+                                  rng.uniform(-1.2, 1.2, 10_000)])
+        for x in states:
+            got, ref = barrier.kernel(x), barrier_pass(barrier, x)
+            assert all(np.array_equal(mine, theirs) for mine, theirs in zip(got, ref))
+            assert got[3].shape == (1,) and got[4].shape == (1, 2)
+        assert len(barrier.kernel.sources) == 1 and "_arctan(" in barrier.kernel.sources[0]
 
     def test_thrust_below_the_floor_raises_the_reference_error(self):
         # k_v's v2 is the gravity feedforward m g; a floor above it puts every state outside the map's domain
         cfg = QuadrotorConfig(v_min_frac=1.5)
         scn = build_quadrotor(cfg)
         m_g, v_min = cfg.mass * cfg.gravity, 1.5 * cfg.mass * cfg.gravity
-        scn.dbar.ref_pass(np.array([0.5, 2.0 * v_min]))  # warm: the lowered variant exists
-        assert len(scn.dbar.ref_pass.sources) == 1
         for x in (scn.x0, np.array([1.0, 0.2, 0.5, -0.3, 0.1])):
-            with pytest.raises(ThrustDomainError) as got:
-                scn.dbar.value_and_grad(x)
-            # the message the Dual pass has always given
-            assert str(got.value) == f"thrust component v2={m_g:.6g} <= v_min={v_min:.6g}"
-        assert len(scn.dbar.ref_pass.sources) == 1  # a failing state is never traced
+            for read in (scn.dbar.value_and_grad, scn.dbar.h, scn.dbar.reference):
+                with pytest.raises(ThrustDomainError) as got:
+                    read(x)
+                # the message the Dual pass has always given
+                assert str(got.value) == f"thrust component v2={m_g:.6g} <= v_min={v_min:.6g}"
+        assert not scn.dbar.kernel.sources  # a failing state is never traced
 
     def test_strict_feedback_barrier_has_no_reference_pass(self):
         scn = build_quadrotor()
         plain = compose_barrier(scn.h_z, scn.k_v, scn.cfg.mu, 4, 1)
-        assert plain.ref_pass is None and scn.dbar.ref_pass is not None
+        assert plain.ref_map is None and scn.dbar.ref_map is not None
+        plain.h(scn.x0)
+        scn.dbar.h(scn.x0)
+        assert "_arctan(" not in plain.kernel.sources[0] and "_arctan(" in scn.dbar.kernel.sources[0]
 
 
 class TestDrdBarrier:
@@ -263,10 +275,10 @@ class TestAssumptionResidual:
         scn = build_quadrotor()
         rng = np.random.default_rng(19)
         zs = rng.uniform([-1.0, -1.0, -2.0, -2.0], [3.0, 1.0, 3.0, 2.0], size=(1000, 4))
-        report = check_attitude_alignment(scn.dsys, scn.k_v, scn.attitude, zs)
+        report = check_attitude_alignment(scn.dsys, scn.dbar, zs)
         assert report["ok"]
         assert report["max_residual"] <= 1e-9
 
     def test_residual_is_tiny_pointwise(self):
         scn = build_quadrotor()
-        assert alignment_residual(scn.dsys, scn.k_v, scn.attitude, np.zeros(4)) <= 1e-12
+        assert alignment_residual(scn.dsys, scn.dbar, np.zeros(4)) <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
-from odcbf import drd, lower, synthesis
+from odcbf import cli, drd, lower, synthesis
 from odcbf.barrier import lie_kernel
 from odcbf.backstepping import CompositeBarrier
 from odcbf.drd import DrdBarrier
@@ -49,7 +49,7 @@ def counting_kernels(monkeypatch):
 
 
 def test_pendulum_evaluates_k_and_grad_h_four_times_per_step(monkeypatch):
-    # k and grad h run inside the state kernel; their own passes run only for its reference passes and traces
+    # k and grad h run inside the state kernel; their own passes run only for reference passes and traces
     calls = counting_kernels(monkeypatch)
     counts = {"with_jacobian": 0, "value_and_grad": 0}
     counting(monkeypatch, SmoothVirtualController, "with_jacobian", counts)
@@ -60,9 +60,12 @@ def test_pendulum_evaluates_k_and_grad_h_four_times_per_step(monkeypatch):
     kernel = lie_kernel(scn.sys, scn.bar)
     # the row at t = 0 is step 1's first stage; each step adds three stages and its end row
     assert calls[kernel] == 4 * STEPS + 1
-    # a reference pass and a trace per branch combination met
+    # per branch combination met: the state kernel's reference pass and its trace each read the barrier's
+    # kernel, which runs k's Dual pass for its own reference pass and trace, and on the state kernel's trace
     traced = len(kernel.sources)
-    assert traced >= 1 and counts == {"with_jacobian": 2 * traced, "value_and_grad": 2 * traced}
+    assert traced >= 1 and len(scn.composite.kernel.sources) == traced
+    assert calls[scn.composite.kernel] == 2 * traced
+    assert counts == {"with_jacobian": 3 * traced, "value_and_grad": 2 * traced}
 
 
 def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatch):
@@ -77,12 +80,14 @@ def test_quadrotor_evaluates_k_v_drift_and_grad_h_four_times_per_step(monkeypatc
     kernel = lie_kernel(scn.sys, scn.bar)
     assert calls[kernel] == 4 * STEPS + 1
     traced = len(kernel.sources)
-    assert traced >= 1 and counts == {"with_jacobian": 2 * traced, "pinv_apply": 2 * traced, "value_and_grad": 2 * traced}
+    assert traced >= 1 and len(scn.dbar.kernel.sources) == traced
+    assert calls[scn.dbar.kernel] == 2 * traced
+    assert counts == {"with_jacobian": 3 * traced, "pinv_apply": 2 * traced, "value_and_grad": 2 * traced}
 
 
 def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
-    # each branch combination costs k's Dual pass and its trace, and the state kernel's trace, which runs
-    # k's Dual pass on traced values; every other step runs the lowered code
+    # each branch combination costs k's Dual pass in the barrier kernel's reference pass and trace, and in
+    # the state kernel's trace, which runs the barrier pass on traced values; every other step runs lowered code
     counts = {"half_sontag": 0, "dual": 0}
     counting(monkeypatch, synthesis, "half_sontag", counts)
     init = ad.Dual.__init__
@@ -97,7 +102,7 @@ def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
         scn = build_pendulum()
         counts.update(half_sontag=0, dual=0)
         rollout(scn, RolloutConfig(dt=2e-2, t_final=steps * 2e-2))
-        assert len(scn.k1.value_and_jacobian.sources) == 2  # both branches of half-Sontag met
+        assert len(scn.composite.kernel.sources) == 2  # both branches of half-Sontag met
         assert len(lie_kernel(scn.sys, scn.bar).sources) == 2
         seen.append(dict(counts))
     assert seen[0] == seen[1]
@@ -105,13 +110,38 @@ def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
 
 
 def test_finite_domain_tests_each_state_once(monkeypatch):
-    # the filter's domain test is the only one: one h per stage state, none for the step end a second time
-    counts = {"h": 0}
+    # the filter's domain test is the only one: one h per stage state, none for the step end a second time;
+    # once the kernels are traced, that h runs in the barrier's kernel and no forward-AD pass runs
+    counts = {"h": 0, "jacobian": 0}
     counting(monkeypatch, CompositeBarrier, "h", counts)
+    counting(monkeypatch, ad, "jacobian", counts)
     scn = build_pendulum(PendulumConfig(domain_b=10.0))
-    counts["h"] = 0
-    rollout(scn, CFG)
-    assert counts["h"] == 4 * STEPS + 1
+    for _ in range(2):  # the first rollout traces the kernels
+        counts.update(h=0, jacobian=0)
+        rollout(scn, CFG)
+        assert counts["h"] == 4 * STEPS + 1
+    assert counts["jacobian"] == 0
+
+
+@pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
+def test_verify_runs_forward_ad_only_to_trace(monkeypatch, tmp_path, name):
+    # a seed-0 verify evaluates h thousands of times; each forward-AD pass (k, and r for the quadrotor) runs
+    # once in each traced variant of the barrier's kernel and of the state kernel, and in the barrier
+    # kernel's reference passes, one per variant
+    counts = {"jacobian": 0, "with_jacobian": 0}
+    counting(monkeypatch, ad, "jacobian", counts)
+    counting(monkeypatch, SmoothVirtualController, "with_jacobian", counts)
+    built = []
+    build = cli._build
+    monkeypatch.setattr(cli, "_build", lambda args, **changes: built.append(build(args, **changes)) or built[-1])
+    assert cli.main(["verify", "--scenario", name, "--seed", "0", "--out", str(tmp_path)]) == 0
+    scn = built[0]
+    barrier = scn.composite if name == "pendulum" else scn.dbar
+    passes = 1 if barrier.ref_map is None else 2
+    traced = len(barrier.kernel.sources)
+    state = sum(len(kernel.sources) for _, kernel in scn.bar.kernels.values())
+    assert traced == state == 2  # both branches of half-Sontag, in both kernels
+    assert counts == {"jacobian": passes * (2 * traced + state), "with_jacobian": 2 * traced + state}
 
 
 # the lowered passes build no Dual: what remains are the reference passes and traces of first use
@@ -133,7 +163,7 @@ def test_dual_constructions_per_step(monkeypatch, build, per_step):
 
 @pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
 def test_value_only_h_and_reference_equal_the_barrier_pass(build):
-    # both read k from the virtual controller's lowered pass, as value_and_grad does
+    # h, reference and value_and_grad all read the barrier's kernel
     scn = build()
     barrier = scn.composite if build is build_pendulum else scn.dbar
     for x in np.random.default_rng(5).uniform(*scn.box, size=(1000, scn.x0.size)):

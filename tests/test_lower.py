@@ -1,18 +1,23 @@
-"""The lowered passes: the value-and-jacobian pass of the virtual controllers
-and the state kernel of an evaluation are equal to their reference passes bit
-for bit, traced once per branch combination, and defer to the reference
-wherever a guard fails, raising its errors."""
+"""The lowered passes: the kernel of a backstepped barrier and the state
+kernel of an evaluation are equal to their reference passes bit for bit,
+traced once per branch combination, and defer to the reference wherever a
+guard fails, raising its errors; a pass that cannot be lowered runs its
+reference and says why."""
 
 import dataclasses
+import io
 import math
 import operator
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
 from odcbf import lower
-from odcbf.backstepping import compose_barrier
+from odcbf.backstepping import barrier_pass, compose_barrier
 from odcbf.barrier import BarrierEval, BarrierSpec, eval_lie, lie_kernel, lie_pass, linear_class_k
 from odcbf.drd import partial_closed_loop
 from odcbf.dynamics import DisturbedSystem, call_law
@@ -29,60 +34,64 @@ from odcbf.scenarios import PendulumConfig, QuadrotorConfig, build_pendulum, bui
 from odcbf.synthesis import synth_virtual
 
 
-def controller_and_states(name, count, seed=0):
-    """The scenario's virtual controller and ``count`` seeded states of its top block's box."""
+def barrier_and_states(name, count, seed=0):
+    """The scenario's backstepped barrier and ``count`` seeded states of its box."""
     scn = build_pendulum() if name == "pendulum" else build_quadrotor()
-    k = scn.k1 if name == "pendulum" else scn.k_v
-    n = k.value_and_jacobian.n
-    lo, hi = (np.asarray(c, dtype=float)[:n] for c in scn.box)
-    return k, np.random.default_rng(seed).uniform(lo, hi, size=(count, n))
+    barrier = scn.composite if name == "pendulum" else scn.dbar
+    return barrier, np.random.default_rng(seed).uniform(*scn.box, size=(count, scn.x0.size))
 
 
 @pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
 def test_lowered_pass_equals_the_dual_pass(name):
-    k, states = controller_and_states(name, 1000)
+    # h, grad h, k, r and dr/dx_top of the barrier's kernel against its reference: the Dual passes of k and r
+    barrier, states = barrier_and_states(name, 1000)
     for x in states:
-        val, jac = k.with_jacobian(x)
-        ref_val, ref_jac = ad.jacobian(k.k1, x)
-        assert np.array_equal(val, ref_val) and np.array_equal(jac, ref_jac)
-        assert val.shape == ref_val.shape and jac.shape == ref_jac.shape
+        got, ref = barrier.kernel(x), barrier_pass(barrier, x)
+        for mine, theirs in zip(got, ref):
+            assert np.shape(mine) == np.shape(theirs) and np.array_equal(mine, theirs)
+        be = barrier.value_and_grad(x)
+        assert barrier.h(x) == be.h and np.array_equal(barrier.grad_h(x), be.grad)
+        assert np.array_equal(barrier.reference(x), be.ref)
     # both sides of a = 0 were met: one variant per branch of half-Sontag
-    sources = k.value_and_jacobian.sources
-    assert len(sources) == 2
-    sides = [lower.trace(k.k1, x)[1] for x in states[:200]]
+    sources = barrier.kernel.sources
+    assert len(sources) == 2 and barrier.kernel.refusal is None
+    sides = [lower.lower(barrier.kernel.fn, x)[1] for x in states[:200]]
     assert sides.count(sources[0]) >= 10 and sides.count(sources[1]) >= 10
 
 
 @pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
 def test_source_depends_only_on_the_branch_combination(name):
-    k, states = controller_and_states(name, 200, seed=1)
+    barrier, states = barrier_and_states(name, 200, seed=1)
     for x in states:
-        k.with_jacobian(x)
+        barrier.h(x)
     by_source = {}
     for x in states:
-        _, source = lower.trace(k.k1, x)
+        _, source = lower.lower(barrier.kernel.fn, x)
         by_source.setdefault(source, []).append(x)
-    assert sorted(by_source) == sorted(k.value_and_jacobian.sources)
+    assert sorted(by_source) == sorted(barrier.kernel.sources)
     for source in by_source:
         assert "x0" in source and not any(repr(float(v)) in source for v in states.ravel())
 
 
 @pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
 def test_non_finite_state_raises_the_reference_error(name):
-    k, states = controller_and_states(name, 50)
+    barrier, states = barrier_and_states(name, 50)
     for x in states:
-        k.with_jacobian(x)  # warm: the lowered variants exist
+        barrier.h(x)  # warm: the lowered variants exist
+    traced = len(barrier.kernel.sources)
     x = states[0].copy()
     x[0] = math.nan
     with pytest.raises(NonFiniteError) as ref:
-        ad.jacobian(k.k1, x)
-    with pytest.raises(NonFiniteError) as got:
-        k.with_jacobian(x)
-    assert str(got.value) == str(ref.value)
+        barrier_pass(barrier, x)
+    for read in (barrier.value_and_grad, barrier.h, barrier.reference):
+        with pytest.raises(NonFiniteError) as got:
+            read(x)
+        assert str(got.value) == str(ref.value)
+    assert len(barrier.kernel.sources) == traced  # a failing state is never traced
 
 
-def tiny_controller(nominal=None):
-    """h = 1 - x^2 with b = L_g h = 0: feasible (a > 0) only for |x| < 1."""
+def tiny_barrier(nominal=None, ref_map=None):
+    """A two-layer barrier over h = 1 - x^2 with b = L_g h = 0: k is feasible (a > 0) only for |x| < 1."""
     zero, no_input = np.zeros(1), np.zeros((1, 1))
     top = DisturbedSystem(n=1, m=1, p=1, f=lambda x: zero, g=lambda x: no_input, w=lambda x: no_input)
     bar = BarrierSpec(
@@ -94,21 +103,31 @@ def tiny_controller(nominal=None):
         p_weight=1.0,
         n=1,
     )
-    return synth_virtual(top, bar, sigma=1.0, nominal=nominal, layer=7)
+    k = synth_virtual(top, bar, sigma=1.0, nominal=nominal, layer=7)
+    return compose_barrier(bar, k, 1.0, 1, 1, ref_map=ref_map)
 
 
 def test_infeasible_state_raises_the_reference_error():
-    k = tiny_controller()
-    val, jac = k.with_jacobian(np.array([0.5]))  # a = 0.75 > 0: traced
-    assert np.array_equal(val, [0.0]) and len(k.value_and_jacobian.sources) == 1
-    x = np.array([2.0])  # a = -3 with b = 0: the a > 0 guard fails, the reference raises
+    barrier = tiny_barrier()
+    be = barrier.value_and_grad(np.array([0.5, 0.25]))  # a = 0.75 > 0: traced
+    assert np.array_equal(be.k, [0.0]) and len(barrier.kernel.sources) == 1
+    x = np.array([2.0, 0.0])  # a = -3 with b = 0: the a > 0 guard fails, the reference raises
     with pytest.raises(SynthesisInfeasibleError) as ref:
-        ad.jacobian(k.k1, x)
+        barrier_pass(barrier, x)
     with pytest.raises(SynthesisInfeasibleError) as got:
-        k.with_jacobian(x)
+        barrier.h(x)
     assert str(got.value) == str(ref.value)
-    assert np.array_equal(got.value.x, x) and got.value.a == ref.value.a == -3.0 and got.value.layer == 7
-    assert len(k.value_and_jacobian.sources) == 1  # a failing state is never traced
+    assert np.array_equal(got.value.x, x[:1]) and got.value.a == ref.value.a == -3.0 and got.value.layer == 7
+    assert len(barrier.kernel.sources) == 1  # a failing state is never traced
+
+
+def expect_refusal(barrier, x, match):
+    """The barrier's pass cannot be lowered: its kernel keeps the TraceError and returns the Dual pass."""
+    for mine, theirs in zip(barrier.kernel(x), barrier_pass(barrier, x)):
+        assert np.array_equal(mine, theirs)
+    assert isinstance(barrier.kernel.refusal, TraceError) and not barrier.kernel.sources
+    assert re.search(match, str(barrier.kernel.refusal))
+    assert barrier.h(x * 0.5) == barrier_pass(barrier, x * 0.5)[0]  # later states run the reference too
 
 
 @pytest.mark.parametrize(
@@ -119,47 +138,78 @@ def test_infeasible_state_raises_the_reference_error():
     ],
 )
 def test_traced_value_used_as_a_number_fails_the_trace(nominal):
-    k = tiny_controller(nominal)
-    x = np.array([0.5])
-    ad.jacobian(k.k1, x)  # the Dual pass takes the values and runs
-    with pytest.raises(TraceError):
-        k.with_jacobian(x)
+    expect_refusal(tiny_barrier(nominal), np.array([0.5, 0.25]), "used as a number or a truth value")
 
 
 @pytest.mark.parametrize(
-    "fn, operation",
+    "ref_map, operation",
     [
-        (lambda x: ad.stack([x[0] ** 2]), r"\*\*"),
-        (lambda x: ad.stack([ad._unary(x[0], np.exp, np.exp)]), "exp"),  # an elementwise op with no lowering
+        (lambda v: ad.stack([v[0] ** 2]), r"\*\*"),
+        (lambda v: ad.stack([ad._unary(v[0], np.exp, np.exp)]), "exp"),  # an elementwise op with no lowering
     ],
     ids=["pow", "exp"],
 )
-def test_operation_without_a_lowering_fails_the_trace(fn, operation):
-    lowered = lower.LoweredJacobian(fn, 1)
-    x = np.array([0.5])
-    ad.jacobian(fn, x)  # the Dual pass runs
-    with pytest.raises(TraceError, match=operation):
-        lowered(x)
-    assert not lowered.sources
+def test_operation_without_a_lowering_fails_the_trace(ref_map, operation):
+    expect_refusal(tiny_barrier(ref_map=ref_map), np.array([0.5, 0.25]), operation)
 
 
 def test_sqrt_sin_and_cos_lower_exactly():
-    fn = lambda x: ad.stack([ad.sin(x[0]) * ad.cos(x[1]), ad.sqrt(x[0] * x[0] + x[1] * x[1]), x[1]])
-    lowered = lower.LoweredJacobian(fn, 2)
-    for x in np.random.default_rng(2).uniform(-4.0, 4.0, size=(1000, 2)):
-        val, jac = lowered(x)
-        ref_val, ref_jac = ad.jacobian(fn, x)
-        assert np.array_equal(val, ref_val) and np.array_equal(jac, ref_jac)
-    assert len(lowered.sources) == 1 and "_sin(x0)" in lowered.sources[0]
+    # a reference map of sqrt, sin and cos over the quadrotor's virtual input (v1, v2)
+    scn = build_quadrotor()
+    fn = lambda v: ad.stack([ad.sin(v[0]) * ad.cos(v[1]), ad.sqrt(v[0] * v[0] + v[1] * v[1]), v[1]])
+    barrier = compose_barrier(scn.h_z, scn.k_v, scn.cfg.mu, 4, 3, ref_map=fn)
+    lo, hi = np.array([-1.0, -1.0, -2.0, -2.0, -4.0, -4.0, -4.0]), np.array([3.0, 1.0, 3.0, 2.0, 4.0, 4.0, 4.0])
+    for x in np.random.default_rng(2).uniform(lo, hi, size=(1000, 7)):
+        for mine, theirs in zip(barrier.kernel(x), barrier_pass(barrier, x)):
+            assert np.array_equal(mine, theirs)
+    assert len(barrier.kernel.sources) == 2 and all("_sin(" in s and "_sqrt(" in s for s in barrier.kernel.sources)
 
 
 def test_float_arithmetic_fault_defers_to_the_reference():
-    # Python's float division raises where numpy returns inf: that state takes the Dual pass
-    lowered = lower.LoweredJacobian(lambda x: ad.stack([1.0 / x[0]]), 1)
-    assert np.array_equal(lowered(np.array([2.0]))[1], [[-0.25]])
-    with np.errstate(divide="ignore"):
-        val, jac = lowered(np.array([0.0]))
-    assert val[0] == math.inf and len(lowered.sources) == 1
+    # Python's float division raises where numpy returns inf: at k = 0 that state takes the Dual pass
+    scn = build_pendulum()
+    barrier = compose_barrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=lambda v: ad.stack([1.0 / v[0]]))
+    assert barrier.reference(np.array([0.5, 0.0]))[0] == 1.0 / float(ad.value(scn.k1.k1(np.array([0.5])))[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = barrier.reference(np.array([0.0, 0.0]))  # k1(0) = 0
+    assert ref[0] == math.inf and len(barrier.kernel.sources) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "odcbf"
+
+
+def lowering_sites(source):
+    """The enclosing definitions (dotted) of every ``Lowered(`` call in the source; a statement
+    belongs to the definitions above it that start at a smaller column."""
+    sites, scopes, prev, col = [], [], [], None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT):
+            col = None  # the next token starts a statement
+            continue
+        if tok.type in (tokenize.COMMENT, tokenize.NL):
+            continue
+        col = tok.start[1] if col is None else col
+        if tok.type == tokenize.NAME and prev and prev[-1].string in ("def", "class"):
+            scopes = [s for s in scopes if s[0] < col] + [(col, tok.string)]
+        if tok.string == "(" and prev and prev[-1].string == "Lowered" and not (len(prev) > 1 and prev[-2].string == "class"):
+            sites.append(".".join(name for c, name in scopes if c < col) or "<module>")
+        prev = (prev + [tok])[-2:]
+    return sites
+
+
+def test_barrier_and_state_passes_are_the_only_lowering_sites():
+    sites = {f"{path.stem}.{site}" for path in SRC.glob("*.py") for site in lowering_sites(path.read_text())}
+    assert sites == {"barrier.lie_kernel", "backstepping.CompositeBarrier.__post_init__"}
+    assert not lower.Lowered.__subclasses__()  # which would be constructed under another name
+
+
+def test_lowering_lint_finds_what_it_looks_for():
+    planted = (
+        "class Lowered(Base):\n    pass\n\nk = Lowered(f, 1)\n\n"
+        "class A:\n    def m(self):\n        def inner():\n            return lower.Lowered(g, 2)\n"
+        "        return Lowered(h, 3)\n\ndef b():\n    return Lowered (h, 3)  # Lowered(\n"
+    )
+    assert lowering_sites(planted) == ["<module>", "A.m.inner", "A.m", "b"]
 
 
 # -- the state kernel: the barrier pass, f, g, w and the Lie derivatives as one lowered pass
@@ -198,12 +248,12 @@ def test_state_kernel_equals_the_reference_path(name):
 @pytest.mark.parametrize("name", ["pendulum", "quadrotor"])
 def test_state_kernel_traces_each_branch_combination_once(name):
     scn = build(name)
-    k = scn.k1 if name == "pendulum" else scn.k_v
+    barrier = scn.composite if name == "pendulum" else scn.dbar
     kernel = lie_kernel(scn.sys, scn.bar)
     states = np.random.default_rng(12).uniform(*scn.box, size=(300, scn.x0.size))
     seen = set()
     for x in states:
-        seen.add(lower.trace(k.k1, x[: k.value_and_jacobian.n])[1])  # the virtual controller's branches at x
+        seen.add(lower.lower(barrier.kernel.fn, x)[1])  # the barrier pass's branches at x
         eval_lie(scn.sys, scn.bar, x)
         # a guard miss at a state of new branches retraces once; known branches reuse their variant
         assert len(kernel.sources) == len(seen)
