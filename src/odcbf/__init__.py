@@ -1,11 +1,6 @@
 """Optimal-decay input-to-state-safe control barrier function toolkit."""
 
-from .backstepping import (
-    CompositeBarrier,
-    Layer,
-    StrictFeedbackSystem,
-    compose_barrier,
-)
+from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem
 from .barrier import (
     BarrierEval,
     BarrierSpec,

@@ -39,6 +39,7 @@ from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
 from .lower import Lowered
 from .synthesis import SmoothVirtualController
+from .verify import RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,9 @@ class CompositeBarrier:
     kernel: Lowered = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.mu > 0:
+            raise ParameterError(f"mu must be strictly positive, got {self.mu!r}")
+        object.__setattr__(self, "mu", float(self.mu))
         # the kernel holds the barrier weakly, so that the two form no reference cycle
         kernel = Lowered(partial(barrier_pass, weakref.proxy(self)), self.n_top + self.n_bot)
         object.__setattr__(self, "kernel", kernel)
@@ -170,28 +174,20 @@ def barrier_pass(bar: CompositeBarrier, x) -> tuple:
     return hv, grad, k_val, ref, ref_jac
 
 
-def compose_barrier(h_top: BarrierSpec, k: SmoothVirtualController, mu, n_top, n_bot, ref_map=None) -> CompositeBarrier:
-    """Penalize the bottom block's deviation from the reference of the safeguarding controller."""
-    if mu <= 0:
-        raise ParameterError("mu must be strictly positive")
-    return CompositeBarrier(h_top=h_top, k=k, mu=float(mu), n_top=n_top, n_bot=n_bot, ref_map=ref_map)
-
-
 @dataclass(frozen=True)
 class RankReport:
     """Minimum singular value of the bottom input matrix over a sample set."""
 
     samples_checked: int
     min_singular_value: float
-    flagged: list  # (state, sigma_min) below tolerance
-    tol: float
+    flagged: list  # (state, sigma_min) below RANK_TOL
 
     @property
     def ok(self):
         return not self.flagged
 
 
-def check_full_row_rank(matfn, samples, tol=1e-8) -> RankReport:
+def check_full_row_rank(matfn, samples) -> RankReport:
     samples = list(samples)
     if not samples:
         raise SamplerError("empty sample set for rank check")
@@ -201,6 +197,6 @@ def check_full_row_rank(matfn, samples, tol=1e-8) -> RankReport:
         sv = np.linalg.svd(mat, compute_uv=False)
         smin = float(sv[min(mat.shape) - 1])
         min_sv = min(min_sv, smin)
-        if smin < tol:
+        if smin < RANK_TOL:
             flagged.append((np.asarray(x, dtype=float), smin))
-    return RankReport(samples_checked=len(samples), min_singular_value=min_sv, flagged=flagged, tol=tol)
+    return RankReport(samples_checked=len(samples), min_singular_value=min_sv, flagged=flagged)

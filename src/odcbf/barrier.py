@@ -28,27 +28,23 @@ _RANGE_PROBE = 1e12  # stand-in for an infinite domain endpoint when probing ran
 
 @dataclass(frozen=True)
 class ExtendedClassK:
-    """Strictly increasing alpha on (-b, c) with alpha(0) = 0 and an inverse.
+    """Strictly increasing alpha on s > -b with alpha(0) = 0 and an inverse.
 
-    ``alpha`` must accept plain floats and autodiff duals. ``range_lo`` /
-    ``range_hi`` bound the image of alpha; they are probed numerically at
-    construction when not supplied.
+    ``alpha`` must accept plain floats and autodiff duals. ``range_lo`` is
+    the infimum of its image, probed numerically at construction when not
+    supplied.
     """
 
     alpha: Callable
     alpha_inv: Callable
     b: float = math.inf
-    c: float = math.inf
     range_lo: float = field(default=None)  # type: ignore[assignment]
-    range_hi: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not (self.b > 0 and self.c > 0):
-            raise ParameterError("class-K domain bounds b, c must be positive")
+        if not self.b > 0:
+            raise ParameterError("class-K domain bound b must be positive")
         if self.range_lo is None:
             object.__setattr__(self, "range_lo", float(self.alpha(-min(self.b, _RANGE_PROBE))))
-        if self.range_hi is None:
-            object.__setattr__(self, "range_hi", float(self.alpha(min(self.c, _RANGE_PROBE))))
 
     def __call__(self, s):
         return self.alpha(s)
@@ -57,11 +53,11 @@ class ExtendedClassK:
         return self.alpha_inv(y)
 
 
-def linear_class_k(gain=1.0, b=math.inf, c=math.inf):
+def linear_class_k(gain=1.0, b=math.inf):
     """alpha(s) = gain * s."""
     if gain <= 0:
         raise ParameterError("gain must be positive")
-    return ExtendedClassK(lambda s: gain * s, lambda y: y / gain, b, c)
+    return ExtendedClassK(lambda s: gain * s, lambda y: y / gain, b)
 
 
 class BarrierEval(NamedTuple):

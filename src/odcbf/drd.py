@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .backstepping import CompositeBarrier
 from .dynamics import DisturbedSystem
-from .errors import AlignmentError, NonFiniteError, ParameterError, ShapeError, ThrustDomainError
+from .errors import AlignmentError, NonFiniteError, ShapeError, ThrustDomainError
 from .synthesis import SmoothVirtualController
 
 _SV_FLOOR = 1e-8
@@ -37,32 +37,27 @@ _SV_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class DrdSystem:
-    """Dual-relative-degree system; psi(eta) has shape (r, m_top), with one column (m_top = 1)."""
+    """Dual-relative-degree system; psi(eta) has one column (one thrust magnitude), which
+    ``pinv_apply`` enforces."""
 
     n_top: int
-    m_top: int
     n_bot: int
     m_bot: int
     p: int
-    r: int
     f_top: Callable
-    g_top: Callable  # z -> (n_top, r): multiplies the virtual input
+    g_top: Callable  # z -> (n_top, dim v): multiplies the virtual input v = psi(eta) u_z
     w_top: Callable
     f_bot: Callable
     g_bot: Callable
     w_bot: Callable
     psi: Callable
 
-    def __post_init__(self):
-        if self.m_top != 1:  # one thrust direction: the alignment solve is one division
-            raise ParameterError(f"the top layer has one input (a thrust magnitude), got m_top={self.m_top}")
 
-
-def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
+def pinv_apply(mat, v):
     """Left pseudoinverse of the one-column mat applied to v, on floats or traced scalars.
 
     The Gram matrix mat^T mat is 1x1, its own eigenvalue, so the solve is one
-    division; rank deficiency (sqrt of the Gram below ``sv_floor``) raises
+    division; rank deficiency (sqrt of the Gram at most ``_SV_FLOOR``) raises
     AlignmentError with the offending value, and the floor test goes through
     ad.branch, so that the solve can be lowered. Non-finite data (mat, v, or
     the result) raises NonFiniteError; a mat of several columns, ShapeError.
@@ -75,8 +70,8 @@ def pinv_apply(mat, v, sv_floor=_SV_FLOOR):
     if not _finite(gram):
         raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
     # dividing rounds as LAPACK's 1x1 solve does; multiplying by the reciprocal would not
-    if ad.branch(operator.le, ad.sqrt(gram[0, 0]), sv_floor):
-        raise AlignmentError(np.sqrt(gram[0]), sv_floor)
+    if ad.branch(operator.le, ad.sqrt(gram[0, 0]), _SV_FLOOR):
+        raise AlignmentError(np.sqrt(gram[0]), _SV_FLOOR)
     out = ad.vecmat(v, mat) / gram[0, 0]
     if not _finite(out):
         raise NonFiniteError(f"non-finite alignment data: psi={mat.tolist()}, v={v.tolist()}")
@@ -98,11 +93,6 @@ def quadrotor_eta_d(v, v_min=0.0):
     if ad.branch(operator.le, v[1], v_min):
         raise ThrustDomainError(f"thrust component v2={float(ad.value(v[1])):.6g} <= v_min={v_min:.6g}")
     return ad.stack([ad.atan(-v[0] / v[1])])
-
-
-def quadrotor_attitude_map(v_min=0.0) -> Callable:
-    """eta_d: virtual input v -> the pitch aligning thrust with v, guarded by v_min."""
-    return lambda v: quadrotor_eta_d(v, v_min)
 
 
 class DrdBarrier(CompositeBarrier):

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank, compose_barrier
+from .backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank
 from .barrier import BarrierSpec, gamma_margin, linear_class_k
-from .drd import DrdBarrier, DrdSystem, check_attitude_alignment, partial_closed_loop, quadrotor_attitude_map
+from .drd import DrdBarrier, DrdSystem, check_attitude_alignment, partial_closed_loop, quadrotor_eta_d
 from .dynamics import DisturbanceSignal, DisturbedSystem
 from .errors import ParameterError
 from .odfilter import OdIssfController
@@ -257,8 +258,8 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     )
     sfs = StrictFeedbackSystem(layers=layers, m=1, p=1)
     top_sys = sfs.virtual_top()
-    k1 = synth_virtual(top_sys, h1, cfg.sigma, layer=1)
-    composite = compose_barrier(h1, k1, cfg.mu, 1, 1)
+    k1 = synth_virtual(top_sys, h1, cfg.sigma)
+    composite = CompositeBarrier(h_top=h1, k=k1, mu=cfg.mu, n_top=1, n_bot=1)
     bar = composite.to_spec(domain_b=cfg.domain_b)
     sys = sfs.assemble()
 
@@ -307,7 +308,6 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
 class QuadrotorConfig:
     mass: float = 1.0
     gravity: float = 9.81
-    inertia: float = 1.0  # J; unused in the simplified (rate-input) mode
     x_max: float = 2.0
     # a1 in h_z = a1 (x_max - x) - xdot. With the unit gust the closed loop
     # settles at wall distance 1/(4 a1); 3.0 puts it inside the 0.1 m band
@@ -383,11 +383,9 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
 
     dsys = DrdSystem(
         n_top=4,
-        m_top=1,
         n_bot=1,
         m_bot=1,
         p=2,
-        r=2,
         f_top=lambda z: ad.stack([z[2], z[3], 0.0, -grav]),
         g_top=lambda z: g_z,
         w_top=lambda z: g_z,  # wind gusts act on the center of mass
@@ -410,10 +408,10 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
 
     top_sys = DisturbedSystem(n=4, m=2, p=2, f=dsys.f_top, g=dsys.g_top, w=dsys.w_top)
     v_ff = _constant([0.0, m * grav])
-    k_v = synth_virtual(top_sys, h_z, cfg.sigma, nominal=lambda z: v_ff, layer=1)
-    attitude = quadrotor_attitude_map(v_min=cfg.v_min_frac * m * grav)
-    # compose_barrier(..., ref_map=attitude) under the class name that tracers count apart; mu > 0 is checked above
-    dbar = DrdBarrier(h_top=h_z, k=k_v, mu=float(cfg.mu), n_top=4, n_bot=1, ref_map=attitude)
+    k_v = synth_virtual(top_sys, h_z, cfg.sigma, nominal=lambda z: v_ff)
+    attitude = partial(quadrotor_eta_d, v_min=cfg.v_min_frac * m * grav)
+    # a CompositeBarrier under the class name that tracers count apart
+    dbar = DrdBarrier(h_top=h_z, k=k_v, mu=cfg.mu, n_top=4, n_bot=1, ref_map=attitude)
     bar = dbar.to_spec(domain_b=cfg.domain_b)
     sys = partial_closed_loop(dsys, k_v)
 

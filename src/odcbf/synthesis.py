@@ -39,6 +39,7 @@ from .dynamics import DisturbedSystem
 from .errors import NonFiniteError, ParameterError, SynthesisInfeasibleError
 
 _Q_FLOOR = float(np.finfo(float).tiny)  # smallest normal float: ||b||^2 below it has underflowed
+VIRTUAL_LAYER = 1  # a two-layer construction has one virtual layer, the top one
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class SmoothVirtualController:
     """
 
     k1: Callable
-    sigma: float
 
     def with_jacobian(self, x1):
         """The value-and-jacobian pass, as a method so that tracers can wrap it."""
@@ -87,19 +87,17 @@ def synth_virtual(
     bar: BarrierSpec,
     sigma: float = 1.0,
     nominal: Optional[Callable] = None,
-    layer: Optional[int] = None,
 ) -> SmoothVirtualController:
-    """Safeguarding controller for the layer whose input is the next block.
+    """Safeguarding controller for the top layer, whose input is the bottom block.
 
     ``nominal`` is an optional smooth feedforward (e.g. gravity compensation)
     added before the half-Sontag correction; like the system and the
     barrier's gradient it must be written with autodiff ops, since the
     jacobian comes from forward AD, and it must decide on its data only
     through ``ad.branch``, since that pass is lowered to float code.
-    Synthesis failures name the state and, when ``layer`` is given, the
-    layer they came from.
+    Synthesis failures name the state and the layer they came from
+    (``VIRTUAL_LAYER``).
     """
-    where = f" (layer {layer})" if layer is not None else ""
     no_nominal = np.zeros(top.m)
     no_nominal.flags.writeable = False
 
@@ -117,9 +115,9 @@ def synth_virtual(
         try:
             correction = half_sontag(a, lg, sigma)
         except SynthesisInfeasibleError as exc:
-            raise SynthesisInfeasibleError(ad.value(x1), exc.a, layer=layer) from None
+            raise SynthesisInfeasibleError(ad.value(x1), exc.a, layer=VIRTUAL_LAYER) from None
         except NonFiniteError as exc:
-            raise NonFiniteError(f"{exc}{where} at x={ad.value(x1)}") from None
+            raise NonFiniteError(f"{exc} (layer {VIRTUAL_LAYER}) at x={ad.value(x1)}") from None
         return v0 + correction
 
-    return SmoothVirtualController(k1=control, sigma=sigma)
+    return SmoothVirtualController(k1=control)

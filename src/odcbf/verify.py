@@ -24,6 +24,14 @@ from .io import write_json_atomic
 
 RANK_TOL = 1e-8
 MARGIN_TOL = 1e-10
+MATCH_TOL = 1e-9  # largest residual of a w column against range(g) that counts as matched
+SAMPLER_TRIES = 200  # a sampler's draws per requested point before it gives up
+# zero-set refinement: Gauss-Newton iterations, and the ||L_g h|| at which it stops
+GN_ITERS = 20
+GN_TOL = 1e-12
+# regular-value rays: length, count per level
+RAY_LENGTH = 10.0
+N_RAYS = 200
 # bracket_root: absolute and relative width of the final bracket, evaluation cap
 ROOT_XTOL = 1e-12
 ROOT_RTOL = 4 * float(np.finfo(float).eps)
@@ -44,14 +52,13 @@ class BoxRegionSampler:
     lo: np.ndarray
     hi: np.ndarray
     predicate: Callable[[np.ndarray], bool]
-    max_tries_factor: int = 200
 
     def draw(self, rng, count):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
         out = []
         tries = 0
-        budget = self.max_tries_factor * count
+        budget = SAMPLER_TRIES * count
         while len(out) < count:
             if tries >= budget:
                 raise SamplerError(
@@ -93,11 +100,11 @@ class SampleReport:
     zero_set_hits: int = 0
     note: str = "numerical evidence (sampling), not a proof"
 
-    def finalize(self, vacuous_ok=False):
+    def finalize(self):
         self.violations.sort(key=lambda sm: sm[1])
         if self.violations:
             self.verdict = "fail"
-        elif self.zero_set_hits == 0 and not vacuous_ok:
+        elif self.zero_set_hits == 0:
             self.verdict = "vacuous-pass"
         else:
             self.verdict = "pass"
@@ -221,7 +228,7 @@ def lg_jacobian(lie: LieData) -> Optional[np.ndarray]:
     return lie.g[n_top:].T @ np.hstack([be.ref_jac, -np.eye(n_bot)]) / be.mu
 
 
-def _gauss_newton_zero(lie_at, x, lie, iters=20, tol=1e-12):
+def _gauss_newton_zero(lie_at, x, lie):
     """Drive L_g h to zero from x (with lie = lie_at(x)) by min-norm Gauss-Newton.
 
     Each iterate costs one evaluation lie_at, which gives the residual and,
@@ -230,9 +237,9 @@ def _gauss_newton_zero(lie_at, x, lie, iters=20, tol=1e-12):
     Underdetermined systems take the pseudoinverse (least-norm) step, so the
     iterate stays near the seed. Returns the last iterate and its LieData.
     """
-    for _ in range(iters):
+    for _ in range(GN_ITERS):
         r = np.atleast_1d(lie.lg_h)
-        if np.linalg.norm(r) < tol:
+        if np.linalg.norm(r) < GN_TOL:
             break
         jac = lg_jacobian(lie)
         if jac is None:
@@ -253,19 +260,11 @@ def lemma_margin(bar: BarrierSpec, lie: LieData) -> float:
     return lie.lf_h + bar.theta_d * float(bar.alpha(lie.h_val)) - ad.dot(lie.lw_h, lie.lw_h) / bar.epsilon
 
 
-def check_od_issf(
-    sys: DisturbedSystem,
-    bar: BarrierSpec,
-    sampler: BoxRegionSampler,
-    n_seeds=300,
-    seed=0,
-    rank_tol=RANK_TOL,
-    margin_tol=MARGIN_TOL,
-) -> SampleReport:
+def check_od_issf(sys: DisturbedSystem, bar: BarrierSpec, sampler: BoxRegionSampler, n_seeds=300, seed=0) -> SampleReport:
     """Falsification check of the zero-set implication.
 
-    At points of D \\ Int(S) where ||L_g h|| <= rank_tol the margin
-    L_f h + theta_d alpha(h) - ||L_w h||^2/eps must be strictly positive.
+    At points of D \\ Int(S) where ||L_g h|| <= RANK_TOL the margin
+    L_f h + theta_d alpha(h) - ||L_w h||^2/eps must exceed MARGIN_TOL.
     Seeds from the sampler are refined onto the zero set by Gauss-Newton on
     L_g h; refined points that leave the region are discarded. A point's
     own evaluation gives its hit test and its margin. Refinement takes the
@@ -281,7 +280,7 @@ def check_od_issf(
         return eval_lie(sys, bar, x)
 
     def on_zero_set(x, lie, slack=1e-10):
-        if float(np.linalg.norm(lie.lg_h)) > rank_tol or lie.h_val > slack:
+        if float(np.linalg.norm(lie.lg_h)) > RANK_TOL or lie.h_val > slack:
             return False
         return bar.in_domain(x, lie.h_val)
 
@@ -294,24 +293,17 @@ def check_od_issf(
         m = lemma_margin(bar, lie)
         report.zero_set_hits += 1
         report.min_margin = min(report.min_margin, m)
-        if m <= margin_tol:
+        if m <= MARGIN_TOL:
             report.violations.append((x.copy(), m))
 
     return report.finalize()
 
 
-def check_prop1(
-    sys: DisturbedSystem,
-    bar: BarrierSpec,
-    sampler: BoxRegionSampler,
-    n_samples=2000,
-    seed=0,
-    rank_tol=RANK_TOL,
-) -> SampleReport:
+def check_prop1(sys: DisturbedSystem, bar: BarrierSpec, sampler: BoxRegionSampler, n_samples=2000, seed=0) -> SampleReport:
     """Sufficient condition: L_g h never vanishes on D \\ Int(S).
 
-    Pass iff min ||L_g h|| over the samples stays above the rank tolerance;
-    a failing sample is reported with margin = ||L_g h|| - rank_tol < 0.
+    Pass iff min ||L_g h|| over the samples stays above RANK_TOL; a failing
+    sample is reported with margin = ||L_g h|| - RANK_TOL <= 0.
     """
     rng = np.random.default_rng(seed)
     samples = sampler.draw(rng, n_samples)
@@ -319,9 +311,9 @@ def check_prop1(
     report.zero_set_hits = len(samples)  # every sample is a genuine probe here
     for x in samples:
         norm_lg = float(np.linalg.norm(eval_lie(sys, bar, x).lg_h))
-        report.min_margin = min(report.min_margin, norm_lg - rank_tol)
-        if norm_lg <= rank_tol:
-            report.violations.append((x.copy(), norm_lg - rank_tol))
+        report.min_margin = min(report.min_margin, norm_lg - RANK_TOL)
+        if norm_lg <= RANK_TOL:
+            report.violations.append((x.copy(), norm_lg - RANK_TOL))
     return report.finalize()
 
 
@@ -375,16 +367,9 @@ def bracket_root(f, a, b, fa, fb):
     raise RuntimeError(f"no root found in [{a!r}, {b!r}] after {ROOT_MAXITER} evaluations")
 
 
-def check_regular_values(
-    bar: BarrierSpec,
-    kappas,
-    center,
-    ray_length=10.0,
-    n_rays=200,
-    seed=0,
-    grad_tol=RANK_TOL,
-) -> SampleReport:
-    """Locate h = kappa points by root-tracing random rays; require grad != 0.
+def check_regular_values(bar: BarrierSpec, kappas, center, seed=0) -> SampleReport:
+    """Locate h = kappa points by root-tracing N_RAYS random rays of length RAY_LENGTH
+    from ``center``; require ||grad h|| > RANK_TOL there.
 
     kappa values must lie in (-b, 0]; levels with no located points leave the
     verdict vacuous for that kappa (reported through zero_set_hits).
@@ -396,7 +381,7 @@ def check_regular_values(
         if math.isfinite(bar.domain_b) and not (-bar.domain_b < kappa <= 0.0):
             raise ValueError(f"kappa={kappa} outside (-b, 0]")
         at_center = float(bar.h(center)) - kappa  # every ray starts here
-        for _ in range(n_rays):
+        for _ in range(N_RAYS):
             direction = rng.normal(size=center.size)
             direction /= np.linalg.norm(direction)
 
@@ -406,7 +391,7 @@ def check_regular_values(
             report.samples_checked += 1
             # march outward until the level is bracketed
             prev_t, prev_f = 0.0, at_center
-            for t in np.linspace(0.0, ray_length, 33)[1:]:
+            for t in np.linspace(0.0, RAY_LENGTH, 33)[1:]:
                 ft = along(t)
                 if prev_f == 0.0 or prev_f * ft <= 0.0:
                     break
@@ -417,9 +402,9 @@ def check_regular_values(
             x_star = center + t_star * direction
             grad_norm = float(np.linalg.norm(np.asarray(bar.grad_h(x_star), dtype=float)))
             report.zero_set_hits += 1
-            report.min_margin = min(report.min_margin, grad_norm - grad_tol)
-            if grad_norm <= grad_tol:
-                report.violations.append((x_star, grad_norm - grad_tol))
+            report.min_margin = min(report.min_margin, grad_norm - RANK_TOL)
+            if grad_norm <= RANK_TOL:
+                report.violations.append((x_star, grad_norm - RANK_TOL))
     return report.finalize()
 
 
@@ -432,29 +417,23 @@ def matched_residual(sys: DisturbedSystem, x) -> float:
     return float(np.max(np.linalg.norm(resid, axis=0)))
 
 
-def check_matched(
-    sys: DisturbedSystem,
-    samples,
-    bar: Optional[BarrierSpec] = None,
-    match_tol=1e-9,
-    rank_tol=RANK_TOL,
-):
+def check_matched(sys: DisturbedSystem, samples, bar: Optional[BarrierSpec] = None):
     """Classify the disturbance channel as matched/unmatched per sample.
 
-    Matched means every w column lies in span(g) (residual <= match_tol).
+    Matched means every w column lies in span(g) (residual <= MATCH_TOL).
     When a barrier is supplied, additionally asserts the matched implication
-    L_g h = 0 => ||L_w h|| <= match_tol at samples where it applies.
+    ||L_g h|| <= RANK_TOL => ||L_w h|| <= MATCH_TOL at samples where it applies.
     """
     results = []
     implication_failures = []
     for x in samples:
         x = np.asarray(x, dtype=float)
         res = matched_residual(sys, x)
-        is_matched = res <= match_tol
+        is_matched = res <= MATCH_TOL
         results.append((x, res, is_matched))
         if bar is not None and is_matched:
             lie = eval_lie(sys, bar, x)
-            if float(np.linalg.norm(lie.lg_h)) <= rank_tol and float(np.linalg.norm(lie.lw_h)) > match_tol:
+            if float(np.linalg.norm(lie.lg_h)) <= RANK_TOL and float(np.linalg.norm(lie.lw_h)) > MATCH_TOL:
                 implication_failures.append((x, float(np.linalg.norm(lie.lw_h))))
     all_matched = all(m for _, _, m in results)
     return {

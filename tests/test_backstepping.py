@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from odcbf import autodiff as ad
-from odcbf.backstepping import (
-    Layer,
-    StrictFeedbackSystem,
-    check_full_row_rank,
-    compose_barrier,
-)
+from odcbf.backstepping import CompositeBarrier, Layer, StrictFeedbackSystem, check_full_row_rank
 from odcbf.barrier import BarrierSpec, eval_lie, linear_class_k
 from odcbf.errors import ParameterError, SamplerError
 from odcbf.scenarios import build_pendulum
@@ -28,18 +23,18 @@ class TestComposeBarrier:
 
     def test_scalar_deviation_example(self):
         # mu=1, h1=1, x2-k1=1 -> h = 1 - 1/2 = 0.5
-        ident = SmoothVirtualController(k1=lambda x1: np.zeros(1), sigma=1.0)
+        ident = SmoothVirtualController(k1=lambda x1: np.zeros(1))
         flat_h1 = BarrierSpec(
             h=lambda x: 1.0, grad_h=lambda x: np.zeros(1),
             alpha=linear_class_k(), epsilon=1.0, theta_d=1.0, p_weight=1.0, n=1,
         )
-        comp = compose_barrier(flat_h1, ident, 1.0, 1, 1)
+        comp = CompositeBarrier(flat_h1, ident, 1.0, 1, 1)
         assert comp.h(np.array([0.0, 1.0])) == pytest.approx(0.5)
 
     def test_rejects_nonpositive_mu(self):
         scn = build_pendulum()
         with pytest.raises(ParameterError):
-            compose_barrier(scn.h1, scn.k1, 0.0, 1, 1)
+            CompositeBarrier(scn.h1, scn.k1, 0.0, 1, 1)
 
     def test_gradient_matches_finite_differences(self):
         scn = build_pendulum()
@@ -52,7 +47,7 @@ class TestComposeBarrier:
     def test_explicit_identity_reference_is_the_strict_feedback_barrier(self):
         # both branches of the one value_and_grad: ref_map=None and a reference map
         scn = build_pendulum()
-        ident = compose_barrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=lambda v: ad.stack([v[0]]))
+        ident = CompositeBarrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=lambda v: ad.stack([v[0]]))
         assert ident.ref_map is not None and scn.composite.ref_map is None
         rng = np.random.default_rng(37)
         for x in rng.uniform([-1.5, -3.0], [1.5, 3.0], size=(50, 2)):

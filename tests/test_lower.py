@@ -17,7 +17,7 @@ import pytest
 
 from odcbf import autodiff as ad
 from odcbf import lower
-from odcbf.backstepping import barrier_pass, compose_barrier
+from odcbf.backstepping import CompositeBarrier, barrier_pass
 from odcbf.barrier import BarrierEval, BarrierSpec, eval_lie, lie_kernel, lie_pass, linear_class_k
 from odcbf.drd import partial_closed_loop
 from odcbf.dynamics import DisturbedSystem, call_law
@@ -103,8 +103,8 @@ def tiny_barrier(nominal=None, ref_map=None):
         p_weight=1.0,
         n=1,
     )
-    k = synth_virtual(top, bar, sigma=1.0, nominal=nominal, layer=7)
-    return compose_barrier(bar, k, 1.0, 1, 1, ref_map=ref_map)
+    k = synth_virtual(top, bar, sigma=1.0, nominal=nominal)
+    return CompositeBarrier(bar, k, 1.0, 1, 1, ref_map=ref_map)
 
 
 def test_infeasible_state_raises_the_reference_error():
@@ -117,7 +117,7 @@ def test_infeasible_state_raises_the_reference_error():
     with pytest.raises(SynthesisInfeasibleError) as got:
         barrier.h(x)
     assert str(got.value) == str(ref.value)
-    assert np.array_equal(got.value.x, x[:1]) and got.value.a == ref.value.a == -3.0 and got.value.layer == 7
+    assert np.array_equal(got.value.x, x[:1]) and got.value.a == ref.value.a == -3.0 and got.value.layer == 1
     assert len(barrier.kernel.sources) == 1  # a failing state is never traced
 
 
@@ -157,7 +157,7 @@ def test_sqrt_sin_and_cos_lower_exactly():
     # a reference map of sqrt, sin and cos over the quadrotor's virtual input (v1, v2)
     scn = build_quadrotor()
     fn = lambda v: ad.stack([ad.sin(v[0]) * ad.cos(v[1]), ad.sqrt(v[0] * v[0] + v[1] * v[1]), v[1]])
-    barrier = compose_barrier(scn.h_z, scn.k_v, scn.cfg.mu, 4, 3, ref_map=fn)
+    barrier = CompositeBarrier(scn.h_z, scn.k_v, scn.cfg.mu, 4, 3, ref_map=fn)
     lo, hi = np.array([-1.0, -1.0, -2.0, -2.0, -4.0, -4.0, -4.0]), np.array([3.0, 1.0, 3.0, 2.0, 4.0, 4.0, 4.0])
     for x in np.random.default_rng(2).uniform(lo, hi, size=(1000, 7)):
         for mine, theirs in zip(barrier.kernel(x), barrier_pass(barrier, x)):
@@ -168,7 +168,7 @@ def test_sqrt_sin_and_cos_lower_exactly():
 def test_float_arithmetic_fault_defers_to_the_reference():
     # Python's float division raises where numpy returns inf: at k = 0 that state takes the Dual pass
     scn = build_pendulum()
-    barrier = compose_barrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=lambda v: ad.stack([1.0 / v[0]]))
+    barrier = CompositeBarrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=lambda v: ad.stack([1.0 / v[0]]))
     assert barrier.reference(np.array([0.5, 0.0]))[0] == 1.0 / float(ad.value(scn.k1.k1(np.array([0.5])))[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         ref = barrier.reference(np.array([0.0, 0.0]))  # k1(0) = 0
@@ -294,7 +294,7 @@ def test_state_kernel_guard_miss_raises_the_reference_error():
         return ad.stack([v[0]])
 
     scn = build("pendulum")
-    bar = compose_barrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=positive).to_spec()
+    bar = CompositeBarrier(scn.h1, scn.k1, scn.cfg.mu, 1, 1, ref_map=positive).to_spec()
     x_ok, x_bad = np.array([-0.5, 0.0]), np.array([0.5, 0.0])  # k1 > 0 and k1 < 0
     assert eval_lie(scn.sys, bar, x_ok).bar_eval.ref[0] > 0.0
     with pytest.raises(ThrustDomainError) as ref:

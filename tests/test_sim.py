@@ -241,7 +241,7 @@ class TestMetrics:
         above = 1.5
         capped = BarrierSpec(
             h=scn.bar.h, grad_h=scn.bar.grad_h,
-            alpha=linear_class_k(1.0, b=scn.bar.domain_b, c=np.inf),
+            alpha=linear_class_k(1.0, b=scn.bar.domain_b),
             epsilon=scn.bar.epsilon, theta_d=scn.bar.theta_d, p_weight=scn.bar.p_weight, n=2,
             domain_b=scn.bar.domain_b,  # alpha's domain covers D, as BarrierSpec requires
         )

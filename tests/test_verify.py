@@ -160,7 +160,7 @@ class TestSamplers:
             assert scn.bar.h(x) <= 0
 
     def test_sampler_exhaustion(self):
-        sampler = BoxRegionSampler(np.zeros(1), np.ones(1), lambda x: False, max_tries_factor=5)
+        sampler = BoxRegionSampler(np.zeros(1), np.ones(1), lambda x: False)
         with pytest.raises(SamplerError):
             sampler.draw(np.random.default_rng(0), 10)
 
@@ -183,7 +183,6 @@ class TestCheckOdIssf:
     def test_no_zero_set_hit_is_a_vacuous_pass(self):
         report = SampleReport(samples_checked=100).finalize()
         assert report.verdict == "vacuous-pass" and report.zero_set_hits == 0
-        assert SampleReport(samples_checked=100).finalize(vacuous_ok=True).verdict == "pass"
 
     def test_backstepped_pendulum_passes_with_hits(self):
         scn = build_pendulum()
