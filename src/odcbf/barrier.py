@@ -55,7 +55,7 @@ class ExtendedClassK:
 
 def linear_class_k(gain=1.0, b=math.inf):
     """alpha(s) = gain * s."""
-    if gain <= 0:
+    if not gain > 0:
         raise ParameterError("gain must be positive")
     return ExtendedClassK(lambda s: gain * s, lambda y: y / gain, b)
 
@@ -107,7 +107,7 @@ class BarrierSpec:
     kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.theta_d <= 0 or self.p_weight <= 0:
+        if not (self.epsilon > 0 and self.theta_d > 0 and self.p_weight > 0):
             raise ParameterError("epsilon, theta_d, p_weight must all be strictly positive")
         if not self.domain_b > 0:  # NaN too: it would turn the domain test off
             raise ParameterError(f"domain_b must be positive, got {self.domain_b!r}")
@@ -186,7 +186,7 @@ def gamma_margin(bar: BarrierSpec, delta: float) -> float:
     Raises MarginUndefinedError when the argument leaves the range of alpha
     (disturbance too large for this alpha).
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ParameterError("delta must be nonnegative")
     if delta == 0:
         return 0.0

@@ -26,7 +26,8 @@ import sys
 import numpy as np
 
 from . import scenarios as sc
-from .errors import STAGE_ERRORS, DomainError, InfeasiblePointError, IntegrationError, OdcbfError, SimulationAbort
+from .errors import (STAGE_ERRORS, DomainError, InfeasiblePointError, IntegrationError, OdcbfError, ParameterError,
+                     SimulationAbort)
 from .io import write_json_atomic
 from .sim import RolloutConfig, rollout, sweep, sweep_table_to_dict
 from .verify import check_matched, check_od_issf, check_prop1, check_regular_values, exterior_sampler
@@ -40,8 +41,11 @@ RUNTIME_ERRORS = (SimulationAbort, IntegrationError, InfeasiblePointError, Domai
 
 def _load_config_section(path, section):
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path!r}: {exc.strerror}") from None
     return dict(parser[section]) if parser.has_section(section) else {}
 
 
@@ -75,7 +79,10 @@ def _scenario_config(args):
         for key, val in raw.items():
             if key not in defaults:
                 raise OdcbfError(f"unknown config key {key!r} in section [{args.scenario}]")
-            overrides[key] = _coerce(val, defaults[key])
+            try:
+                overrides[key] = _coerce(val, defaults[key])
+            except ValueError:
+                raise ParameterError(f"malformed value {val!r} for config key {key!r}") from None
     if getattr(args, "epsilon", None) is not None:
         overrides["epsilon"] = args.epsilon
     if getattr(args, "delta", None) is not None:
@@ -129,9 +136,10 @@ def cmd_run(args):
 
 def _sweep_change(param, value):
     """The config change of the sweep cell at ``value``."""
+    number = _floats(value)[0]
     if param == "direction":
-        return {"disturbance": f"dir:{float(value)}"}
-    return {param: float(value)}
+        return {"disturbance": f"dir:{number}"}
+    return {param: number}
 
 
 def cmd_sweep(args):
@@ -199,7 +207,11 @@ def cmd_verify(args):
 
 
 def _floats(text):
-    return [float(v) for v in text.split(",")] if text else None
+    """The comma-separated numbers of a flag's value (None if it is not given)."""
+    try:
+        return [float(v) for v in text.split(",")] if text else None
+    except ValueError:
+        raise ParameterError(f"malformed number in {text!r}") from None
 
 
 def cmd_plotdata(args):

@@ -68,21 +68,33 @@ def direction_disturbance(angle, magnitude=1.0):
 
 
 def make_disturbance(name: str, p: int, delta: float = 1.0) -> DisturbanceSignal:
-    """Parse a disturbance spec: "sin", "zero", "dir:<angle_rad>", "const:<v1,..>"."""
+    """Parse a disturbance spec: "sin", "zero", "dir:<angle_rad>", "const:<v1,..>".
+
+    A malformed or non-finite number in the spec, and a non-finite ``delta``
+    (a NaN bound would turn the rollout's bound check off), raise ParameterError.
+    """
+    if not math.isfinite(delta):
+        raise ParameterError(f"delta must be finite, got {delta!r}")
     if name == "sin":
         return sin_disturbance(p, amplitude=delta)
     if name == "zero":
         return zero_disturbance(p)
-    if name.startswith("dir:"):
-        if p != 2:
-            raise ParameterError("directional disturbances need a 2-D channel")
-        return direction_disturbance(float(name.split(":", 1)[1]), magnitude=delta)
-    if name.startswith("const:"):
-        vec = np.array([float(v) for v in name.split(":", 1)[1].split(",")])
-        if vec.size != p:
+    kind, _, numbers = name.partition(":")
+    if kind not in ("dir", "const"):
+        raise ParameterError(f"unknown disturbance {name!r}")
+    try:
+        values = [float(v) for v in numbers.split(",")]
+    except ValueError:
+        raise ParameterError(f"malformed number in disturbance {name!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"non-finite number in disturbance {name!r}")
+    if kind == "const":
+        if len(values) != p:
             raise ParameterError(f"const disturbance needs {p} components")
-        return constant_disturbance(vec)
-    raise ParameterError(f"unknown disturbance {name!r}")
+        return constant_disturbance(values)
+    if p != 2 or len(values) != 1:
+        raise ParameterError("directional disturbances need a 2-D channel and one angle")
+    return direction_disturbance(values[0], magnitude=delta)
 
 
 # -- the scenario shape -----------------------------------------------------
@@ -230,7 +242,7 @@ class PendulumScenario(Scenario):
 def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     """Assemble the pendulum: layer-1 synthesis, composite barrier, QP filter."""
     for name in ("mass", "length", "gravity", "epsilon", "theta_d", "p_weight", "mu", "sigma"):
-        if getattr(cfg, name) <= 0:
+        if not getattr(cfg, name) > 0:  # NaN too
             raise ParameterError(f"{name} must be positive")
     m, l, grav, beta, nu = cfg.mass, cfg.length, cfg.gravity, cfg.damping, cfg.nu
     ml2 = m * l * l
@@ -373,7 +385,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     keeping the attitude map away from its v2 = 0 singularity.
     """
     for name in ("mass", "gravity", "x_max", "hocbf_gain", "epsilon", "theta_d", "p_weight", "mu", "sigma"):
-        if getattr(cfg, name) <= 0:
+        if not getattr(cfg, name) > 0:  # NaN too
             raise ParameterError(f"{name} must be positive")
     m, grav, a1, x_max = cfg.mass, cfg.gravity, cfg.hocbf_gain, cfg.x_max
     alpha = linear_class_k(cfg.alpha_gain)

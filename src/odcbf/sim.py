@@ -45,15 +45,15 @@ class RolloutConfig:
     t_final: float = 10.0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ParameterError("dt must be positive")
-        if self.t_final < self.dt:
-            raise ParameterError("t_final must be at least dt")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ParameterError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (self.t_final >= self.dt and math.isfinite(self.t_final)):
+            raise ParameterError(f"t_final must be finite and at least dt, got {self.t_final!r}")
 
 
 def rk4_step(field, t, x, dt, k1=None):
     """Classical 4-stage Runge-Kutta update; pass ``k1`` if field(t, x) is known."""
-    if dt <= 0:
+    if not dt > 0:
         raise ParameterError("dt must be positive")
     k1 = np.asarray(field(t, x) if k1 is None else k1, dtype=float)
     k2 = np.asarray(field(t + 0.5 * dt, x + 0.5 * dt * k1), dtype=float)

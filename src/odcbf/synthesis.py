@@ -66,7 +66,7 @@ def half_sontag(a, bvec, sigma):
     is below the smallest normal float (dividing by it would overflow), and
     NonFiniteError when a or ||b||^2 is NaN or infinite.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError("sigma must be positive")
     q = ad.dot(bvec, bvec)  # ||b||^2, so sigma*q^2 = sigma*||b||^4
     # every decision on a or q goes through ad.branch: a lowered pass keeps it as a guard

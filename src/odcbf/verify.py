@@ -371,15 +371,16 @@ def check_regular_values(bar: BarrierSpec, kappas, center, seed=0) -> SampleRepo
     """Locate h = kappa points by root-tracing N_RAYS random rays of length RAY_LENGTH
     from ``center``; require ||grad h|| > RANK_TOL there.
 
-    kappa values must lie in (-b, 0]; levels with no located points leave the
-    verdict vacuous for that kappa (reported through zero_set_hits).
+    kappa values must lie in (-b, 0] (ParameterError otherwise, for every b);
+    levels with no located points leave the verdict vacuous for that kappa
+    (reported through zero_set_hits).
     """
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
     report = SampleReport(samples_checked=0)
     for kappa in kappas:
-        if math.isfinite(bar.domain_b) and not (-bar.domain_b < kappa <= 0.0):
-            raise ValueError(f"kappa={kappa} outside (-b, 0]")
+        if not -bar.domain_b < kappa <= 0.0:
+            raise ParameterError(f"kappa={kappa!r} outside (-b, 0] = ({-bar.domain_b!r}, 0]")
         at_center = float(bar.h(center)) - kappa  # every ray starts here
         for _ in range(N_RAYS):
             direction = rng.normal(size=center.size)

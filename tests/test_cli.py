@@ -189,6 +189,39 @@ def test_bad_domain_bound_is_build_failure(tmp_path, capsys, scenario, command, 
 
 
 @pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        # numbers that do not parse
+        (["run", "--scenario", "quadrotor", "--disturbance", "dir:abc"], None, "malformed number in disturbance"),
+        (["run", "--scenario", "quadrotor", "--disturbance", "const:1,x"], None, "malformed number in disturbance"),
+        (["run", "--scenario", "pendulum"], "[pendulum]\nepsilon = abc\n", "malformed value 'abc' for config key"),
+        (["sweep", "--scenario", "pendulum", "--param", "epsilon", "--values", "1,abc"], None, "malformed number"),
+        (["plotdata", "--scenario", "pendulum", "--epsilons", "1,abc"], None, "malformed number"),
+        (["run", "--scenario", "pendulum", "--config", "no_such_file.ini"], None, "cannot read config file"),
+        # non-finite settings: NaN fails every positivity test, and a NaN or infinite delta, dt or t_final is refused
+        (["run", "--scenario", "pendulum", "--epsilon", "nan"], None, "epsilon must be positive"),
+        (["run", "--scenario", "quadrotor", "--delta", "nan"], None, "delta must be finite"),
+        (["run", "--scenario", "pendulum", "--delta", "inf"], None, "delta must be finite"),
+        (["run", "--scenario", "quadrotor", "--disturbance", "dir:nan"], None, "non-finite number in disturbance"),
+        (["run", "--scenario", "pendulum", "--dt", "nan"], None, "dt must be positive and finite"),
+        (["run", "--scenario", "pendulum", "--t-final", "inf"], None, "t_final must be finite"),
+        (["sweep", "--scenario", "quadrotor", "--param", "delta", "--values", "1,nan"], None, "delta must be finite"),
+    ],
+    ids=["dir-abc", "const-x", "config-abc", "sweep-values", "plotdata-list", "missing-config",
+         "epsilon-nan", "delta-nan", "delta-inf", "dir-nan", "dt-nan", "t-final-inf", "sweep-delta-nan"],
+)
+def test_malformed_or_non_finite_setting_is_build_failure(tmp_path, capsys, monkeypatch, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "exp.ini").write_text(config)
+        argv = [*argv, "--config", "exp.ini"]
+    code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == BUILD_FAILURE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing is run or written
+
+
+@pytest.mark.parametrize(
     "config, flags",
     [
         # the initial state lies outside the barrier domain: DomainError at t = 0

@@ -1,6 +1,12 @@
+import dataclasses
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import odcbf.scenarios
 from odcbf import autodiff as ad
 from odcbf.backstepping import check_full_row_rank
 from odcbf.barrier import gamma_margin
@@ -216,3 +222,27 @@ def test_closure_constants_are_built_once_and_read_only():
         assert call() is arr
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 1.0
+
+
+def cfg_reads(source):
+    """The names read as ``cfg.<name>`` in source, by its tokens, so that comments and strings do not count."""
+    tokens = [tok for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT)]
+    return {name.string for cfg, dot, name in zip(tokens, tokens[1:], tokens[2:])
+            if cfg.string == "cfg" and dot.string == "." and name.type == tokenize.NAME}
+
+
+def test_every_config_key_is_read_by_its_builder():
+    # a key that no builder reads is a setting that does nothing
+    reads = cfg_reads(Path(odcbf.scenarios.__file__).read_text())
+    unread = [f"{config.__name__}.{f.name}" for config in (PendulumConfig, QuadrotorConfig)
+              for f in dataclasses.fields(config) if f.name not in reads]
+    assert unread == []
+
+
+def test_config_read_lint_finds_what_it_looks_for():
+    planted = (
+        "def build(cfg):\n    a = cfg.mass  # cfg.gravity\n    b = getattr(cfg, 'length'), 'cfg.nu'\n"
+        "    return self.cfg . mu, cfgx.theta_d, cfg.\\\n        kp\n"
+    )
+    assert cfg_reads(planted) == {"mass", "mu", "kp"}

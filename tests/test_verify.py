@@ -360,6 +360,13 @@ class TestRegularValues:
         with pytest.raises(ValueError):
             check_regular_values(bar, [-2.0], center=np.zeros(2))
 
+    @pytest.mark.parametrize("domain_b, kappa", [(math.inf, 0.5), (math.inf, math.nan), (1.0, 0.5), (1.0, -2.0)])
+    def test_kappa_interval_is_checked_for_every_b(self, domain_b, kappa):
+        # kappa must lie in (-b, 0] for an infinite b too; the refusal is a build failure, not a traceback
+        bar = dataclasses.replace(self.make_bar(), domain_b=domain_b)
+        with pytest.raises(ParameterError, match="outside"):
+            check_regular_values(bar, [kappa], center=np.zeros(2))
+
     def test_center_is_evaluated_once_per_level(self):
         # every ray starts at the center, so h is taken there once per kappa, not once per ray
         scn = build_pendulum()
