@@ -102,6 +102,7 @@ class StrictFeedbackSystem:
 class CompositeBarrier:
     """Backstepped barrier h = h_top(x_top) - 1/(2 mu) ||x_bot - r(k(x_top))||^2, with ``k`` the
     virtual controller and ``ref_map`` the dual-aware reference r (None: the identity r(v) = v).
+    ``mu`` must be positive (ParameterError otherwise, NaN included) and is stored as a float.
 
     Its pass (``barrier_pass``: h, grad h, k, r and dr/dx_top) is lowered once per barrier, as
     ``kernel``, with the forward-AD passes of k and r on floats as its reference. ``h``,
