@@ -30,9 +30,7 @@ comparisons, so comparing one raises TypeError.
 
 Forward AD is the program's one derivative path; the lowered code is a
 compiled form of it, and this module's Dual pass stays its reference.
-Central finite differences (:func:`fd_gradient`, :func:`fd_jacobian`) are
-kept as an independent checker for the test suite; no program path takes
-them.
+The test suite checks it against central finite differences of its own.
 """
 
 from __future__ import annotations
@@ -281,32 +279,3 @@ def jacobian(f, x):
     if dot.shape != val.shape + (n,):
         raise ValueError(f"dual parts misaligned: val {val.shape}, dot {dot.shape}, {n} seeds")
     return np.atleast_1d(val), dot.reshape(val.size, n)
-
-
-# -- central finite differences (the tests' checker) ----------------------
-
-
-def fd_gradient(f, x, step=1e-6):
-    """Central-difference gradient; step scaled per component by 1 + |x_i|."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        hi = step * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        g[i] = (float(f(xp)) - float(f(xm))) / (2.0 * hi)
-    return g
-
-
-def fd_jacobian(f, x, step=1e-6):
-    """Central-difference Jacobian of a vector-valued function."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        hi = step * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        cols.append((np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * hi))
-    return np.stack(cols, axis=-1)

@@ -104,7 +104,7 @@ class CompositeBarrier:
     virtual controller and ``ref_map`` the dual-aware reference r (None: the identity r(v) = v).
     ``mu`` must be positive (ParameterError otherwise, NaN included) and is stored as a float.
 
-    Its pass (``barrier_pass``: h, grad h, k, r and dr/dx_top) is lowered once per barrier, as
+    Its pass (``barrier_pass``: h, grad h, h_top, k, r and dr/dx_top) is lowered once per barrier, as
     ``kernel``, with the forward-AD passes of k and r on floats as its reference. ``h``,
     ``grad_h``, ``reference`` and ``value_and_grad`` all read that kernel; on traced scalars
     the kernel runs the pass on them, so that it inlines into the state kernel.
@@ -128,13 +128,13 @@ class CompositeBarrier:
 
     def reference(self, x):
         """r(k(x_top)): the bottom block's reference at x."""
-        return self.kernel(x)[3]
+        return self.kernel(x)[4]
 
     def h(self, x):
         return self.kernel(x)[0]
 
     def value_and_grad(self, x) -> BarrierEval:
-        """h, grad h, k, r and dr/dx_top at x, on floats or on traced scalars."""
+        """h, grad h, h_top, k, r and dr/dx_top at x, on floats or on traced scalars."""
         return BarrierEval(*self.kernel(x), mu=self.mu)
 
     def grad_h(self, x):
@@ -156,8 +156,8 @@ class CompositeBarrier:
 
 
 def barrier_pass(bar: CompositeBarrier, x) -> tuple:
-    """(h, grad h, k, r, dr/dx_top) at the 1-D state x, on floats or traced scalars, from the
-    forward-AD passes of k and of r and the chain rule."""
+    """(h, grad h, h_top, k, r, dr/dx_top) at the 1-D state x, on floats or traced scalars, from
+    the forward-AD passes of k and of r and the chain rule."""
     x = ad.floats(x)
     x_top, x_bot = x[: bar.n_top], x[bar.n_top :]
     k_val, k_jac = bar.k.with_jacobian(x_top)
@@ -172,7 +172,7 @@ def barrier_pass(bar: CompositeBarrier, x) -> tuple:
     top = bar.h_top.value_and_grad(x_top)
     hv = top.h - ad.dot(e, e) / (2.0 * bar.mu)
     grad = np.concatenate([top.grad + chain / bar.mu, -e / bar.mu])
-    return hv, grad, k_val, ref, ref_jac
+    return hv, grad, top.h, k_val, ref, ref_jac
 
 
 @dataclass(frozen=True)

@@ -61,9 +61,10 @@ def linear_class_k(gain=1.0, b=math.inf):
 
 
 class BarrierEval(NamedTuple):
-    """h and grad h at one state from one pass.
+    """h, grad h and the top layer's barrier ``h_top`` at one state from one pass.
 
-    A backstepped barrier h = h_top(x_top) - ||x_bot - ref(x_top)||^2 / (2 mu)
+    A plain barrier is its own top layer: its ``h_top`` is h. A backstepped
+    barrier h = h_top(x_top) - ||x_bot - ref(x_top)||^2 / (2 mu)
     penalizes the bottom block's distance to a reference ``ref`` built from a
     smooth virtual controller k. Its pass also leaves k, ref, the jacobian
     ``ref_jac`` = dref/dx_top of shape (n_bot, n_top) and mu here (all None
@@ -72,6 +73,7 @@ class BarrierEval(NamedTuple):
 
     h: float
     grad: np.ndarray
+    h_top: float
     k: Optional[np.ndarray] = None
     ref: Optional[np.ndarray] = None
     ref_jac: Optional[np.ndarray] = None
@@ -115,7 +117,10 @@ class BarrierSpec:
             raise ParameterError(f"alpha is undefined on part of D: alpha.b={self.alpha.b!r} < domain_b={self.domain_b!r}")
         if self.value_and_grad is None:
             h, grad_h = self.h, self.grad_h
-            pair = lambda x: BarrierEval(ad.scalar(h(x)), ad.floats(grad_h(x)).reshape(-1))
+            def pair(x):
+                hv = ad.scalar(h(x))
+                return BarrierEval(hv, ad.floats(grad_h(x)).reshape(-1), hv)
+
             object.__setattr__(self, "value_and_grad", pair)
 
     def in_domain(self, x, hv=None):
@@ -142,7 +147,7 @@ class LieData(NamedTuple):
 
 def lie_pass(sys: DisturbedSystem, bar: BarrierSpec, x) -> tuple:
     """The state part of an evaluation at the 1-D state x, on floats or traced scalars:
-    (h, grad h, f, g, w, L_f h, L_g h, L_w h), then k, ref, ref_jac and mu when the
+    (h, grad h, h_top, f, g, w, L_f h, L_g h, L_w h), then k, ref, ref_jac and mu when the
     barrier pass carries a virtual input, from which a system with ``f_with`` takes its drift."""
     x = ad.floats(x)
     if x.shape != (sys.n,):
@@ -155,7 +160,7 @@ def lie_pass(sys: DisturbedSystem, bar: BarrierSpec, x) -> tuple:
                              ("g(x)", g, (sys.n, sys.m)), ("w(x)", w, (sys.n, sys.p))):
         if arr.shape != shape:
             raise ShapeError(name, shape, arr.shape)
-    lie = (be.h, grad, f, g, w, ad.dot(grad, f), ad.vecmat(grad, g), ad.vecmat(grad, w))
+    lie = (be.h, grad, be.h_top, f, g, w, ad.dot(grad, f), ad.vecmat(grad, g), ad.vecmat(grad, w))
     return lie if be.k is None else lie + (be.k, be.ref, be.ref_jac, be.mu)
 
 
@@ -166,8 +171,8 @@ def eval_lie(sys: DisturbedSystem, bar: BarrierSpec, x) -> LieData:
     floats as its reference, whose errors propagate). A pair whose pass cannot be
     lowered exactly runs the reference at every state; its kernel's ``refusal`` says why.
     """
-    h, grad, f, g, w, lf, lg, lw, *barrier_pass = lie_kernel(sys, bar)(x)
-    return LieData(h, lf, lg, lw, BarrierEval(h, grad, *barrier_pass), f, g, w)
+    h, grad, h_top, f, g, w, lf, lg, lw, *barrier_pass = lie_kernel(sys, bar)(x)
+    return LieData(h, lf, lg, lw, BarrierEval(h, grad, h_top, *barrier_pass), f, g, w)
 
 
 def lie_kernel(sys: DisturbedSystem, bar: BarrierSpec) -> Lowered:

@@ -29,7 +29,7 @@ from . import scenarios as sc
 from .errors import (STAGE_ERRORS, DomainError, InfeasiblePointError, IntegrationError, OdcbfError, ParameterError,
                      SimulationAbort)
 from .io import write_json_atomic
-from .sim import RolloutConfig, rollout, sweep, sweep_table_to_dict
+from .sim import RolloutConfig, rollout, sweep
 from .verify import check_matched, check_od_issf, check_prop1, check_regular_values, exterior_sampler
 
 BUILD_FAILURE = 3
@@ -50,14 +50,10 @@ def _load_config_section(path, section):
 
 
 def _coerce(value, target):
-    if isinstance(target, bool):
-        return value.lower() in ("1", "true", "yes", "on")
     if isinstance(target, tuple):
         return tuple(float(v) for v in value.split(","))
     if isinstance(target, float):
         return float(value)
-    if isinstance(target, int):
-        return int(value)
     return value
 
 
@@ -83,11 +79,11 @@ def _scenario_config(args):
                 overrides[key] = _coerce(val, defaults[key])
             except ValueError:
                 raise ParameterError(f"malformed value {val!r} for config key {key!r}") from None
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
-    if getattr(args, "delta", None) is not None:
+    if args.delta is not None:
         overrides["delta"] = args.delta
-    if getattr(args, "disturbance", None) is not None:
+    if args.disturbance is not None:
         overrides["disturbance"] = args.disturbance
     return dataclasses.replace(cfg, **overrides)
 
@@ -147,7 +143,7 @@ def cmd_sweep(args):
     cfg = _rollout_config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     cells = {v: _build(args, **_sweep_change(args.param, v)) for v in values}
-    payload = {"scenario": args.scenario, "param": args.param, "cells": sweep_table_to_dict(sweep(cells, cfg))}
+    payload = {"scenario": args.scenario, "param": args.param, "cells": sweep(cells, cfg)}
     path = _out_path(args, f"{args.scenario}_sweep_{args.param}.json")
     write_json_atomic(path, payload)
     for label, entry in payload["cells"].items():

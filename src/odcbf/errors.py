@@ -20,10 +20,11 @@ class ParameterError(OdcbfError, ValueError):
 
 
 class DomainError(OdcbfError, ValueError):
-    """A state lies outside the barrier's domain (h(x) + b <= 0); carries the state."""
+    """A state lies outside the barrier's domain (h(x) + b <= 0); carries the state and its time."""
 
-    def __init__(self, x):
+    def __init__(self, x, t):
         self.x = x
+        self.t = t
         super().__init__(f"state outside barrier domain (h + b <= 0) at x={x}")
 
 

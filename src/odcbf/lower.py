@@ -200,6 +200,14 @@ def lower(fn, x):
         source = _source(tape, x.size, outs)
     except TypeError as exc:  # a traced scalar has no method for this operation
         raise TraceError(f"the pass uses an operation that has no lowering: {exc}") from exc
+    except Exception as exc:
+        # numpy wraps a refused float conversion in its own error (np.asarray(traced, dtype=float))
+        cause = exc.__cause__
+        while cause is not None and not isinstance(cause, TraceError):
+            cause = cause.__cause__
+        if cause is None:
+            raise
+        raise TraceError(str(cause)) from exc
     finally:
         tape.shared.clear()  # the nodes refer to the tape: free them now, not at the next garbage collection
     env = dict(tape.env)

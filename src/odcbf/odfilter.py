@@ -134,7 +134,7 @@ class OdIssfController:
 
     ``evaluate(x, t)`` is the one per-state evaluation that integration and
     recording read, and ``control`` its input. A state outside the
-    barrier's domain (``bar.in_domain``) raises DomainError.
+    barrier's domain (``bar.in_domain``) raises DomainError, with x and t.
     """
 
     def __init__(self, sys, bar, nominal):
@@ -146,7 +146,7 @@ class OdIssfController:
         x = np.asarray(x, dtype=float)
         bar = self.bar
         if not bar.in_domain(x):
-            raise DomainError(x)
+            raise DomainError(x, t)
         lie = eval_lie(self.sys, bar, x)
         u_nom = call_law(self.nominal, x, t, lie.bar_eval)
         res = solve_decay_filter(

@@ -15,7 +15,7 @@ verifies and plots any scenario the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Optional
 
@@ -37,6 +37,23 @@ def _constant(values):
     arr = np.array(values, dtype=float)
     arr.flags.writeable = False
     return arr
+
+
+def _check_settings(cfg, positive):
+    """Refuse, with ParameterError, a config whose ``positive`` settings are not all positive, one of
+    whose float settings is not finite, or one of whose tuples is not as long as its default or has
+    a non-finite entry. ``domain_b`` may be +inf: the barrier refuses its NaN and b <= 0."""
+    for name in positive:
+        if not getattr(cfg, name) > 0:  # NaN too
+            raise ParameterError(f"{name} must be positive")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, tuple):
+            if len(value) != len(f.default) or not all(map(math.isfinite, value)):
+                raise ParameterError(f"{f.name} must have length {len(f.default)} and finite entries, got {value!r}")
+        elif isinstance(f.default, float) and f.name != "domain_b" and not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value!r}")
+
 
 # -- disturbance catalog ---------------------------------------------------
 
@@ -70,11 +87,13 @@ def direction_disturbance(angle, magnitude=1.0):
 def make_disturbance(name: str, p: int, delta: float = 1.0) -> DisturbanceSignal:
     """Parse a disturbance spec: "sin", "zero", "dir:<angle_rad>", "const:<v1,..>".
 
-    A malformed or non-finite number in the spec, and a non-finite ``delta``
-    (a NaN bound would turn the rollout's bound check off), raise ParameterError.
+    A malformed or non-finite number in the spec, and a ``delta`` that is not
+    finite and non-negative, raise ParameterError: a NaN bound would turn the
+    rollout's bound check off, and a negative one would flip the signal's sign
+    under the bound of -delta.
     """
-    if not math.isfinite(delta):
-        raise ParameterError(f"delta must be finite, got {delta!r}")
+    if not (delta >= 0 and math.isfinite(delta)):
+        raise ParameterError(f"delta must be finite and non-negative, got {delta!r}")
     if name == "sin":
         return sin_disturbance(p, amplitude=delta)
     if name == "zero":
@@ -131,10 +150,9 @@ class Scenario:
     """A built experiment: everything that run, sweep, verify and plotdata read.
 
     ``sys`` and ``bar`` (with its domain) are read from ``filter_law``, so a
-    rollout runs what verify samples. ``layer_h(x)`` is the top layer's
-    barrier at x, ``box`` the (lo, hi) corners of the state box that
-    samplers draw from, and ``checks`` the verify checks of this
-    construction. Subclasses add its pieces.
+    rollout runs what verify samples. ``box`` holds the (lo, hi) corners of
+    the state box that samplers draw from, and ``checks`` the verify checks
+    of this construction. Subclasses add its pieces.
     """
 
     name: str
@@ -142,7 +160,6 @@ class Scenario:
     filter_law: OdIssfController
     x0: np.ndarray
     disturbance: DisturbanceSignal
-    layer_h: Callable
     box: tuple
     checks: tuple
 
@@ -241,9 +258,7 @@ class PendulumScenario(Scenario):
 
 def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
     """Assemble the pendulum: layer-1 synthesis, composite barrier, QP filter."""
-    for name in ("mass", "length", "gravity", "epsilon", "theta_d", "p_weight", "mu", "sigma"):
-        if not getattr(cfg, name) > 0:  # NaN too
-            raise ParameterError(f"{name} must be positive")
+    _check_settings(cfg, ("mass", "length", "gravity", "epsilon", "theta_d", "p_weight", "mu", "sigma"))
     m, l, grav, beta, nu = cfg.mass, cfg.length, cfg.gravity, cfg.damping, cfg.nu
     ml2 = m * l * l
     alpha = linear_class_k(cfg.alpha_gain)
@@ -302,7 +317,6 @@ def build_pendulum(cfg: PendulumConfig = PendulumConfig()) -> PendulumScenario:
         filter_law=OdIssfController(sys, bar, nominal_torque),
         x0=np.asarray(cfg.x0, dtype=float),
         disturbance=make_disturbance(cfg.disturbance, p=1, delta=cfg.delta),
-        layer_h=lambda x: float(h1.h(np.atleast_1d(x)[:1])),
         box=box,
         checks=checks,
         top_sys=top_sys,
@@ -384,9 +398,7 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
     a gravity feedforward so its second component stays at m*g > v_min,
     keeping the attitude map away from its v2 = 0 singularity.
     """
-    for name in ("mass", "gravity", "x_max", "hocbf_gain", "epsilon", "theta_d", "p_weight", "mu", "sigma"):
-        if not getattr(cfg, name) > 0:  # NaN too
-            raise ParameterError(f"{name} must be positive")
+    _check_settings(cfg, ("mass", "gravity", "x_max", "hocbf_gain", "epsilon", "theta_d", "p_weight", "mu", "sigma"))
     m, grav, a1, x_max = cfg.mass, cfg.gravity, cfg.hocbf_gain, cfg.x_max
     alpha = linear_class_k(cfg.alpha_gain)
 
@@ -457,7 +469,6 @@ def build_quadrotor(cfg: QuadrotorConfig = QuadrotorConfig()) -> QuadrotorScenar
         filter_law=OdIssfController(sys, bar, nominal),
         x0=x0,
         disturbance=make_disturbance(cfg.disturbance, p=2, delta=cfg.delta),
-        layer_h=lambda x: float(h_z.h(np.asarray(x, dtype=float)[:4])),
         box=box,
         checks=checks,
         dsys=dsys,

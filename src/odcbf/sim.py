@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,29 +65,13 @@ def rk4_step(field, t, x, dt, k1=None):
     return out
 
 
-class _LeftDomain(DomainError):
-    """The closed loop reached a state outside the barrier domain at time t."""
-
-    def __init__(self, t, x):
-        self.t = t
-        super().__init__(x)
-
-
-class Row(NamedTuple):
-    """One closed-loop evaluation at (t, x): a recorded row and an RK stage's xdot."""
-
-    t: float
-    x: np.ndarray
-    u: np.ndarray
-    d: np.ndarray
-    xdot: Optional[np.ndarray]  # None on the row that left the barrier domain
-    h: float
-    theta: float
-
-
 @dataclass
 class Trajectory:
-    """Recorded rollout: one row per step, columns share length; ``truncated`` if it stopped early."""
+    """Recorded rollout: one row per step, columns share length; ``truncated`` if it stopped early.
+
+    A rollout's arrays are column slices of the one table it filled, whose
+    columns are in the CSV's order.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -160,29 +144,38 @@ def _xdot(lie, u, d):
 
 def rollout(scn, cfg: RolloutConfig):
     """Integrate the closed loop of ``scn.filter_law`` (its system, barrier and
-    domain) from ``scn.x0`` under ``scn.disturbance``, recording h,
-    ``scn.layer_h``, the decay scale, and inputs.
+    domain) from ``scn.x0`` under ``scn.disturbance``, recording h, the top
+    layer's barrier h_top, the decay scale, and inputs.
 
     Each RK stage is evaluated once, and the row recorded at (t_k, x_k) is
-    the first stage of step k, so only the final row is evaluated by itself.
+    the first stage of step k, written from that evaluation into one
+    preallocated table; only the final row is evaluated by itself.
     A state outside the barrier domain ends the rollout: a step's end or
     an RK stage's state, which the filter rejects with DomainError. The
     trajectory is flagged truncated and its last row holds that state at
-    its time, with its h and with NaN input and decay scale, as the filter
-    is not evaluated there. Aborts with the step index and the
-    stage time, chained to the cause, on controller infeasibility and on the
-    other errors of a stage evaluation (``STAGE_ERRORS``). The declared
-    disturbance bound is enforced on the sample taken at every stage time.
-    A ``SimulationAbort`` or ``IntegrationError`` carries the rows recorded
-    before it as its truncated ``trajectory``.
+    its time, with its h and h_top from one barrier pass and with NaN input
+    and decay scale, as the filter is not evaluated there. Aborts with the
+    step index and the stage time, chained to the cause, on controller
+    infeasibility and on the other errors of a stage evaluation
+    (``STAGE_ERRORS``). The declared disturbance bound is enforced on the
+    sample taken at every stage time. A ``SimulationAbort`` or
+    ``IntegrationError`` carries the rows recorded before it as its
+    truncated ``trajectory``.
     """
-    law, disturbance, layer_h = scn.filter_law, scn.disturbance, scn.layer_h
+    law, disturbance = scn.filter_law, scn.disturbance
     sys, bar, evaluate_law = law.sys, law.bar, law.evaluate
-    x = np.asarray(scn.x0, dtype=float).copy()
+    n, m = sys.n, sys.m
+    x = np.asarray(scn.x0, dtype=float)
     n_steps = int(round(cfg.t_final / cfg.dt))
-    step = 0
+    # one row per recorded state, its columns in the CSV's order: t, x, u, d, h, h_layer, theta
+    try:
+        table = np.empty((n_steps + 1, n + m + sys.p + 4))
+    except (MemoryError, ValueError):  # numpy refuses a shape past its size limit with ValueError
+        raise ParameterError(f"t_final / dt = {n_steps} steps: too many rows to record") from None
+    rows = step = 0
 
-    def evaluate(t, x):
+    def field(t, x, row=None):
+        """xdot at a stage state; with ``row``, the evaluation is also written to that row of the table."""
         d = _check_vec("d", disturbance.at(t), sys.p)
         d_floats = d.tolist()
         norm = math.sqrt(ad.fdot(d_floats, d_floats))
@@ -196,56 +189,44 @@ def rollout(scn, cfg: RolloutConfig):
             raise SimulationAbort(step, t, f"controller infeasible: {exc}") from exc
         except STAGE_ERRORS as exc:
             raise SimulationAbort(step, t, f"{type(exc).__name__}: {exc}") from exc
-        except DomainError as exc:
-            raise _LeftDomain(t, x) from exc
-        u, lie = ev.result.u, ev.lie
-        return Row(t, x, u, d, _xdot(lie, u.tolist(), d_floats), lie.h_val, ev.result.theta_x)
-
-    def field(t, x):
-        return evaluate(t, x).xdot
-
-    times, states, inputs, omegas, dists, hs, layer_hs = [], [], [], [], [], [], []
-
-    def record(row):
-        times.append(row.t)
-        states.append(row.x.copy())
-        inputs.append(row.u)
-        omegas.append(row.theta)
-        dists.append(row.d)
-        hs.append(row.h)
-        layer_hs.append(float(layer_h(row.x)))
+        lie, u = ev.lie, ev.result.u.tolist()
+        if row is not None:
+            table[row] = [t, *x.tolist(), *u, *d_floats, lie.h_val, lie.bar_eval.h_top, ev.result.theta_x]
+        return _xdot(lie, u, d_floats)
 
     def trajectory(truncated, exit_reason):
-        rows = len(times)
+        done = table[:rows]
         return Trajectory(
-            times=np.asarray(times, dtype=float),
-            states=np.asarray(states, dtype=float).reshape(rows, sys.n),
-            inputs=np.asarray(inputs, dtype=float).reshape(rows, sys.m),
-            omegas=np.asarray(omegas, dtype=float),
-            disturbances=np.asarray(dists, dtype=float).reshape(rows, sys.p),
-            h_values=np.asarray(hs, dtype=float),
-            layer_h_values=np.asarray(layer_hs, dtype=float),
+            times=done[:, 0],
+            states=done[:, 1 : 1 + n],
+            inputs=done[:, 1 + n : 1 + n + m],
+            disturbances=done[:, 1 + n + m : -3],
+            h_values=done[:, -3],
+            layer_h_values=done[:, -2],
+            omegas=done[:, -1],
             truncated=truncated,
             exit_reason=exit_reason,
         )
 
     truncated, exit_reason = False, None
     try:
-        row = evaluate(0.0, x)
-        record(row)
+        k1 = field(0.0, x, 0)
+        rows = 1
         for k in range(n_steps):
             step = k
             try:
-                x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=row.xdot)
+                x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=k1)
                 step = k + 1
-                row = evaluate(step * cfg.dt, x)
-            except _LeftDomain as left:
-                # the filter is not evaluated there: record the state with its h, no input and no decay scale
+                k1 = field(step * cfg.dt, x, rows)
+            except DomainError as left:
+                # the filter is not evaluated there: record the state with its h and h_top, no input and no decay scale
                 truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"
-                nan_u = np.full(sys.m, math.nan)
-                record(Row(left.t, left.x, nan_u, disturbance.at(left.t), None, float(bar.h(left.x)), math.nan))
+                be = bar.value_and_grad(left.x)
+                table[rows] = [left.t, *left.x.tolist(), *[math.nan] * m, *disturbance.at(left.t), be.h, be.h_top,
+                               math.nan]
+                rows += 1
                 break
-            record(row)
+            rows += 1
     except (SimulationAbort, IntegrationError) as exc:
         exc.trajectory = trajectory(True, str(exc))
         raise
@@ -278,21 +259,14 @@ def compute_metrics(traj: Trajectory, bar: BarrierSpec, delta: float) -> SafetyM
 def sweep(cells: dict, cfg: RolloutConfig) -> dict:
     """One rollout per cell, a built scenario; a cell's toolkit error is captured, not raised.
 
-    Returns {label: SafetyMetrics | {"error": str}}; deterministic given the
-    cells (rollouts draw no randomness). Errors outside the toolkit's own
-    (OdcbfError) are programming errors and propagate.
+    Returns the JSON-ready {str(label): SafetyMetrics.to_dict() | {"error": str}};
+    deterministic given the cells (rollouts draw no randomness). Errors outside
+    the toolkit's own (OdcbfError) are programming errors and propagate.
     """
     table = {}
     for label, cell in cells.items():
         try:
-            table[label] = rollout(cell, cfg)[1]
+            table[str(label)] = rollout(cell, cfg)[1].to_dict()
         except OdcbfError as exc:
-            table[label] = {"error": f"{type(exc).__name__}: {exc}"}
+            table[str(label)] = {"error": f"{type(exc).__name__}: {exc}"}
     return table
-
-
-def sweep_table_to_dict(table: dict) -> dict:
-    out = {}
-    for label, entry in table.items():
-        out[str(label)] = entry.to_dict() if isinstance(entry, SafetyMetrics) else entry
-    return out

@@ -20,11 +20,14 @@ from . import autodiff as ad
 from .barrier import BarrierSpec, LieData, eval_lie
 from .dynamics import DisturbedSystem
 from .errors import ParameterError, SamplerError
-from .io import write_json_atomic
 
 RANK_TOL = 1e-8
 MARGIN_TOL = 1e-10
 MATCH_TOL = 1e-9  # largest residual of a w column against range(g) that counts as matched
+ZERO_SET_SLACK = 1e-10  # largest h at which a point with L_g h = 0 counts as on the zero set
+# qp_oracle: a candidate's constraint slack, and its omega-bound multiplier, down to which it is feasible
+ORACLE_FEAS_TOL = 1e-10
+ORACLE_MULT_FLOOR = -1e-14
 SAMPLER_TRIES = 200  # a sampler's draws per requested point before it gives up
 # zero-set refinement: Gauss-Newton iterations, and the ||L_g h|| at which it stops
 GN_ITERS = 20
@@ -123,9 +126,6 @@ class SampleReport:
             "note": self.note,
         }
 
-    def to_json(self, path):
-        write_json_atomic(path, self.to_dict())
-
 
 # -- QP oracle -----------------------------------------------------------
 
@@ -161,8 +161,8 @@ def qp_oracle(lf_h, lg_h, lw_h, alpha_h, epsilon, theta_d, p, k_d) -> OracleSolu
     def objective(du, domega):
         return 0.5 * float(du @ du) + 0.5 * p * domega**2
 
-    def feasible(du, domega, tol=1e-10):
-        return (r0 + b @ du + alpha_h * domega >= -tol) and (domega >= -tol)
+    def feasible(du, domega):
+        return (r0 + b @ du + alpha_h * domega >= -ORACLE_FEAS_TOL) and (domega >= -ORACLE_FEAS_TOL)
 
     candidates = []
 
@@ -183,7 +183,7 @@ def qp_oracle(lf_h, lg_h, lw_h, alpha_h, epsilon, theta_d, p, k_d) -> OracleSolu
         du = -r0 * b / bb
         lam = -r0 / bb
         mu = -lam * alpha_h  # multiplier of the omega bound
-        if lam >= 0.0 and mu >= -1e-14 and feasible(du, 0.0):
+        if lam >= 0.0 and mu >= ORACLE_MULT_FLOOR and feasible(du, 0.0):
             candidates.append((du, 0.0, "both"))
 
     if not candidates:
@@ -279,8 +279,8 @@ def check_od_issf(sys: DisturbedSystem, bar: BarrierSpec, sampler: BoxRegionSamp
     def lie_at(x):
         return eval_lie(sys, bar, x)
 
-    def on_zero_set(x, lie, slack=1e-10):
-        if float(np.linalg.norm(lie.lg_h)) > RANK_TOL or lie.h_val > slack:
+    def on_zero_set(x, lie):
+        if float(np.linalg.norm(lie.lg_h)) > RANK_TOL or lie.h_val > ZERO_SET_SLACK:
             return False
         return bar.in_domain(x, lie.h_val)
 
@@ -425,23 +425,20 @@ def check_matched(sys: DisturbedSystem, samples, bar: Optional[BarrierSpec] = No
     When a barrier is supplied, additionally asserts the matched implication
     ||L_g h|| <= RANK_TOL => ||L_w h|| <= MATCH_TOL at samples where it applies.
     """
-    results = []
+    residuals = []
     implication_failures = []
     for x in samples:
         x = np.asarray(x, dtype=float)
         res = matched_residual(sys, x)
-        is_matched = res <= MATCH_TOL
-        results.append((x, res, is_matched))
-        if bar is not None and is_matched:
+        residuals.append(res)
+        if bar is not None and res <= MATCH_TOL:
             lie = eval_lie(sys, bar, x)
             if float(np.linalg.norm(lie.lg_h)) <= RANK_TOL and float(np.linalg.norm(lie.lw_h)) > MATCH_TOL:
                 implication_failures.append((x, float(np.linalg.norm(lie.lw_h))))
-    all_matched = all(m for _, _, m in results)
     return {
-        "samples_checked": len(results),
-        "matched": all_matched,
-        "max_residual": max((r for _, r, _ in results), default=0.0),
-        "per_sample": results,
+        "samples_checked": len(residuals),
+        "matched": all(r <= MATCH_TOL for r in residuals),
+        "max_residual": max(residuals, default=0.0),
         "implication_failures": implication_failures,
         "note": "numerical evidence (sampling), not a proof",
     }

@@ -205,10 +205,32 @@ def test_bad_domain_bound_is_build_failure(tmp_path, capsys, scenario, command, 
         (["run", "--scenario", "quadrotor", "--disturbance", "dir:nan"], None, "non-finite number in disturbance"),
         (["run", "--scenario", "pendulum", "--dt", "nan"], None, "dt must be positive and finite"),
         (["run", "--scenario", "pendulum", "--t-final", "inf"], None, "t_final must be finite"),
+        # a horizon whose rows cannot be allocated fails before the first step
+        (["run", "--scenario", "pendulum", "--t-final", "1e12"], None, "too many rows to record"),
+        (["run", "--scenario", "pendulum", "--t-final", "1e300"], None, "too many rows to record"),
         (["sweep", "--scenario", "quadrotor", "--param", "delta", "--values", "1,nan"], None, "delta must be finite"),
+        # a negative disturbance bound would flip the signal's sign under the bound of -delta
+        (["run", "--scenario", "pendulum", "--delta", "-1"], None, "delta must be finite and non-negative"),
+        (["sweep", "--scenario", "pendulum", "--param", "delta", "--values", "1,-1"], None,
+         "delta must be finite and non-negative"),
+        # every float setting is finite, and every tuple setting has its scenario's length and finite entries
+        (["verify", "--scenario", "pendulum"], "[pendulum]\nbox_lo = 0,0,0\n", "box_lo must have length 2"),
+        (["run", "--scenario", "quadrotor"], "[quadrotor]\nv_min_frac = nan\n", "v_min_frac must be finite"),
+        (["run", "--scenario", "pendulum"], "[pendulum]\nkp = nan\n", "kp must be finite"),
+        (["run", "--scenario", "pendulum"], "[pendulum]\nref_freq = nan\n", "ref_freq must be finite"),
+        (["run", "--scenario", "quadrotor"], "[quadrotor]\nk_att = nan\n", "k_att must be finite"),
+        (["run", "--scenario", "pendulum"], "[pendulum]\nx0 = nan,0\n", "x0 must have length 2"),
+        (["run", "--scenario", "quadrotor"], "[quadrotor]\nz0 = 0,0,nan,0\n", "z0 must have length 4"),
+        (["run", "--scenario", "quadrotor"], "[quadrotor]\neta0 = 0,0\n", "eta0 must have length 1"),
+        (["run", "--scenario", "quadrotor"], "[quadrotor]\nbox_hi = 1,1,1,1\n", "box_hi must have length 5"),
+        (["run", "--scenario", "pendulum", "--epsilon", "inf"], None, "epsilon must be finite"),
+        (["verify", "--scenario", "pendulum", "--epsilon", "inf"], None, "epsilon must be finite"),
     ],
     ids=["dir-abc", "const-x", "config-abc", "sweep-values", "plotdata-list", "missing-config",
-         "epsilon-nan", "delta-nan", "delta-inf", "dir-nan", "dt-nan", "t-final-inf", "sweep-delta-nan"],
+         "epsilon-nan", "delta-nan", "delta-inf", "dir-nan", "dt-nan", "t-final-inf", "t-final-huge", "t-final-1e300",
+         "sweep-delta-nan", "delta-negative", "sweep-delta-negative",
+         "box-lo-length", "v-min-frac-nan", "kp-nan", "ref-freq-nan", "k-att-nan", "x0-nan", "z0-nan",
+         "eta0-length", "box-hi-length", "epsilon-inf", "verify-epsilon-inf"],
 )
 def test_malformed_or_non_finite_setting_is_build_failure(tmp_path, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)

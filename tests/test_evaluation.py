@@ -172,6 +172,24 @@ def test_value_only_h_and_reference_equal_the_barrier_pass(build):
         assert np.array_equal(barrier.reference(x), be.ref)
 
 
+@pytest.mark.parametrize("build, top, n_top", [(build_pendulum, "h1", 1), (build_quadrotor, "h_z", 4)])
+def test_rows_take_h_layer_from_their_own_barrier_pass(monkeypatch, build, top, n_top):
+    # the row's h_layer is the barrier pass's h_top: once the kernels are traced, no row calls the top barrier
+    scn = build()
+    h_top = getattr(scn, top).h
+    rollout(scn, CFG)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return h_top(x)
+
+    monkeypatch.setitem(vars(getattr(scn, top)), "h", counted)  # the spec is frozen
+    traj, _ = rollout(scn, CFG)
+    assert len(calls) == 0
+    assert np.array_equal(traj.layer_h_values, [h_top(x[:n_top]) for x in traj.states])
+
+
 @pytest.mark.parametrize("build", [build_pendulum, build_quadrotor])
 def test_recorded_inputs_replay_bit_for_bit(build):
     scn = build()

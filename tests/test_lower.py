@@ -222,8 +222,8 @@ def build(name, **changes):
 def reference_evaluation(scn, x, t):
     """h, grad h, k, ref, ref_jac, f, g, w, L_f h, L_g h, L_w h, u and theta from the reference path:
     lie_pass on floats, the nominal on its barrier pass, then the filter."""
-    h, grad, f, g, w, lf, lg, lw, k, ref, ref_jac, mu = lie_pass(scn.sys, scn.bar, x)
-    u_nom = call_law(scn.filter_law.nominal, x, t, BarrierEval(h, grad, k, ref, ref_jac, mu))
+    h, grad, h_top, f, g, w, lf, lg, lw, k, ref, ref_jac, mu = lie_pass(scn.sys, scn.bar, x)
+    u_nom = call_law(scn.filter_law.nominal, x, t, BarrierEval(h, grad, h_top, k, ref, ref_jac, mu))
     bar = scn.bar
     res = solve_decay_filter(lf, lg, lw, float(bar.alpha(h)), u_nom, bar.epsilon, bar.theta_d, bar.p_weight, x=x)
     return h, grad, k, ref, ref_jac, f, g, w, lf, lg, lw, res.u, res.theta_x
@@ -331,7 +331,7 @@ def test_infeasible_state_raises_the_reference_filter_error():
     law = OdIssfController(sys, bar, lambda x, t, be: np.zeros(1))
     law.evaluate(np.array([0.5]))
     x = np.array([2.0])
-    lf, lg, lw = (lie_pass(sys, bar, x)[i] for i in (5, 6, 7))
+    lf, lg, lw = (lie_pass(sys, bar, x)[i] for i in (6, 7, 8))
     with pytest.raises(InfeasiblePointError) as ref:
         solve_decay_filter(lf, lg, lw, float(bar.alpha(-3.0)), np.zeros(1), 1.0, 1.0, 1.0, x=x)
     with pytest.raises(InfeasiblePointError) as got:
@@ -351,3 +351,18 @@ def test_untraceable_pair_runs_the_reference():
         assert lie.lf_h == -2.0 * x[0] * x[0]
     kernel = lie_kernel(sys, bar)
     assert isinstance(kernel.refusal, TraceError) and not kernel.sources
+
+
+def test_trace_failing_inside_numpy_runs_the_reference():
+    # np.asarray(traced, dtype=float) raises numpy's ValueError, chained from the refused float conversion
+    scn = build("pendulum")
+    h1 = scn.h1
+    custom = BarrierSpec(h=h1.h, grad_h=lambda x: np.asarray(h1.grad_h(x), dtype=float), alpha=h1.alpha,
+                         epsilon=h1.epsilon, theta_d=h1.theta_d, p_weight=h1.p_weight, n=1)
+    for x in ([0.3], [-0.7]):
+        got, want = eval_lie(scn.top_sys, custom, x), eval_lie(scn.top_sys, h1, x)
+        for mine, ref in zip((*got[:4], *got.bar_eval, *got[5:]), (*want[:4], *want.bar_eval, *want[5:])):
+            assert np.array_equal(mine, ref)
+    kernel = lie_kernel(scn.top_sys, custom)
+    assert isinstance(kernel.refusal, TraceError) and not kernel.sources
+    assert "used as a number" in str(kernel.refusal)

@@ -146,8 +146,9 @@ class TestFilterOnSystems:
     def test_domain_precondition(self):
         scn = build_pendulum()
         bar = dataclasses.replace(scn.bar, domain_b=0.5)
-        with pytest.raises(DomainError):
-            OdIssfController(scn.sys, bar, scn.filter_law.nominal).evaluate(np.array([3.0, 8.0]))
+        with pytest.raises(DomainError) as exc:
+            OdIssfController(scn.sys, bar, scn.filter_law.nominal).evaluate(np.array([3.0, 8.0]), 0.25)
+        assert exc.value.t == 0.25 and np.array_equal(exc.value.x, [3.0, 8.0])
 
     def test_virtual_filter_interior_nominal_safe(self):
         scn = build_pendulum()

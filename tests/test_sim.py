@@ -11,7 +11,7 @@ from odcbf.dynamics import DisturbanceSignal, DisturbedSystem, call_law
 from odcbf.errors import IntegrationError, NonFiniteError, ParameterError, SimulationAbort
 from odcbf.odfilter import OdIssfController
 from odcbf.scenarios import PendulumConfig, Scenario, build_pendulum, make_disturbance, zero_disturbance
-from odcbf.sim import RolloutConfig, SafetyMetrics, rk4_step, rollout, sweep
+from odcbf.sim import RolloutConfig, rk4_step, rollout, sweep
 from tests.test_dynamics import close_loop
 
 
@@ -61,7 +61,7 @@ def small_scenario(bar, disturbance, nominal=lambda x, t, be: np.zeros(1), lw=0.
     lw_mat = np.array([[lw]])
     sys = DisturbedSystem(n=1, m=1, p=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1), w=lambda x: lw_mat)
     law = OdIssfController(sys, bar, nominal)
-    return Scenario("line", None, law, np.zeros(1), disturbance, bar.h, ((-1.0,), (1.0,)), ())
+    return Scenario("line", None, law, np.zeros(1), disturbance, ((-1.0,), (1.0,)), ())
 
 
 class TestRollout:
@@ -141,6 +141,7 @@ class TestRollout:
         assert not scn.bar.in_domain(traj.states[-1])
         assert np.isnan(traj.inputs[-1]).all() and math.isnan(traj.omegas[-1])
         assert traj.h_values[-1] == scn.bar.h(traj.states[-1]) <= -0.5
+        assert traj.layer_h_values[-1] == scn.h1.h(traj.states[-1][:1])
         assert metrics.min_h == traj.h_values[-1]
         assert np.isfinite(traj.inputs[:-1]).all()
 
@@ -253,9 +254,10 @@ class TestSweep:
     def test_error_cells_captured(self):
         scn = build_pendulum()
         bad = dataclasses.replace(scn, x0=np.array([0.0, 0.0, 0.0]))
-        table = sweep({"ok": scn, "broken": bad}, RolloutConfig(dt=5e-3, t_final=0.1))
-        assert isinstance(table["ok"], SafetyMetrics)
-        assert "error" in table["broken"]
+        cfg = RolloutConfig(dt=5e-3, t_final=0.1)
+        table = sweep({"ok": scn, "broken": bad}, cfg)
+        assert table["ok"] == rollout(scn, cfg)[1].to_dict()
+        assert list(table["broken"]) == ["error"]
 
     def test_zero_disturbance_cells_deterministic(self):
         scn = build_pendulum()
@@ -263,7 +265,7 @@ class TestSweep:
         cfg = RolloutConfig(dt=5e-3, t_final=0.3)
         t1 = sweep({"a": cell, "b": cell}, cfg)
         _, direct = rollout(cell, cfg)
-        assert t1["a"].min_h == t1["b"].min_h == direct.min_h
+        assert t1["a"]["min_h"] == t1["b"]["min_h"] == direct.min_h
 
     def test_programming_error_in_a_cell_propagates(self):
         scn = build_pendulum()
