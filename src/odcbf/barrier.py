@@ -123,12 +123,10 @@ class BarrierSpec:
 
             object.__setattr__(self, "value_and_grad", pair)
 
-    def in_domain(self, x, hv=None):
-        """x in D = {h + b > 0}; ``hv`` is h(x) where the caller has it, and h is
-        evaluated only when b is finite and ``hv`` is not given."""
-        if not math.isfinite(self.domain_b):
-            return True
-        return (float(self.h(x)) if hv is None else hv) + self.domain_b > 0.0
+    def in_domain(self, hv):
+        """Whether a state whose barrier value is ``hv`` lies in D = {h + b > 0}. With b = +inf
+        every state does, even at a NaN or -inf h (whose ``hv + b`` is NaN): the filter refuses those."""
+        return not math.isfinite(self.domain_b) or hv + self.domain_b > 0.0
 
 
 class LieData(NamedTuple):

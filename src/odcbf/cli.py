@@ -1,10 +1,12 @@
 """Command-line interface: run / sweep / verify / plotdata.
 
-Exit codes: 0 success, 1 verification fail verdict, 2 usage error (argparse),
-3 scenario build failure, 4 runtime abort (a rollout or check stopped on a
-state it could not handle, or a sweep cell did; run still writes the
-trajectory up to the abort, and sweep its table). All stochastic sampling
-is controlled by --seed; output files are written atomically (temp + rename).
+Exit codes: 0 success, 1 verification fail verdict, 2 usage error (argparse,
+also a negative --seed), 3 scenario build failure or unusable input (a
+malformed config file, an --out that cannot be a directory, a sweep with no
+values), 4 runtime abort (a rollout or check stopped on a state it could not
+handle, or a sweep cell did; run still writes the trajectory up to the abort,
+and sweep its table). All stochastic sampling is controlled by --seed; output
+files are written atomically (temp + rename).
 
 Config files are INI-style key=value with one section per scenario, e.g.
 
@@ -44,9 +46,11 @@ def _load_config_section(path, section):
     try:
         with open(path) as fh:
             parser.read_file(fh)
+        return dict(parser[section]) if parser.has_section(section) else {}  # values interpolate as they are read
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path!r}: {exc.strerror}") from None
-    return dict(parser[section]) if parser.has_section(section) else {}
+    except configparser.Error as exc:
+        raise ParameterError(f"malformed config file {path!r}: {exc.message}") from None
 
 
 def _coerce(value, target):
@@ -105,7 +109,10 @@ def _rollout_config(args):
 
 def _out_path(args, name):
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {out!r}: {exc.strerror}") from None
     return os.path.join(out, name)
 
 
@@ -142,6 +149,8 @@ def cmd_sweep(args):
     """A table of one rollout per value; exits RUNTIME_FAILURE, after writing it, if any cell aborted."""
     cfg = _rollout_config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ParameterError(f"--values {args.values!r} names no value")
     cells = {v: _build(args, **_sweep_change(args.param, v)) for v in values}
     payload = {"scenario": args.scenario, "param": args.param, "cells": sweep(cells, cfg)}
     path = _out_path(args, f"{args.scenario}_sweep_{args.param}.json")
@@ -267,6 +276,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # numpy's default_rng refuses it
+        parser.error(f"argument --seed: negative seed {args.seed}")
     try:
         return args.fn(args)
     except OdcbfError as exc:

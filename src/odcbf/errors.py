@@ -20,11 +20,14 @@ class ParameterError(OdcbfError, ValueError):
 
 
 class DomainError(OdcbfError, ValueError):
-    """A state lies outside the barrier's domain (h(x) + b <= 0); carries the state and its time."""
+    """A state lies outside the barrier's domain (h(x) + b <= 0); carries the state, its time,
+    and the h and h_top of the evaluation that was refused."""
 
-    def __init__(self, x, t):
+    def __init__(self, x, t, h, h_top):
         self.x = x
         self.t = t
+        self.h = h
+        self.h_top = h_top
         super().__init__(f"state outside barrier domain (h + b <= 0) at x={x}")
 
 

@@ -134,7 +134,8 @@ class OdIssfController:
 
     ``evaluate(x, t)`` is the one per-state evaluation that integration and
     recording read, and ``control`` its input. A state outside the
-    barrier's domain (``bar.in_domain``) raises DomainError, with x and t.
+    barrier's domain (``bar.in_domain`` of its evaluated h) raises DomainError,
+    with x, t and that evaluation's h and h_top.
     """
 
     def __init__(self, sys, bar, nominal):
@@ -145,9 +146,9 @@ class OdIssfController:
     def evaluate(self, x, t=0.0) -> StateEval:
         x = np.asarray(x, dtype=float)
         bar = self.bar
-        if not bar.in_domain(x):
-            raise DomainError(x, t)
         lie = eval_lie(self.sys, bar, x)
+        if not bar.in_domain(lie.h_val):
+            raise DomainError(x, t, lie.h_val, lie.bar_eval.h_top)
         u_nom = call_law(self.nominal, x, t, lie.bar_eval)
         res = solve_decay_filter(
             lie.lf_h, lie.lg_h, lie.lw_h, float(bar.alpha(lie.h_val)), u_nom,

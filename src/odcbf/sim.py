@@ -67,42 +67,34 @@ def rk4_step(field, t, x, dt, k1=None):
 
 @dataclass
 class Trajectory:
-    """Recorded rollout: one row per step, columns share length; ``truncated`` if it stopped early.
+    """Recorded rollout: the table of its rows, one per step; ``truncated`` if it stopped early.
 
-    A rollout's arrays are column slices of the one table it filled, whose
-    columns are in the CSV's order.
+    The columns are in the CSV's order: t, x (n), u (m), d, h, h_layer, theta;
+    ``times``, ``states`` and the other named arrays are views of them.
     """
 
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    omegas: np.ndarray
-    disturbances: np.ndarray
-    h_values: np.ndarray
-    layer_h_values: np.ndarray
+    table: np.ndarray
+    n: int
+    m: int
     truncated: bool = False
     exit_reason: Optional[str] = None
 
-    def to_csv(self, path):
-        n = self.states.shape[1]
-        m = self.inputs.shape[1]
-        p = self.disturbances.shape[1]
-        header = (
-            ["t"]
-            + [f"x_{i + 1}" for i in range(n)]
-            + [f"u_{i + 1}" for i in range(m)]
-            + [f"d_{i + 1}" for i in range(p)]
-            + ["h", "h_layer", "theta"]
-        )
+    times = property(lambda self: self.table[:, 0])
+    states = property(lambda self: self.table[:, 1 : 1 + self.n])
+    inputs = property(lambda self: self.table[:, 1 + self.n : 1 + self.n + self.m])
+    disturbances = property(lambda self: self.table[:, 1 + self.n + self.m : -3])
+    h_values = property(lambda self: self.table[:, -3])
+    layer_h_values = property(lambda self: self.table[:, -2])
+    omegas = property(lambda self: self.table[:, -1])
 
-        table = np.column_stack(
-            [self.times, self.states, self.inputs, self.disturbances, self.h_values, self.layer_h_values, self.omegas]
-        )
+    def to_csv(self, path):
+        widths = {"x": self.n, "u": self.m, "d": self.table.shape[1] - self.n - self.m - 4}
+        header = ["t", *(f"{v}_{i + 1}" for v, width in widths.items() for i in range(width)), "h", "h_layer", "theta"]
 
         def write(fh):
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(map(lambda row: map(repr, row), table.tolist()))
+            writer.writerows(map(lambda row: map(repr, row), self.table.tolist()))
 
         write_atomic(path, write, newline="")
 
@@ -153,8 +145,8 @@ def rollout(scn, cfg: RolloutConfig):
     A state outside the barrier domain ends the rollout: a step's end or
     an RK stage's state, which the filter rejects with DomainError. The
     trajectory is flagged truncated and its last row holds that state at
-    its time, with its h and h_top from one barrier pass and with NaN input
-    and decay scale, as the filter is not evaluated there. Aborts with the
+    its time, with the h and h_top of the evaluation the filter refused and
+    with NaN input and decay scale. Aborts with the
     step index and the stage time, chained to the cause, on controller
     infeasibility and on the other errors of a stage evaluation
     (``STAGE_ERRORS``). The declared disturbance bound is enforced on the
@@ -163,7 +155,7 @@ def rollout(scn, cfg: RolloutConfig):
     truncated ``trajectory``.
     """
     law, disturbance = scn.filter_law, scn.disturbance
-    sys, bar, evaluate_law = law.sys, law.bar, law.evaluate
+    sys, evaluate_law = law.sys, law.evaluate
     n, m = sys.n, sys.m
     x = np.asarray(scn.x0, dtype=float)
     n_steps = int(round(cfg.t_final / cfg.dt))
@@ -185,6 +177,9 @@ def rollout(scn, cfg: RolloutConfig):
             )
         try:
             ev = evaluate_law(x, t)
+        except DomainError as left:  # the exit row: the refused evaluation's h and h_top, no input, no decay scale
+            table[rows] = [t, *x.tolist(), *[math.nan] * m, *d_floats, left.h, left.h_top, math.nan]
+            raise
         except InfeasiblePointError as exc:
             raise SimulationAbort(step, t, f"controller infeasible: {exc}") from exc
         except STAGE_ERRORS as exc:
@@ -194,45 +189,26 @@ def rollout(scn, cfg: RolloutConfig):
             table[row] = [t, *x.tolist(), *u, *d_floats, lie.h_val, lie.bar_eval.h_top, ev.result.theta_x]
         return _xdot(lie, u, d_floats)
 
-    def trajectory(truncated, exit_reason):
-        done = table[:rows]
-        return Trajectory(
-            times=done[:, 0],
-            states=done[:, 1 : 1 + n],
-            inputs=done[:, 1 + n : 1 + n + m],
-            disturbances=done[:, 1 + n + m : -3],
-            h_values=done[:, -3],
-            layer_h_values=done[:, -2],
-            omegas=done[:, -1],
-            truncated=truncated,
-            exit_reason=exit_reason,
-        )
-
     truncated, exit_reason = False, None
     try:
         k1 = field(0.0, x, 0)
         rows = 1
         for k in range(n_steps):
             step = k
-            try:
-                x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=k1)
-                step = k + 1
-                k1 = field(step * cfg.dt, x, rows)
-            except DomainError as left:
-                # the filter is not evaluated there: record the state with its h and h_top, no input and no decay scale
-                truncated, exit_reason = True, f"left barrier domain at t={left.t:.6g}"
-                be = bar.value_and_grad(left.x)
-                table[rows] = [left.t, *left.x.tolist(), *[math.nan] * m, *disturbance.at(left.t), be.h, be.h_top,
-                               math.nan]
-                rows += 1
-                break
+            x = rk4_step(field, k * cfg.dt, x, cfg.dt, k1=k1)
+            step = k + 1
+            k1 = field(step * cfg.dt, x, rows)
             rows += 1
+    except DomainError as left:
+        if not rows:  # the initial state: there is no run to truncate
+            raise
+        truncated, exit_reason, rows = True, f"left barrier domain at t={left.t:.6g}", rows + 1
     except (SimulationAbort, IntegrationError) as exc:
-        exc.trajectory = trajectory(True, str(exc))
+        exc.trajectory = Trajectory(table[:rows], n, m, True, str(exc))
         raise
 
-    traj = trajectory(truncated, exit_reason)
-    return traj, compute_metrics(traj, bar, disturbance.sup_norm)
+    traj = Trajectory(table[:rows], n, m, truncated, exit_reason)
+    return traj, compute_metrics(traj, law.bar, disturbance.sup_norm)
 
 
 def compute_metrics(traj: Trajectory, bar: BarrierSpec, delta: float) -> SafetyMetrics:

@@ -82,9 +82,7 @@ def exterior_sampler(bar: BarrierSpec, lo, hi) -> BoxRegionSampler:
 
     def pred(x):
         hv = float(bar.h(x))
-        if hv > 0.0:
-            return False
-        return bar.in_domain(x, hv)
+        return not hv > 0.0 and bar.in_domain(hv)
 
     return BoxRegionSampler(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), pred)
 
@@ -279,16 +277,16 @@ def check_od_issf(sys: DisturbedSystem, bar: BarrierSpec, sampler: BoxRegionSamp
     def lie_at(x):
         return eval_lie(sys, bar, x)
 
-    def on_zero_set(x, lie):
+    def on_zero_set(lie):
         if float(np.linalg.norm(lie.lg_h)) > RANK_TOL or lie.h_val > ZERO_SET_SLACK:
             return False
-        return bar.in_domain(x, lie.h_val)
+        return bar.in_domain(lie.h_val)
 
     for x in seeds:
         lie = lie_at(x)
-        if not on_zero_set(x, lie):
+        if not on_zero_set(lie):
             x, lie = _gauss_newton_zero(lie_at, x, lie)
-            if not on_zero_set(x, lie):
+            if not on_zero_set(lie):
                 continue
         m = lemma_margin(bar, lie)
         report.zero_set_hits += 1

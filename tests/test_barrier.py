@@ -162,11 +162,17 @@ class TestAdmissibleDelta:
 class TestBarrierDomain:
     def test_membership_consistency(self):
         bar = h1_spec(domain_b=1.0)
-        assert bar.in_domain(np.array([0.5]))  # inside S
-        assert bar.in_domain(np.array([1.2]))  # h = -0.44 > -b
-        assert not bar.in_domain(np.array([2.0]))  # h = -3 <= -1
-        assert not bar.in_domain(None, -3.0) and bar.in_domain(None, -0.44)  # a given h is not re-evaluated
-        assert h1_spec().in_domain(np.array([2.0]))  # b = inf: D is everything
+        assert bar.in_domain(bar.h(np.array([0.5])))  # inside S
+        assert bar.in_domain(bar.h(np.array([1.2])))  # h = -0.44 > -b
+        assert not bar.in_domain(bar.h(np.array([2.0])))  # h = -3 <= -1
+        assert not bar.in_domain(math.nan)  # NaN + b is NaN, and NaN > 0 is false
+        assert h1_spec().in_domain(-3.0)  # b = inf: D is everything
+
+    @pytest.mark.parametrize("hv", [math.nan, -math.inf])
+    def test_infinite_bound_accepts_any_h(self, hv):
+        # hv + inf is NaN here; read as "outside D", a diverging run would end as a clean truncation
+        # instead of the filter's NonFiniteError
+        assert h1_spec().in_domain(hv) is True
 
     def test_set_nesting_below_admissible(self):
         bar = h1_spec(eps=1.0, theta_d=1.0, domain_b=1.0)
@@ -178,7 +184,7 @@ class TestBarrierDomain:
             for x in rng.uniform(-1.0, 1.0, size=(50, 1)):
                 if bar.h(x) >= 0.0:  # x in S, so x in S_delta = {h + gamma >= 0} and in D
                     assert bar.h(x) + gamma >= 0.0
-                    assert bar.in_domain(x)
+                    assert bar.in_domain(bar.h(x))
 
     @pytest.mark.parametrize("b", [math.nan, 0.0, -0.5])
     def test_bad_bound_rejected(self, b):

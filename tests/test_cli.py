@@ -141,6 +141,25 @@ def test_unknown_flag_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_malformed_seed_usage_error(tmp_path, capsys, seed):
+    # a negative seed would reach numpy's default_rng and exit 1, the failed-verdict code, with a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scenario", "pendulum", "--seed", seed, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_naming_a_file_is_build_failure(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", "--scenario", "pendulum", "--t-final", "0.01", "--out", str(taken)])
+    assert code == BUILD_FAILURE
+    assert f"cannot create output directory {str(taken)!r}" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text("[pendulum]\nepsilon = 7.0\nmu = 0.25\n")
@@ -198,6 +217,11 @@ def test_bad_domain_bound_is_build_failure(tmp_path, capsys, scenario, command, 
         (["sweep", "--scenario", "pendulum", "--param", "epsilon", "--values", "1,abc"], None, "malformed number"),
         (["plotdata", "--scenario", "pendulum", "--epsilons", "1,abc"], None, "malformed number"),
         (["run", "--scenario", "pendulum", "--config", "no_such_file.ini"], None, "cannot read config file"),
+        # config files configparser refuses, on reading or, for an interpolation, on reading the value
+        (["run", "--scenario", "pendulum"], "epsilon = 1\n", "malformed config file 'exp.ini': File contains no section"),
+        (["run", "--scenario", "pendulum"], "[pendulum]\nepsilon = 1\nepsilon = 2\n", "'epsilon' in section 'pendulum' already"),
+        (["run", "--scenario", "pendulum"], "[pendulum]\ndisturbance = sin%\n", "'%' must be followed by"),
+        (["sweep", "--scenario", "pendulum", "--param", "epsilon", "--values", ","], None, "',' names no value"),
         # non-finite settings: NaN fails every positivity test, and a NaN or infinite delta, dt or t_final is refused
         (["run", "--scenario", "pendulum", "--epsilon", "nan"], None, "epsilon must be positive"),
         (["run", "--scenario", "quadrotor", "--delta", "nan"], None, "delta must be finite"),
@@ -227,6 +251,7 @@ def test_bad_domain_bound_is_build_failure(tmp_path, capsys, scenario, command, 
         (["verify", "--scenario", "pendulum", "--epsilon", "inf"], None, "epsilon must be finite"),
     ],
     ids=["dir-abc", "const-x", "config-abc", "sweep-values", "plotdata-list", "missing-config",
+         "config-no-section", "config-duplicate-key", "config-percent", "sweep-no-values",
          "epsilon-nan", "delta-nan", "delta-inf", "dir-nan", "dt-nan", "t-final-inf", "t-final-huge", "t-final-1e300",
          "sweep-delta-nan", "delta-negative", "sweep-delta-negative",
          "box-lo-length", "v-min-frac-nan", "kp-nan", "ref-freq-nan", "k-att-nan", "x0-nan", "z0-nan",

@@ -110,17 +110,20 @@ def test_pendulum_runs_half_sontag_and_duals_only_to_trace(monkeypatch):
 
 
 def test_finite_domain_tests_each_state_once(monkeypatch):
-    # the filter's domain test is the only one: one h per stage state, none for the step end a second time;
-    # once the kernels are traced, that h runs in the barrier's kernel and no forward-AD pass runs
-    counts = {"h": 0, "jacobian": 0}
+    # the filter's domain test reads the h of the stage's own evaluation, and the exit row that evaluation's h
+    # and h_top: once the kernels are traced, no h, no barrier pass and no forward-AD pass runs outside them
+    counts = {"h": 0, "value_and_grad": 0, "jacobian": 0}
     counting(monkeypatch, CompositeBarrier, "h", counts)
+    counting(monkeypatch, CompositeBarrier, "value_and_grad", counts)
     counting(monkeypatch, ad, "jacobian", counts)
-    scn = build_pendulum(PendulumConfig(domain_b=10.0))
-    for _ in range(2):  # the first rollout traces the kernels
-        counts.update(h=0, jacobian=0)
-        rollout(scn, CFG)
-        assert counts["h"] == 4 * STEPS + 1
-    assert counts["jacobian"] == 0
+    runs = ((PendulumConfig(domain_b=10.0), CFG), (PendulumConfig(epsilon=10.0, domain_b=0.5), RolloutConfig(1e-2, 10.0)))
+    for scn_cfg, cfg in runs:
+        scn = build_pendulum(scn_cfg)
+        rollout(scn, cfg)  # the first rollout traces the kernels
+        counts.update(h=0, value_and_grad=0, jacobian=0)
+        traj = rollout(scn, cfg)[0]
+        assert counts == {"h": 0, "value_and_grad": 0, "jacobian": 0}
+    assert traj.truncated  # the second run leaves the domain
 
 
 @pytest.mark.parametrize("name", ["pendulum", "quadrotor"])

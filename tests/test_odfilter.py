@@ -149,6 +149,8 @@ class TestFilterOnSystems:
         with pytest.raises(DomainError) as exc:
             OdIssfController(scn.sys, bar, scn.filter_law.nominal).evaluate(np.array([3.0, 8.0]), 0.25)
         assert exc.value.t == 0.25 and np.array_equal(exc.value.x, [3.0, 8.0])
+        # the error carries the refused evaluation's h and h_top
+        assert exc.value.h == bar.h(np.array([3.0, 8.0])) <= -0.5 and exc.value.h_top == scn.h1.h(np.array([3.0]))
 
     def test_virtual_filter_interior_nominal_safe(self):
         scn = build_pendulum()

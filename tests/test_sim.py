@@ -138,10 +138,11 @@ class TestRollout:
         assert traj.truncated
         assert "left barrier domain" in traj.exit_reason
         assert traj.times[-1] < 10.0 and np.all(np.diff(traj.times) > 0)
-        assert not scn.bar.in_domain(traj.states[-1])
+        assert not scn.bar.in_domain(scn.bar.h(traj.states[-1]))
         assert np.isnan(traj.inputs[-1]).all() and math.isnan(traj.omegas[-1])
         assert traj.h_values[-1] == scn.bar.h(traj.states[-1]) <= -0.5
         assert traj.layer_h_values[-1] == scn.h1.h(traj.states[-1][:1])
+        assert np.array_equal(traj.disturbances[-1], scn.disturbance.at(traj.times[-1]))
         assert metrics.min_h == traj.h_values[-1]
         assert np.isfinite(traj.inputs[:-1]).all()
 
